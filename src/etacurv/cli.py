@@ -165,100 +165,86 @@ def _newton_config(cfg):
 # builtin right-hand sides
 
 
+def _power_decay(spec):
+    c = _get(spec, "c", float)
+    p = _get(spec, "p", float)
+    if c <= 0:
+        raise ConfigError("key 'f.c' must be positive")
+    return lambda x, nu: c * np.linalg.norm(x, axis=-1) ** (-p)
+
+
+def _aniso_power(spec):
+    c = _get(spec, "c", float)
+    p = _get(spec, "p", float)
+    delta = _get(spec, "delta", float)
+    axis = _get(spec, "axis", int, required=False, default=-1)
+    if not abs(delta) < 1.0:
+        raise ConfigError("key 'f.delta' must satisfy |delta| < 1")
+    return lambda x, nu: (c * (1.0 + delta * nu[..., axis])
+                          * np.linalg.norm(x, axis=-1) ** (-p))
+
+
+def _grad_sq(spec):
+    c0 = _get(spec, "c0", float, required=False, default=1.0)
+    c1 = _get(spec, "c1", float, required=False, default=1.0)
+    if c0 <= 0 or c1 < 0:
+        raise ConfigError("key 'f.c0' must be positive and 'f.c1' "
+                          "nonnegative")
+    return lambda x, phi, grad: (
+        c0 + c1 * np.einsum("ni,ni->n", grad, grad))
+
+
+def _constant(spec):
+    value = _get(spec, "value", float)
+    if value <= 0:
+        raise ConfigError("key 'f.value' must be positive")
+    return lambda x: np.full(x.shape[:-1], value)
+
+
+def _tabulated(spec):
+    radii = np.asarray(_get(spec, "r", list), dtype=float)
+    values = np.asarray(_get(spec, "values", list), dtype=float)
+    if radii.size != values.size or radii.size < 2:
+        raise ConfigError("key 'f.r' and 'f.values' must be equal-length "
+                          "tables with at least two entries")
+    if np.any(np.diff(radii) <= 0):
+        raise ConfigError("key 'f.r' must be strictly increasing")
+    if np.any(values <= 0):
+        raise ConfigError("key 'f.values' must be positive")
+    return lambda x: np.interp(np.linalg.norm(x, axis=-1), radii, values)
+
+
+# Builtins that depend on the position only serve both pipelines; each
+# pipeline lifts them to its own argument list.
+_POSITION_BUILTINS = {"constant": _constant, "tabulated": _tabulated}
+_SURFACE_BUILTINS = {"power_decay": _power_decay,
+                     "aniso_power": _aniso_power}
+_FLAT_BUILTINS = {"grad_sq": _grad_sq}
+
+
+def _build_f(spec, own, kind, lift):
+    name = _get(spec, "builtin", str)
+    if name in _POSITION_BUILTINS:
+        return lift(_POSITION_BUILTINS[name](spec))
+    if name in own:
+        return own[name](spec)
+    raise ConfigError(f"key 'f.builtin': unknown {kind} builtin {name!r}")
+
+
 def build_surface_f(spec):
     """Callable f(X, nu) from the builtin catalog entry in the config."""
-    name = _get(spec, "builtin", str)
-
-    if name == "power_decay":
-        c = _get(spec, "c", float)
-        p = _get(spec, "p", float)
-        if c <= 0:
-            raise ConfigError("key 'f.c' must be positive")
-        return lambda x, nu: c * np.linalg.norm(x, axis=-1) ** (-p)
-
-    if name == "aniso_power":
-        c = _get(spec, "c", float)
-        p = _get(spec, "p", float)
-        delta = _get(spec, "delta", float)
-        axis = _get(spec, "axis", int, required=False, default=-1)
-        if not abs(delta) < 1.0:
-            raise ConfigError("key 'f.delta' must satisfy |delta| < 1")
-        return lambda x, nu: (c * (1.0 + delta * nu[..., axis])
-                              * np.linalg.norm(x, axis=-1) ** (-p))
-
-    if name == "constant":
-        value = _get(spec, "value", float)
-        if value <= 0:
-            raise ConfigError("key 'f.value' must be positive")
-        return lambda x, nu: np.full(x.shape[:-1], value)
-
-    if name == "tabulated":
-        radii = np.asarray(_get(spec, "r", list), dtype=float)
-        values = np.asarray(_get(spec, "values", list), dtype=float)
-        if radii.size != values.size or radii.size < 2:
-            raise ConfigError("key 'f.r' and 'f.values' must be equal-length "
-                              "tables with at least two entries")
-        if np.any(np.diff(radii) <= 0):
-            raise ConfigError("key 'f.r' must be strictly increasing")
-        if np.any(values <= 0):
-            raise ConfigError("key 'f.values' must be positive")
-        return lambda x, nu: np.interp(
-            np.linalg.norm(x, axis=-1), radii, values)
-
-    raise ConfigError(f"key 'f.builtin': unknown surface builtin {name!r}")
+    return _build_f(spec, _SURFACE_BUILTINS, "surface",
+                    lambda g: lambda x, nu: g(x))
 
 
 def build_flat_f(spec):
     """Callable f(x, phi, grad phi) from the flat builtin catalog."""
-    name = _get(spec, "builtin", str)
-
-    if name == "constant":
-        value = _get(spec, "value", float)
-        if value <= 0:
-            raise ConfigError("key 'f.value' must be positive")
-        return lambda x, phi, grad: np.full(x.shape[0], value)
-
-    if name == "grad_sq":
-        c0 = _get(spec, "c0", float, required=False, default=1.0)
-        c1 = _get(spec, "c1", float, required=False, default=1.0)
-        if c0 <= 0 or c1 < 0:
-            raise ConfigError("key 'f.c0' must be positive and 'f.c1' "
-                              "nonnegative")
-        return lambda x, phi, grad: (
-            c0 + c1 * np.einsum("ni,ni->n", grad, grad))
-
-    if name == "tabulated":
-        radii = np.asarray(_get(spec, "r", list), dtype=float)
-        values = np.asarray(_get(spec, "values", list), dtype=float)
-        if radii.size != values.size or radii.size < 2:
-            raise ConfigError("key 'f.r' and 'f.values' must be equal-length "
-                              "tables with at least two entries")
-        if np.any(np.diff(radii) <= 0):
-            raise ConfigError("key 'f.r' must be strictly increasing")
-        if np.any(values <= 0):
-            raise ConfigError("key 'f.values' must be positive")
-        return lambda x, phi, grad: np.interp(
-            np.linalg.norm(x, axis=-1), radii, values)
-
-    raise ConfigError(f"key 'f.builtin': unknown flat builtin {name!r}")
+    return _build_f(spec, _FLAT_BUILTINS, "flat",
+                    lambda g: lambda x, phi, grad: g(x))
 
 
 # ---------------------------------------------------------------------------
 # command plumbing
-
-
-def _set_threads(n):
-    """Best-effort thread cap for the numeric backends."""
-    if n <= 0:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(n)
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(limits=n)
-    except ImportError:
-        pass
 
 
 def _emit_error(outdir, exc, code, extra=None):
@@ -283,8 +269,6 @@ def _common_options(fn):
     fn = click.option("--override", "overrides", multiple=True,
                       metavar="KEY=VALUE",
                       help="dot-path config override, repeatable")(fn)
-    fn = click.option("--threads", default=0, show_default=True,
-                      help="thread cap for numeric backends (0 = auto)")(fn)
     return fn
 
 
@@ -295,10 +279,9 @@ def main():
 
 @main.command("solve-surface")
 @_common_options
-def cmd_solve_surface(config_path, outdir, overrides, threads):
+def cmd_solve_surface(config_path, outdir, overrides):
     """Continuity-method solve of the curved problem; writes trace,
     surface CSV, and report JSON."""
-    _set_threads(threads)
     try:
         cfg = load_config(config_path, overrides)
         n = _get(cfg, "n", int)
@@ -323,24 +306,16 @@ def cmd_solve_surface(config_path, outdir, overrides, threads):
                         default=0.5),
             newton=_newton_config(cfg),
         )
-        seed = _get(cfg, "seed", int, required=False, default=0)
         grid = geometry.build_grid(n, mode, sizes)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
 
-    conditions = solver.validate_conditions(data, n, k)
-    if not conditions.passed:
-        exc = PreconditionError(
-            "barrier/monotonicity conditions failed")
-        _emit_error(outdir, exc, 3,
-                    extra={"conditions": conditions.as_dict()})
-
     try:
         rho, run = solver.continue_to_target(grid, data, run, k)
     except PreconditionError as exc:
         _emit_error(outdir, exc, 3,
-                    extra={"conditions": conditions.as_dict()})
+                    extra={"conditions": run.conditions.as_dict()})
     except (ContinuationStuck, NewtonDiverged, ConeExit) as exc:
         trace = getattr(exc, "trace", None)
         if trace is not None:
@@ -356,10 +331,9 @@ def cmd_solve_surface(config_path, outdir, overrides, threads):
                                       alpha=run.monitor_alpha)
     report = {
         "config": cfg,
-        "seed": seed,
         "converged": True,
-        "conditions": conditions.as_dict(),
-        "nonunique": conditions.zero_margin,
+        "conditions": run.conditions.as_dict(),
+        "nonunique": run.conditions.zero_margin,
         "accepted_steps": len(run.trace),
         "final_t": run.trace[-1]["t"],
         "final_max_residual": run.trace[-1]["max_residual"],
@@ -378,9 +352,8 @@ def cmd_solve_surface(config_path, outdir, overrides, threads):
 
 @main.command("solve-flat")
 @_common_options
-def cmd_solve_flat(config_path, outdir, overrides, threads):
+def cmd_solve_flat(config_path, outdir, overrides):
     """Dirichlet solve of the flat problem; writes flat CSV and report."""
-    _set_threads(threads)
     try:
         cfg = load_config(config_path, overrides)
         n = _get(cfg, "n", int)
@@ -396,7 +369,6 @@ def cmd_solve_flat(config_path, outdir, overrides, threads):
         beta = _get(cfg, "beta", float, required=False, default=4.0)
         fcall = build_flat_f(_get(cfg, "f", dict))
         ncfg = _newton_config(cfg)
-        seed = _get(cfg, "seed", int, required=False, default=0)
         if shape not in ("ball", "rect"):
             raise ConfigError("key 'grid.shape' must be 'ball' or 'rect'")
         grid = flatcase.build_flat_grid(n, shape=shape, h=h, radius=radius,
@@ -416,7 +388,6 @@ def cmd_solve_flat(config_path, outdir, overrides, threads):
     res = flatcase.flat_residual(state, fcall, k)
     report = {
         "config": cfg,
-        "seed": seed,
         "converged": rep.converged,
         "iterations": rep.iterations,
         "final_max_residual": rep.final_residual,

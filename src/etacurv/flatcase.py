@@ -19,7 +19,7 @@ import scipy.sparse as sp
 
 from . import symm
 from .errors import DomainError, PreconditionError
-from .newton import NewtonConfig, damped_newton
+from .newton import NewtonConfig, damped_newton, fd_data_derivs, fd_jacobian
 
 __all__ = [
     "DomainGrid", "FlatState", "build_flat_grid", "build_flat_state",
@@ -250,28 +250,18 @@ def build_flat_state(grid, phi, beta=4.0):
                      pogorelov_beta=beta)
 
 
-def flat_residual(state, f, k):
-    """Per-interior-node sigma_k(eta spectrum) - f(x, phi, grad phi)."""
+def flat_residual(state, f, k, form="raw"):
+    """Per-interior-node sigma_k(eta spectrum) - f(x, phi, grad phi).
+
+    With form "root" the defect is sigma_k^(1/k) - f^(1/k) instead.
+    """
     if not 1 <= k <= state.grid.dim:
         raise ValueError(f"order k={k} outside [1, {state.grid.dim}]")
-    symm.require_cone_batch(state.eta_spectrum, k)
-    sig = symm.elem_sym_all_batch(state.eta_spectrum)[:, k]
-    return sig - f(state.grid.pts, state.phi, state.grad)
-
-
-def _fd_flat_derivs(f, x, phi, grad):
-    """df/dphi and df/d(grad phi) by central differences per slot."""
-    ni, dim = grad.shape
-    dphi = 1e-6 * (1.0 + np.abs(phi))
-    fphi = (f(x, phi + dphi, grad) - f(x, phi - dphi, grad)) / (2.0 * dphi)
-    fgrad = np.empty((ni, dim))
-    dg = 1e-6
-    for a in range(dim):
-        e = np.zeros(dim)
-        e[a] = 1.0
-        fgrad[:, a] = (f(x, phi, grad + dg * e)
-                       - f(x, phi, grad - dg * e)) / (2.0 * dg)
-    return fphi, fgrad
+    sig = symm.require_cone_batch(state.eta_spectrum, k)[:, k]
+    fv = f(state.grid.pts, state.phi, state.grad)
+    if form == "root":
+        return sig ** (1.0 / k) - fv ** (1.0 / k)
+    return sig - fv
 
 
 def flat_jacobian(state, f, k, form="raw"):
@@ -295,7 +285,8 @@ def flat_jacobian(state, f, k, form="raw"):
     for (a, b), op in grid.dmix.items():
         j_sig = j_sig + sp.diags(2.0 * coef[:, a, b]) @ op
 
-    fphi, fgrad = _fd_flat_derivs(f, grid.pts, state.phi, state.grad)
+    fphi, fgrad = fd_data_derivs(f, (grid.pts, state.phi, state.grad),
+                                 ((1, True), (2, False)))
     j_f = sp.diags(fphi) + sum(
         sp.diags(fgrad[:, a]) @ grid.d1[a] for a in range(dim))
 
@@ -308,21 +299,6 @@ def flat_jacobian(state, f, k, form="raw"):
     elif form != "raw":
         raise ValueError(f"unknown residual form {form!r}")
     return (j_sig - j_f).tocsr()
-
-
-def _fd_jacobian(res_fn, phi, step=1e-6):
-    """Column-by-column central-difference Jacobian oracle."""
-    phi = np.asarray(phi, dtype=float)
-    n = phi.size
-    jac = np.empty((n, n))
-    for j in range(n):
-        d = step * (1.0 + abs(phi[j]))
-        up = phi.copy()
-        up[j] += d
-        dn = phi.copy()
-        dn[j] -= d
-        jac[:, j] = (res_fn(up) - res_fn(dn)) / (2.0 * d)
-    return jac
 
 
 def _initial_guess(grid, f, k):
@@ -355,16 +331,11 @@ def dirichlet_solve(grid, f, k, config=None, phi0=None, beta=4.0):
 
     def res_fn(phi):
         state = build_flat_state(grid, phi, beta=beta)
-        r = flat_residual(state, f, k)
-        if cfg.form == "root":
-            sig = r + f(grid.pts, state.phi, state.grad)
-            fv = sig - r
-            return sig ** (1.0 / k) - fv ** (1.0 / k)
-        return r
+        return flat_residual(state, f, k, form=cfg.form)
 
     def jac_fn(phi):
         if cfg.jacobian == "fd":
-            return _fd_jacobian(res_fn, phi)
+            return fd_jacobian(res_fn, phi)
         state = build_flat_state(grid, phi, beta=beta)
         return flat_jacobian(state, f, k, form=cfg.form)
 

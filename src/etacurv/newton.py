@@ -1,8 +1,12 @@
-"""Damped Newton iteration shared by the curved and flat pipelines.
+"""Damped Newton iteration and finite-difference oracles shared by the
+curved and flat pipelines.
 
 Globalization is backtracking on the max-norm residual with step fractions
 1, 1/2, 1/4, ..., 1/64; every candidate is pre-checked for admissibility
 (cone membership, positivity, range) before its residual is accepted.
+``fd_jacobian`` is the column-by-column Jacobian oracle behind the "fd"
+Jacobian option, and ``fd_data_derivs`` gives the first derivatives of the
+prescribed data that the analytic Jacobians need.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +17,8 @@ from scipy.sparse.linalg import spsolve
 
 from .errors import ConeViolationError, DomainError, NewtonDiverged, ConeExit
 
-__all__ = ["NewtonConfig", "NewtonReport", "damped_newton"]
+__all__ = ["NewtonConfig", "NewtonReport", "damped_newton", "fd_jacobian",
+           "fd_data_derivs"]
 
 
 @dataclass
@@ -41,6 +46,56 @@ def _solve_linear(jac, rhs):
     if sp.issparse(jac):
         return spsolve(jac.tocsc(), rhs)
     return np.linalg.solve(jac, rhs)
+
+
+def fd_jacobian(residual_fn, x, step=1e-6):
+    """Column-by-column central-difference Jacobian (correctness oracle).
+
+    Column j steps x_j by step * (1 + |x_j|) both ways.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    jac = np.empty((n, n))
+    for j in range(n):
+        d = step * (1.0 + abs(x[j]))
+        up = x.copy()
+        up[j] += d
+        dn = x.copy()
+        dn[j] -= d
+        jac[:, j] = (residual_fn(up) - residual_fn(dn)) / (2.0 * d)
+    return jac
+
+
+def fd_data_derivs(f, args, slots):
+    """Central-difference partials of f(*args) in the listed argument slots.
+
+    ``slots`` holds (index, relative) pairs. A relative slot steps by
+    1e-6 (1 + |a|) per node, |a| the row norm of a 2-d argument; the
+    others step by 1e-6. A slot of shape (N,) gives an (N,) derivative and
+    one of shape (N, d) gives (N, d), one column per component. Returns
+    the derivatives in slot order.
+    """
+    out = []
+    for slot, relative in slots:
+        a = args[slot]
+        h = 1e-6
+        if relative:
+            size = np.abs(a) if a.ndim == 1 else np.linalg.norm(a, axis=1)
+            h = 1e-6 * (1.0 + size)
+
+        def diff(step):
+            up, dn = list(args), list(args)
+            up[slot] = a + step
+            dn[slot] = a - step
+            return (f(*up) - f(*dn)) / (2.0 * h)
+
+        if a.ndim == 1:
+            out.append(diff(h))
+        else:
+            hcol = h[:, None] if relative else h
+            out.append(np.stack([diff(hcol * e) for e in np.eye(a.shape[1])],
+                                axis=1))
+    return out
 
 
 def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):

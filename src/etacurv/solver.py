@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from . import geometry, symm, verify
 from .errors import (ConfigError, ContinuationStuck, NewtonDiverged,
                      PreconditionError)
-from .newton import NewtonConfig, damped_newton
+from .newton import NewtonConfig, damped_newton, fd_data_derivs, fd_jacobian
 
 __all__ = [
     "PrescribedData", "HomotopyRun", "ConditionsReport",
@@ -64,6 +64,7 @@ class HomotopyRun:
     monitor_A: float = 2.0
     monitor_alpha: float = None    # default 2 * max|X|^2, set per state
     trace: list = field(default_factory=list)
+    conditions: object = None      # ConditionsReport of the last solve
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
@@ -182,21 +183,24 @@ def residual(grid, rho, data, k, form="raw"):
     return sig - fv
 
 
-def _fd_data_derivs(data, x, nu):
-    """d_X f and d_nu f by central differences, vectorized over nodes."""
-    npts, dim = x.shape
-    fx = np.empty((npts, dim))
-    fn = np.empty((npts, dim))
-    hx = 1e-6 * (1.0 + np.linalg.norm(x, axis=1))
-    hn = 1e-6
-    for c in range(dim):
-        e = np.zeros(dim)
-        e[c] = 1.0
-        fx[:, c] = (data.f(x + hx[:, None] * e, nu)
-                    - data.f(x - hx[:, None] * e, nu)) / (2.0 * hx)
-        fn[:, c] = (data.f(x, nu + hn * e)
-                    - data.f(x, nu - hn * e)) / (2.0 * hn)
-    return fx, fn
+def _jac_f_term(jet, data, dV, dW, dmats):
+    """Jacobian of f(X, nu): df = d_X f . dX + d_nu f . dnu, per stencil slot.
+
+    Slot s perturbs the normal numerator by dV[s] and its length w by
+    dW[s]; slot 0 (the value of rho) also moves X along x. The data
+    derivatives come from finite differences.
+    """
+    fx, fn = fd_data_derivs(data.f, (jet.X, jet.nu),
+                            ((0, True), (1, False)))
+    x, w = jet.raw["x"], jet.raw["w"]
+    j_f = 0
+    for s, dv in enumerate(dV):
+        dnu = (dv - jet.nu * dW[s][:, None]) / w[:, None]
+        coef = np.einsum("nc,nc->n", fn, dnu)
+        if s == 0:
+            coef += np.einsum("nc,nc->n", fx, x)
+        j_f = j_f + sp.diags(coef) @ dmats[s]
+    return j_f
 
 
 def _inv2(a):
@@ -271,23 +275,12 @@ def _jac_full(grid, jet, data, k, form):
             coef += np.einsum("nab,nab->n", m_g, dg[s])
         coef_sig[s] = coef
 
-    # f-term: df = d_X f . dX + d_nu f . dnu, data derivatives by FD.
-    fx, fn = _fd_data_derivs(data, jet.X, jet.nu)
-    x, e_t, e_p = raw["x"], raw["e_t"], raw["e_p"]
-    dV = {0: x, 1: -e_t, 2: -e_p / st[:, None] ** 2}
-    coef_f = {}
-    for s in range(3):
-        dnu = (dV[s] - jet.nu * dW[s][:, None]) / w[:, None]
-        coef = np.einsum("nc,nc->n", fn, dnu)
-        if s == 0:
-            coef += np.einsum("nc,nc->n", fx, x)
-        coef_f[s] = coef
-
     ops = grid.ops
     dmats = [sp.identity(npts, format="csr"), ops["t"], ops["p"],
              ops["tt"], ops["tp"], ops["pp"]]
     j_sig = sum(sp.diags(coef_sig[s]) @ dmats[s] for s in range(6))
-    j_f = sum(sp.diags(coef_f[s]) @ dmats[s] for s in range(3))
+    dV = [raw["x"], -raw["e_t"], -raw["e_p"] / st[:, None] ** 2]
+    j_f = _jac_f_term(jet, data, dV, dW, dmats)
     return _combine_forms(j_sig, j_f, jet, data, k, form)
 
 
@@ -332,22 +325,11 @@ def _jac_axisym(grid, jet, data, k, form):
         2: cm * dkm[2],
     }
 
-    fx, fn = _fd_data_derivs(data, jet.X, jet.nu)
-    x, e_t = raw["x"], raw["e_t"]
-    dW = {0: rho / w, 1: rt / w}
-    dV = {0: x, 1: -e_t}
-    coef_f = {}
-    for s in range(2):
-        dnu = (dV[s] - jet.nu * dW[s][:, None]) / w[:, None]
-        coef = np.einsum("nc,nc->n", fn, dnu)
-        if s == 0:
-            coef += np.einsum("nc,nc->n", fx, x)
-        coef_f[s] = coef
-
     ops = grid.ops
     dmats = [sp.identity(npts, format="csr"), ops["t"], ops["tt"]]
     j_sig = sum(sp.diags(coef_sig[s]) @ dmats[s] for s in range(3))
-    j_f = sum(sp.diags(coef_f[s]) @ dmats[s] for s in range(2))
+    j_f = _jac_f_term(jet, data, [raw["x"], -raw["e_t"]],
+                      [rho / w, rt / w], dmats)
     return _combine_forms(j_sig, j_f, jet, data, k, form)
 
 
@@ -362,27 +344,11 @@ def _combine_forms(j_sig, j_f, jet, data, k, form):
     return (left - right).tocsr()
 
 
-def fd_jacobian(grid, rho, data, k, form="raw", step=1e-7):
-    """Column-wise finite-difference Jacobian (correctness oracle)."""
-    base = residual(grid, rho, data, k, form=form)
-    npts = rho.size
-    jac = np.empty((npts, npts))
-    for j in range(npts):
-        dr = step * (1.0 + abs(rho[j]))
-        up = rho.copy()
-        up[j] += dr
-        dn = rho.copy()
-        dn[j] -= dr
-        jac[:, j] = (residual(grid, up, data, k, form=form)
-                     - residual(grid, dn, data, k, form=form)) / (2.0 * dr)
-    del base
-    return jac
-
-
 def assemble_jacobian(grid, rho, data, k, form="raw", method="analytic"):
     """Jacobian of the residual map at rho."""
     if method == "fd":
-        return fd_jacobian(grid, rho, data, k, form=form)
+        return fd_jacobian(
+            lambda r: residual(grid, r, data, k, form=form), rho, step=1e-7)
     jet = geometry.surface_jet(grid, rho)
     if grid.mode == "full-2d":
         return _jac_full(grid, jet, data, k, form)
@@ -418,12 +384,14 @@ def continue_to_target(grid, data, run, k):
     """March the homotopy from the round sphere at t = 0 to t = 1.
 
     Steps are halved on Newton failure and grown by 1.5x after cheap
-    successes; monitors are recorded at every accepted t. Raises
+    successes; monitors are recorded at every accepted t. The
+    barrier/monotonicity report is kept in ``run.conditions``. Raises
     ContinuationStuck (with the partial trace) on step underflow and
-    PreconditionError when the barrier/monotonicity report fails.
+    PreconditionError when that report fails.
     """
     n = grid.n
     conditions = validate_conditions(data, n, k)
+    run.conditions = conditions
     if not conditions.passed:
         raise PreconditionError(
             "prescribed data fails the barrier/monotonicity conditions: "

@@ -6,9 +6,11 @@ values, first and second derivatives in the eigenvalue arguments, the
 summed coefficients F^ii = sum_{j != i} G^jj, and membership tests for the
 admissible cone (sigma_1 > 0, ..., sigma_k > 0).
 
-All public entry points are pure functions; the *_batch helpers operate on
+All public entry points are pure functions. The *_batch kernels operate on
 arrays of eigenvalue vectors (shape (N, n)) and are used by the field-level
-solvers.
+solvers; the scalar entry points (elem_sym_all, sigma, sigma_excl,
+gamma_k_contains, operator_coefficients) are one-row calls into them, and
+elem_sym_all_batch and sigma_excl_batch share the one recurrence step.
 """
 
 import math
@@ -56,35 +58,34 @@ class SpectrumVector:
         return self.values.size
 
 
-def elem_sym_all(values):
-    """All sigma_0..sigma_n of a vector, by the one-pass recurrence.
+def _push(e, x, top):
+    """Fold one entry column x into the running table: e_m += x e_(m-1).
+
+    m runs from ``top`` down to 1 so each update reads the lower entry
+    before it changes; this is the only sigma recurrence in the package.
+    """
+    for m in range(top, 0, -1):
+        e[:, m] += x * e[:, m - 1]
+
+
+def elem_sym_all_batch(lam):
+    """sigma_0..sigma_n along the last axis of an (N, n) array.
 
     Adding entries one at a time keeps the cost O(n^2) and avoids the
     exponential subset sum; exact in exact arithmetic.
     """
-    values = np.asarray(values, dtype=float)
-    n = values.size
-    e = np.zeros(n + 1)
-    e[0] = 1.0
-    for j, x in enumerate(values):
-        top = min(j + 1, n)
-        for m in range(top, 0, -1):
-            e[m] += x * e[m - 1]
-    return e
-
-
-def elem_sym_all_batch(lam):
-    """sigma_0..sigma_n along the last axis of an (N, n) array."""
     lam = np.asarray(lam, dtype=float)
     npts, n = lam.shape
     e = np.zeros((npts, n + 1))
     e[:, 0] = 1.0
     for j in range(n):
-        x = lam[:, j]
-        top = min(j + 1, n)
-        for m in range(top, 0, -1):
-            e[:, m] += x * e[:, m - 1]
+        _push(e, lam[:, j], j + 1)
     return e
+
+
+def elem_sym_all(values):
+    """All sigma_0..sigma_n of one vector (a one-row batch call)."""
+    return elem_sym_all_batch(np.asarray(values, dtype=float)[None, :])[0]
 
 
 def sigma_brute(values, m):
@@ -104,44 +105,45 @@ def sigma(lam, m):
     return float(elem_sym_all(lam.values)[m])
 
 
+def sigma_excl_batch(lam, m):
+    """sigma_m(lam | i) per row and per excluded index; shape (N, n).
+
+    One prefix table over the entries before i is carried forward; for
+    each i a copy of it absorbs the entries after i. Only sigma_0..sigma_m
+    are kept, and sigma_j reads only lower orders, so each kept entry sees
+    the same updates in the same order as elem_sym_all_batch run on the
+    reduced vector and matches it bit for bit.
+    """
+    lam = np.asarray(lam, dtype=float)
+    npts, n = lam.shape
+    out = np.empty((npts, n))
+    prefix = np.zeros((npts, m + 1))
+    prefix[:, 0] = 1.0
+    for i in range(n):
+        e = prefix.copy()
+        for j in range(i + 1, n):
+            # Entry j sits at position j - 1 of the reduced vector.
+            _push(e, lam[:, j], min(j, m))
+        out[:, i] = e[:, m]
+        _push(prefix, lam[:, i], min(i + 1, m))
+    return out
+
+
 def sigma_excl(lam, m, i):
-    """sigma_m of the vector with entry i removed."""
+    """sigma_m of the vector with entry i removed (a one-row batch call)."""
     if not 0 <= i < lam.n:
         raise ValueError(f"index i={i} outside [0, {lam.n})")
     if not 0 <= m <= lam.n - 1:
         raise ValueError(f"m={m} outside [0, {lam.n - 1}]")
-    reduced = np.delete(lam.values, i)
-    return float(elem_sym_all(reduced)[m])
+    return float(sigma_excl_batch(lam.values[None, :], m)[0, i])
 
 
-def sigma_excl_all(values, m):
-    """sigma_m(values | i) for every i, as an array of length n."""
-    values = np.asarray(values, dtype=float)
-    n = values.size
-    return np.array(
-        [elem_sym_all(np.delete(values, i))[m] for i in range(n)]
-    )
-
-
-def sigma_excl_batch(lam, m):
-    """sigma_m(lam | i) per row and per excluded index; shape (N, n)."""
-    lam = np.asarray(lam, dtype=float)
-    npts, n = lam.shape
-    out = np.empty((npts, n))
-    for i in range(n):
-        reduced = np.delete(lam, i, axis=1)
-        out[:, i] = elem_sym_all_batch(reduced)[:, m]
-    return out
-
-
-def gamma_k_contains(lam, margin=0.0):
-    """True iff sigma_j(lam) > margin for all j = 1..k.
-
-    The cone is open, so membership uses strict positivity with zero
-    tolerance by default; callers needing a safety band pass ``margin``.
-    """
-    e = elem_sym_all(lam.values)
-    return bool(np.all(e[1 : lam.k + 1] > margin))
+def _cone_mask(e, k, margin):
+    """(ok, first_fail) for the rows of a sigma table e."""
+    bad = e[:, 1 : k + 1] <= margin
+    ok = ~bad.any(axis=1)
+    first_fail = np.where(ok, 0, bad.argmax(axis=1) + 1)
+    return ok, first_fail
 
 
 def gamma_k_contains_batch(lam, k, margin=0.0):
@@ -150,23 +152,32 @@ def gamma_k_contains_batch(lam, k, margin=0.0):
     Returns (ok, first_fail) where ``first_fail[p]`` is the smallest j with
     sigma_j <= margin at row p (0 where ok).
     """
-    e = elem_sym_all_batch(lam)
-    bad = e[:, 1 : k + 1] <= margin
-    ok = ~bad.any(axis=1)
-    first_fail = np.where(ok, 0, bad.argmax(axis=1) + 1)
-    return ok, first_fail
+    return _cone_mask(elem_sym_all_batch(lam), k, margin)
+
+
+def gamma_k_contains(lam, margin=0.0):
+    """True iff sigma_j(lam) > margin for all j = 1..k (one-row batch call).
+
+    The cone is open, so membership uses strict positivity with zero
+    tolerance by default; callers needing a safety band pass ``margin``.
+    """
+    ok, _ = gamma_k_contains_batch(lam.values[None, :], lam.k, margin)
+    return bool(ok[0])
 
 
 def require_cone_batch(lam, k, node_ids=None):
-    """Raise ConeViolationError identifying the first offending row."""
-    ok, first_fail = gamma_k_contains_batch(lam, k)
+    """The sigma table elem_sym_all_batch(lam) of rows inside the cone.
+
+    Raises ConeViolationError identifying the first offending row.
+    """
+    e = elem_sym_all_batch(lam)
+    ok, first_fail = _cone_mask(e, k, 0.0)
     if ok.all():
-        return
+        return e
     p = int(np.argmin(ok))
     j = int(first_fail[p])
-    value = float(elem_sym_all_batch(lam[p : p + 1])[0, j])
     node = p if node_ids is None else node_ids[p]
-    raise ConeViolationError(j, value, node=node)
+    raise ConeViolationError(j, float(e[p, j]), node=node)
 
 
 EtaSpectrum = namedtuple("EtaSpectrum", ["values", "permutation"])
@@ -193,6 +204,16 @@ def sigma_k_grad_kappa_batch(mu, k):
     """
     s = sigma_excl_batch(mu, k - 1)
     return s.sum(axis=1, keepdims=True) - s
+
+
+def g_gradient_batch(sig_k, s_excl, k):
+    """Gradient G^ii = (1/k) sigma_k^(1/k - 1) sigma_{k-1}(lam | i) per row.
+
+    Takes sigma_k per row, shape (N,), and sigma_{k-1}(lam | i) from
+    sigma_excl_batch, shape (N, n); returns shape (N, n).
+    """
+    p = 1.0 / k
+    return p * sig_k[:, None] ** (p - 1.0) * s_excl
 
 
 @dataclass(frozen=True)
@@ -237,16 +258,17 @@ def operator_coefficients(lam):
     p = 1.0 / k
     value = sk**p
 
-    s1 = sigma_excl_all(vals, k - 1)
-    gradient = p * sk ** (p - 1.0) * s1
+    s1 = sigma_excl_batch(vals[None, :], k - 1)[0]
+    gradient = g_gradient_batch(e[k : k + 1], s1[None, :], k)[0]
 
     # Second partials of sigma_k: 0 on the diagonal, sigma_{k-2}(lam|ij) off.
+    # Row i of ``others`` is lam without entry i, so sigma_excl_batch on it
+    # gives sigma_{k-2}(lam | ij) for j != i in ascending j.
     sk_hess = np.zeros((n, n))
     if k >= 2:
-        for i in range(n):
-            reduced_i = np.delete(vals, i)
-            s2 = sigma_excl_all(reduced_i, k - 2)
-            sk_hess[i, np.arange(n) != i] = s2
+        off = ~np.eye(n, dtype=bool)
+        others = vals[np.nonzero(off)[1]].reshape(n, n - 1)
+        sk_hess[off] = sigma_excl_batch(others, k - 2).ravel()
     hessian = (
         p * (p - 1.0) * sk ** (p - 2.0) * np.outer(s1, s1)
         + p * sk ** (p - 1.0) * sk_hess

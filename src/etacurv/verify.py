@@ -76,12 +76,11 @@ def identity_check(jet, data, k):
     lam = jet.eta
     sig_k = symm.elem_sym_all_batch(lam)[:, k]
     s_excl = symm.sigma_excl_batch(lam, k - 1)
-    p = 1.0 / k
-    grad = p * sig_k[:, None] ** (p - 1.0) * s_excl
+    grad = symm.g_gradient_batch(sig_k, s_excl, k)
     f_coeffs = grad.sum(axis=1, keepdims=True) - grad
     h_diag = jet.H[:, None] - lam
     lhs = np.einsum("ni,ni->n", f_coeffs, h_diag)
-    rhs = data.f(jet.X, jet.nu) ** p
+    rhs = data.f(jet.X, jet.nu) ** (1.0 / k)
     return float(np.max(np.abs(lhs - rhs) / rhs))
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from etacurv import cli
+from etacurv import cli, solver
 from etacurv.errors import ConfigError
 
 
@@ -225,6 +225,28 @@ class TestSolveSurfaceCommand:
         err = json.loads((out / "error.json").read_text())
         assert err["exit_code"] == 3
         assert err["conditions"]["monotonicity_margin"] > 0
+
+    def test_conditions_validated_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = solver.validate_conditions
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "validate_conditions", counted)
+        cfg = dict(SURFACE_CFG, grid={"mode": "axisym-1d", "sizes": [32]})
+        cfgp = tmp_path / "cfg.json"
+        write_cfg(cfgp, cfg)
+        out = tmp_path / "out"
+        r = CliRunner().invoke(cli.main, ["solve-surface", "--config",
+                                          str(cfgp), "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        assert len(calls) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["conditions"]["passed"]
+        assert "seed" not in report
+        assert report["config"]["seed"] == 0
 
     def test_missing_config_file(self, tmp_path):
         r = CliRunner().invoke(cli.main, ["solve-surface", "--config",

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from etacurv import flatcase, symm
 from etacurv.errors import (ConeViolationError, DomainError,
                             PreconditionError)
-from etacurv.newton import NewtonConfig
+from etacurv.newton import NewtonConfig, fd_jacobian
 
 
 def f_const(value):
@@ -143,7 +143,7 @@ class TestFlatJacobian:
                 return (r + fv) ** 0.5 - fv**0.5
             return r
 
-        jf = flatcase._fd_jacobian(res_fn, phi)
+        jf = fd_jacobian(res_fn, phi)
         assert np.abs(ja - jf).max() / (1 + np.abs(jf).max()) < 1e-6
 
 
@@ -191,6 +191,32 @@ class TestDirichletSolve:
         s_root, _ = flatcase.dirichlet_solve(
             g, f_const(1.0), 2, config=NewtonConfig(form="root"))
         assert np.abs(s_raw.phi - s_root.phi).max() < 1e-8
+
+    def test_root_residual_evaluates_f_once(self, monkeypatch):
+        f_calls = []
+
+        def f(x, phi, grad):
+            f_calls.append(1)
+            return np.ones(x.shape[0])
+
+        per_residual = []
+        real_newton = flatcase.damped_newton
+
+        def spy(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
+            def counted(x):
+                before = len(f_calls)
+                out = residual_fn(x)
+                per_residual.append(len(f_calls) - before)
+                return out
+            return real_newton(x0, counted, jacobian_fn, cfg,
+                               candidate_check=candidate_check)
+
+        monkeypatch.setattr(flatcase, "damped_newton", spy)
+        g = flatcase.build_flat_grid(2, "ball", h=1 / 8)
+        _, rep = flatcase.dirichlet_solve(g, f, 2,
+                                          config=NewtonConfig(form="root"))
+        assert rep.converged
+        assert per_residual and set(per_residual) == {1}
 
     def test_fd_jacobian_switch(self):
         g = flatcase.build_flat_grid(2, "ball", h=1 / 6)

@@ -135,7 +135,8 @@ class TestJacobian:
                + 0.03 * np.cos(g.theta))
         ja = solver.assemble_jacobian(g, rho, round_data, 2, form=form)
         ja = np.asarray(ja.todense())
-        jf = solver.fd_jacobian(g, rho, round_data, 2, form=form)
+        jf = solver.assemble_jacobian(g, rho, round_data, 2, form=form,
+                                      method="fd")
         assert np.abs(ja - jf).max() / (1 + np.abs(jf).max()) < 1e-7
 
     @pytest.mark.parametrize("form", ["raw", "root"])
@@ -145,7 +146,8 @@ class TestJacobian:
         rho = 1.2 + 0.05 * np.cos(g.theta)
         ja = solver.assemble_jacobian(g, rho, round_data, 2, form=form)
         ja = np.asarray(ja.todense())
-        jf = solver.fd_jacobian(g, rho, round_data, 2, form=form)
+        jf = solver.assemble_jacobian(g, rho, round_data, 2, form=form,
+                                      method="fd")
         assert np.abs(ja - jf).max() / (1 + np.abs(jf).max()) < 1e-7
 
     def test_anisotropic_f_derivatives(self):
@@ -154,7 +156,7 @@ class TestJacobian:
         rho = 1.2 + 0.04 * np.sin(g.theta) * np.sin(g.phi)
         ja = np.asarray(
             solver.assemble_jacobian(g, rho, data, 2).todense())
-        jf = solver.fd_jacobian(g, rho, data, 2)
+        jf = solver.assemble_jacobian(g, rho, data, 2, method="fd")
         assert np.abs(ja - jf).max() / (1 + np.abs(jf).max()) < 1e-7
 
 

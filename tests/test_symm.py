@@ -296,3 +296,63 @@ def test_eta_spectrum_sum_rule(kappa):
     # permutation recovers the unsorted spectrum
     unsorted = kappa.sum() - kappa
     assert np.allclose(es.values, unsorted[es.permutation])
+
+
+# The batch kernels are the only implementation: the scalar API is a
+# one-row call into them, and every row of a batch is computed on its own.
+vectors = st.integers(2, 8).flatmap(
+    lambda n: st.lists(st.lists(st.floats(-20, 20), min_size=n, max_size=n),
+                       min_size=1, max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(vectors, st.integers(0, 8), st.floats(-5, 5))
+def test_scalar_entry_points_are_one_row_batch_calls(rows, k, margin):
+    lam = np.asarray(rows)
+    n = lam.shape[1]
+    k = max(1, min(k, n))
+    table = symm.elem_sym_all_batch(lam)
+    ok, _ = symm.gamma_k_contains_batch(lam, k, margin)
+    excl = [symm.sigma_excl_batch(lam, m) for m in range(n)]
+    for p, row in enumerate(lam):
+        assert np.array_equal(symm.elem_sym_all(row), table[p])
+        vec = symm.SpectrumVector(row, k)
+        assert symm.gamma_k_contains(vec, margin=margin) == ok[p]
+        for m in range(n):
+            for i in range(n):
+                assert symm.sigma_excl(vec, m, i) == excl[m][p, i]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(-10, 10), min_size=2, max_size=8),
+       st.integers(0, 7))
+def test_sigma_excl_batch_matches_enumeration(values, m):
+    vals = np.asarray(values)
+    n = vals.size
+    m = min(m, n - 1)
+    got = symm.sigma_excl_batch(vals[None, :], m)[0]
+    for i in range(n):
+        want = symm.sigma_brute(np.delete(vals, i), m)
+        assert abs(got[i] - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(vectors, st.integers(1, 8), st.booleans())
+def test_require_cone_batch_returns_table_or_names_first_row(rows, k,
+                                                             with_ids):
+    lam = np.asarray(rows)
+    k = min(k, lam.shape[1])
+    table = symm.elem_sym_all_batch(lam)
+    node_ids = 100 + np.arange(len(lam)) if with_ids else None
+    inside = (table[:, 1 : k + 1] > 0.0).all(axis=1)
+    if inside.all():
+        got = symm.require_cone_batch(lam, k, node_ids=node_ids)
+        assert np.array_equal(got, table)
+        return
+    p = int(np.argmin(inside))
+    j = 1 + int(np.argmax(table[p, 1 : k + 1] <= 0.0))
+    with pytest.raises(ConeViolationError) as exc:
+        symm.require_cone_batch(lam, k, node_ids=node_ids)
+    assert exc.value.j == j
+    assert exc.value.sigma_value == table[p, j]
+    assert exc.value.node == (p if node_ids is None else node_ids[p])

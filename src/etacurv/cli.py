@@ -21,7 +21,7 @@ import click
 import numpy as np
 
 from . import flatcase, geometry, solver, symm, verify
-from .errors import (ConeExit, ConfigError, ContinuationStuck,
+from .errors import (ConeExit, ConfigError, ContinuationStuck, DomainError,
                      NewtonDiverged, PreconditionError)
 from .newton import NewtonConfig
 
@@ -247,6 +247,11 @@ def build_flat_f(spec):
 # command plumbing
 
 
+# Bad input as the config stage sees it; the grid builders reject
+# malformed sizes with ValueError and unsupported dimensions with DomainError.
+_CONFIG_ERRORS = (ConfigError, DomainError, ValueError)
+
+
 def _emit_error(outdir, exc, code, extra=None):
     payload = {
         "error": type(exc).__name__,
@@ -307,12 +312,15 @@ def cmd_solve_surface(config_path, outdir, overrides):
             newton=_newton_config(cfg),
         )
         grid = geometry.build_grid(n, mode, sizes)
-    except ConfigError as exc:
+    except _CONFIG_ERRORS as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
 
     try:
         rho, run = solver.continue_to_target(grid, data, run, k)
+    except ConfigError as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(2)
     except PreconditionError as exc:
         _emit_error(outdir, exc, 3,
                     extra={"conditions": run.conditions.as_dict()})
@@ -373,7 +381,7 @@ def cmd_solve_flat(config_path, outdir, overrides):
             raise ConfigError("key 'grid.shape' must be 'ball' or 'rect'")
         grid = flatcase.build_flat_grid(n, shape=shape, h=h, radius=radius,
                                         bounds=bounds)
-    except (ConfigError, ValueError) as exc:
+    except _CONFIG_ERRORS as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
 

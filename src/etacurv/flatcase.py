@@ -12,7 +12,7 @@ snapped zero crossing.
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,22 +46,13 @@ class DomainGrid:
         return self.pts.shape[0]
 
 
-def _ball_exit(p, u, radius):
-    """Distance from p to the sphere |x| = radius along unit direction u."""
-    b = float(np.dot(p, u))
-    disc = b * b + radius**2 - float(np.dot(p, p))
-    return -b + math.sqrt(disc)
+def _rowdot(p, q):
+    """Row-wise dot product of p (N, dim) with q (N, dim) or (dim,).
 
-
-def _rect_exit(p, u, lo, hi):
-    """Distance from p to the rectangle boundary along unit direction u."""
-    s = math.inf
-    for a in range(p.size):
-        if u[a] > 1e-15:
-            s = min(s, (hi[a] - p[a]) / u[a])
-        elif u[a] < -1e-15:
-            s = min(s, (lo[a] - p[a]) / u[a])
-    return s
+    The stacked matmul sums each row in the order of np.dot on that row,
+    so distances and the inside test round exactly like a per-node dot.
+    """
+    return (p[:, None, :] @ q[..., None])[:, 0, 0]
 
 
 def build_flat_grid(dim, shape="ball", h=1.0 / 16, radius=1.0, bounds=None):
@@ -72,147 +63,129 @@ def build_flat_grid(dim, shape="ball", h=1.0 / 16, radius=1.0, bounds=None):
         raise ValueError("grid spacing h must be positive")
 
     if shape == "ball":
+        if not 0 < radius < math.inf:
+            raise ValueError("ball radius must be positive and finite")
         half = int(math.floor(radius / h + 1e-12))
-        axes = [np.arange(-half, half + 1) for _ in range(dim)]
+        kmin, kmax = np.full(dim, -half), np.full(dim, half)
+        center, rad = np.zeros(dim), radius
 
         def inside(x):
-            return float(np.dot(x, x)) < radius**2 - 1e-12
+            return _rowdot(x, x) < radius**2 - 1e-12
 
         def exit_dist(p, u):
-            return _ball_exit(p, u, radius)
+            """Distances from the rows of p to |x| = radius along unit u."""
+            b = _rowdot(p, u)
+            return -b + np.sqrt(b * b + radius**2 - _rowdot(p, p))
 
     elif shape == "rect":
         if bounds is None:
             bounds = [(-1.0, 1.0)] * dim
-        lo = np.array([b[0] for b in bounds])
-        hi = np.array([b[1] for b in bounds])
-        axes = []
-        for a in range(dim):
-            kmin = int(math.ceil(lo[a] / h - 1e-12))
-            kmax = int(math.floor(hi[a] / h + 1e-12))
-            axes.append(np.arange(kmin, kmax + 1))
+        try:
+            box = np.array(bounds, dtype=float)
+        except (TypeError, ValueError):
+            box = np.empty(0)
+        if (box.shape != (dim, 2) or not np.all(np.isfinite(box))
+                or not np.all(box[:, 0] < box[:, 1])):
+            raise ValueError(f"bounds must be {dim} finite (lo, hi) pairs "
+                             f"with lo < hi, got {bounds!r}")
+        lo, hi = box[:, 0], box[:, 1]
+        center = 0.5 * (lo + hi)
+        rad = float(np.linalg.norm(hi - center))
+        kmin = np.ceil(lo / h - 1e-12).astype(int)
+        kmax = np.floor(hi / h + 1e-12).astype(int)
 
         def inside(x):
-            return bool(np.all(x > lo + 1e-12) and np.all(x < hi - 1e-12))
+            return np.all(x > lo + 1e-12, axis=1) & np.all(x < hi - 1e-12,
+                                                           axis=1)
 
         def exit_dist(p, u):
-            return _rect_exit(p, u, lo, hi)
+            """Distances from the rows of p to the rectangle along unit u."""
+            move = np.abs(u) > 1e-15
+            wall = np.where(u > 0, hi, lo)[move]
+            return ((wall - p[:, move]) / u[move]).min(axis=1)
 
     else:
         raise ValueError(f"unknown domain shape {shape!r}")
 
-    index = {}
-    pts = []
-    for key in product(*axes):
-        x = h * np.asarray(key, dtype=float)
-        if inside(x):
-            index[key] = len(pts)
-            pts.append(x)
-    pts = np.asarray(pts)
+    # Lattice keys in lexicographic order; the unknowns are numbered in it.
+    extent = kmax - kmin + 1
+    keys = np.indices(extent).reshape(dim, -1).T + kmin
+    x = h * keys.astype(float)
+    keep = inside(x)
+    pts = x[keep]
     ni = len(pts)
     if ni == 0:
         raise ValueError("grid resolution too coarse: no interior nodes")
+    # Dense index of the unknowns, padded by one layer of -1 so that every
+    # lookup at a lattice step with entries in {-1, 0, 1} stays in bounds.
+    node = keys[keep] - kmin + 1
+    rows = np.arange(ni)
+    lattice = np.full(extent + 2, -1)
+    lattice[tuple(node.T)] = rows
 
-    def build_line_ops(direction_key, step):
-        """Unequal-arm 1-d stencils along a lattice direction.
+    def arms(step):
+        """Both arms of every node along the lattice direction ``step``.
 
-        Returns (second derivative, first derivative) with arms snapped to
-        the boundary; boundary values are zero so snapped arms contribute
-        no column.
+        Returns the spacing ell = h|step| and, for the -step and +step side
+        in turn, the neighbor's column (-1 outside the domain) and the arm
+        length: ell, or the distance to the boundary where the neighbor is
+        outside.
         """
-        u = np.asarray(direction_key, dtype=float)
-        u /= np.linalg.norm(u)
-        rows2, cols2, dat2 = [], [], []
-        rows1, cols1, dat1 = [], [], []
-        for key, r in index.items():
-            p = h * np.asarray(key, dtype=float)
-            arms = []
-            for sgn in (-1, 1):
-                nb = tuple(key[a] + sgn * direction_key[a]
-                           for a in range(dim))
-                if nb in index:
-                    arms.append((step, index[nb]))
-                else:
-                    arms.append((exit_dist(p, sgn * u), None))
-            (h_l, col_l), (h_r, col_r) = arms
-            entries2 = [(col_l, 2.0 / (h_l * (h_l + h_r))),
-                        (r, -2.0 / (h_l * h_r)),
-                        (col_r, 2.0 / (h_r * (h_l + h_r)))]
-            entries1 = [(col_l, -h_r / (h_l * (h_l + h_r))),
-                        (r, (h_r - h_l) / (h_l * h_r)),
-                        (col_r, h_l / (h_r * (h_l + h_r)))]
-            for col, val in entries2:
-                if col is not None:
-                    rows2.append(r)
-                    cols2.append(col)
-                    dat2.append(val)
-            for col, val in entries1:
-                if col is not None:
-                    rows1.append(r)
-                    cols1.append(col)
-                    dat1.append(val)
+        norm = np.linalg.norm(step)
+        ell = h * norm
+        out = []
+        for sgn in (-1, 1):
+            col = lattice[tuple((node + sgn * step).T)]
+            out.append((col, np.where(col >= 0, ell,
+                                      exit_dist(pts, sgn * step / norm))))
+        return ell, out
 
-        def mk(rows, cols, dat):
-            return sp.csr_matrix((dat, (rows, cols)), shape=(ni, ni))
+    def mk(cols, dat):
+        """CSR matrix from per-row columns and values; columns < 0 dropped."""
+        on = cols >= 0
+        return sp.csr_matrix(
+            (dat[on], (np.broadcast_to(rows[:, None], cols.shape)[on],
+                       cols[on])), shape=(ni, ni))
 
-        return mk(rows2, cols2, dat2), mk(rows1, cols1, dat1)
-
-    def build_diag_op(direction_key):
+    def diag_op(step):
         """Uniform 3-point second derivative along a plane diagonal.
 
-        An outside neighbor at distance ell is closed by the first-order
+        An outside neighbor at distance d is closed by the first-order
         linear extrapolation through the node value and the zero boundary
-        crossing, which folds onto the diagonal entry.
+        crossing, which folds onto the diagonal entry. Each row lists the
+        diagonal, then the -step arm, then the +step arm, and scipy sums
+        the repeated diagonal column in that order.
         """
-        u = np.asarray(direction_key, dtype=float)
-        norm = np.linalg.norm(u)
-        u /= norm
-        ell = h * norm
-        rows, cols, dat = [], [], []
-        for key, r in index.items():
-            p = h * np.asarray(key, dtype=float)
-            rows.append(r)
-            cols.append(r)
-            dat.append(-2.0 / ell**2)
-            for sgn in (-1, 1):
-                nb = tuple(key[a] + sgn * direction_key[a]
-                           for a in range(dim))
-                if nb in index:
-                    rows.append(r)
-                    cols.append(index[nb])
-                    dat.append(1.0 / ell**2)
-                else:
-                    d = exit_dist(p, sgn * u)
-                    rows.append(r)
-                    cols.append(r)
-                    dat.append((1.0 - ell / d) / ell**2)
-        m = sp.csr_matrix((dat, (rows, cols)), shape=(ni, ni))
-        m.sum_duplicates()
-        return m
+        ell, sides = arms(step)
+        cols, dat = [rows], [np.full(ni, -2.0 / ell**2)]
+        for col, d in sides:
+            cols.append(np.where(col >= 0, col, rows))
+            dat.append(np.where(col >= 0, 1.0 / ell**2,
+                                (1.0 - ell / d) / ell**2))
+        return mk(np.stack(cols, axis=1), np.stack(dat, axis=1))
 
+    axis = np.eye(dim, dtype=int)
     d1, d2 = [], []
     for a in range(dim):
-        key = tuple(1 if b == a else 0 for b in range(dim))
-        m2, m1 = build_line_ops(key, h)
-        d1.append(m1)
-        d2.append(m2)
+        # Unequal-arm 3-point stencils along the axis with arms snapped to
+        # the boundary; boundary values are zero so snapped arms contribute
+        # no column.
+        _, ((col_l, h_l), (col_r, h_r)) = arms(axis[a])
+        cols = np.stack([col_l, rows, col_r], axis=1)
+        d2.append(mk(cols, np.stack([2.0 / (h_l * (h_l + h_r)),
+                                     -2.0 / (h_l * h_r),
+                                     2.0 / (h_r * (h_l + h_r))], axis=1)))
+        d1.append(mk(cols, np.stack([-h_r / (h_l * (h_l + h_r)),
+                                     (h_r - h_l) / (h_l * h_r),
+                                     h_l / (h_r * (h_l + h_r))], axis=1)))
 
     dmix = {}
     for a, b in combinations(range(dim), 2):
-        plus = tuple(1 if c in (a, b) else 0 for c in range(dim))
-        minus = tuple(1 if c == a else (-1 if c == b else 0)
-                      for c in range(dim))
-        dpp = build_diag_op(plus)
-        dpm = build_diag_op(minus)
+        dpp = diag_op(axis[a] + axis[b])
+        dpm = diag_op(axis[a] - axis[b])
         dmix[(a, b)] = ((dpp - dpm) * 0.5).tocsr()
 
     lap = sum(d2).tocsr()
-    if shape == "ball":
-        center = np.zeros(dim)
-        rad = radius
-    else:
-        center = 0.5 * (lo + hi)
-        rad = float(np.linalg.norm(hi - center))
     return DomainGrid(dim=dim, shape=shape, h=h, radius=rad, center=center,
                       pts=pts, d1=d1, d2=d2, dmix=dmix, lap=lap)
 

@@ -20,7 +20,6 @@ from math import pi
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import gamma as gamma_fn
 
 from .errors import DomainError, EtacurvError
 from . import symm
@@ -33,7 +32,7 @@ MODES = ("full-2d", "axisym-1d")
 
 @dataclass
 class SphereGrid:
-    """Discretized S^n with differentiation stencils and quadrature weights."""
+    """Discretized S^n with its differentiation stencils."""
 
     n: int
     mode: str
@@ -42,7 +41,6 @@ class SphereGrid:
     theta: np.ndarray          # per-node polar angle
     phi: np.ndarray            # per-node longitude (zeros in axisym mode)
     ops: dict = field(repr=False)   # sparse differentiation matrices
-    weights: np.ndarray = field(repr=False)
 
     @property
     def nnodes(self):
@@ -57,17 +55,12 @@ class SphereGrid:
         return h
 
 
-def _sphere_area(m):
-    """Surface measure of the unit sphere S^m in R^(m+1)."""
-    return 2.0 * pi ** ((m + 1) / 2.0) / gamma_fn((m + 1) / 2.0)
-
-
 def build_grid(n, mode, resolution):
     """Build a sphere grid of the given mode and resolution.
 
-    ``resolution`` is (ntheta, nphi) for full-2d and an integer ntheta for
-    axisym-1d. Nodes sit half a cell off the poles so no coordinate
-    singularity is ever evaluated.
+    ``resolution`` is (ntheta, nphi) for full-2d and an integer ntheta (or a
+    one-element sequence) for axisym-1d. Nodes sit half a cell off the
+    poles so no coordinate singularity is ever evaluated.
     """
     if n < 2:
         raise DomainError(
@@ -76,119 +69,65 @@ def build_grid(n, mode, resolution):
         )
     if mode not in MODES:
         raise ValueError(f"unknown grid mode {mode!r}; expected one of {MODES}")
+    full = mode == "full-2d"
+    if full and n != 2:
+        raise DomainError("full-2d grids are only defined for n = 2")
+    sizes = np.atleast_1d(resolution)
+    if sizes.shape != ((2,) if full else (1,)) or sizes.dtype.kind != "i":
+        raise ValueError(f"{mode} needs {2 if full else 1} integer node "
+                         f"count(s), got {resolution!r}")
+    if min(sizes) < 8:
+        raise ValueError("need at least 8 nodes per direction")
+    ntheta, nphi = int(sizes[0]), (int(sizes[1]) if full else 1)
+    if full and nphi % 2 != 0:
+        raise ValueError("nphi must be even for the across-pole stencil")
 
-    if mode == "full-2d":
-        if n != 2:
-            raise DomainError("full-2d grids are only defined for n = 2")
-        ntheta, nphi = resolution
-        if ntheta < 8 or nphi < 8:
-            raise ValueError("need at least 8 nodes per direction")
-        if nphi % 2 != 0:
-            raise ValueError("nphi must be even for the across-pole stencil")
-        dth = pi / ntheta
-        dph = 2.0 * pi / nphi
-        th1 = (np.arange(ntheta) + 0.5) * dth
-        ph1 = np.arange(nphi) * dph
-        theta = np.repeat(th1, nphi)
-        phi = np.tile(ph1, ntheta)
-        ops = _build_ops_full(ntheta, nphi, dth, dph)
-        weights = np.sin(theta) * dth * dph
-    else:
-        ntheta = int(resolution) if np.isscalar(resolution) else int(resolution[0])
-        if ntheta < 8:
-            raise ValueError("need at least 8 nodes per direction")
-        nphi = 1
-        dth = pi / ntheta
-        theta = (np.arange(ntheta) + 0.5) * dth
-        phi = np.zeros(ntheta)
-        ops = _build_ops_axisym(ntheta, dth)
-        weights = np.sin(theta) ** (n - 1) * dth * _sphere_area(n - 1)
-
+    dth = pi / ntheta
+    dph = 2.0 * pi / nphi
+    theta = np.repeat((np.arange(ntheta) + 0.5) * dth, nphi)
+    phi = np.tile(np.arange(nphi) * dph, ntheta)
     return SphereGrid(n=n, mode=mode, ntheta=ntheta, nphi=nphi,
-                      theta=theta, phi=phi, ops=ops, weights=weights)
+                      theta=theta, phi=phi,
+                      ops=_build_ops(ntheta, nphi, dth, dph))
 
 
-def _build_ops_full(ntheta, nphi, dth, dph):
-    """Central second-order stencils on the lat-lon grid.
+def _build_ops(ntheta, nphi, dth, dph):
+    """Central second-order stencils on the lat-lon grid, node r = j*nphi + i.
 
     The ghost row past either pole is the same latitude row with the
     longitude shifted by half a period (the meridian continued through the
-    pole), so the stencils stay second order without a pole node.
+    pole), so the stencils stay second order without a pole node. With
+    nphi = 1 (axisym-1d) the shift is zero and the ghost row is the even
+    reflection of the profile; only the latitude stencils are built then.
     """
-    half = nphi // 2
-
-    def idx(j, i):
-        i = i % nphi
-        if j < 0:
-            return idx(-1 - j, i + half)
-        if j >= ntheta:
-            return idx(2 * ntheta - 1 - j, i + half)
-        return j * nphi + i
-
     nn = ntheta * nphi
-    rows_t, cols_t, dat_t = [], [], []
-    rows_tt, cols_tt, dat_tt = [], [], []
-    rows_p, cols_p, dat_p = [], [], []
-    rows_pp, cols_pp, dat_pp = [], [], []
-    for j in range(ntheta):
-        for i in range(nphi):
-            r = j * nphi + i
-            up, dn = idx(j - 1, i), idx(j + 1, i)
-            rows_t += [r, r]
-            cols_t += [dn, up]
-            dat_t += [0.5 / dth, -0.5 / dth]
-            rows_tt += [r, r, r]
-            cols_tt += [dn, r, up]
-            dat_tt += [1.0 / dth**2, -2.0 / dth**2, 1.0 / dth**2]
-            le, ri = idx(j, i - 1), idx(j, i + 1)
-            rows_p += [r, r]
-            cols_p += [ri, le]
-            dat_p += [0.5 / dph, -0.5 / dph]
-            rows_pp += [r, r, r]
-            cols_pp += [ri, r, le]
-            dat_pp += [1.0 / dph**2, -2.0 / dph**2, 1.0 / dph**2]
+    r = np.arange(nn)
+    j, i = divmod(r, nphi)
 
-    def mk(rows, cols, dat):
-        return sp.csr_matrix((dat, (rows, cols)), shape=(nn, nn))
+    def nb(dj, di):
+        jj = j + dj
+        past = (jj < 0) | (jj >= ntheta)
+        return (np.where(past, j, jj) * nphi
+                + (i + di + past * (nphi // 2)) % nphi)
 
-    d_t = mk(rows_t, cols_t, dat_t)
-    d_p = mk(rows_p, cols_p, dat_p)
-    return {
-        "t": d_t,
-        "p": d_p,
-        "tt": mk(rows_tt, cols_tt, dat_tt),
-        "pp": mk(rows_pp, cols_pp, dat_pp),
-        "tp": (d_t @ d_p).tocsr(),
-    }
+    def mk(cols, dat):
+        # Row r holds its entries in the order given. In axisym-1d a pole
+        # row's ghost column is the node itself; scipy sums the duplicates.
+        return sp.csr_matrix(
+            (np.tile(dat, nn), (np.repeat(r, len(cols)),
+                                np.stack(cols, axis=1).ravel())),
+            shape=(nn, nn))
 
-
-def _build_ops_axisym(ntheta, dth):
-    """1-d stencils on the meridian with even reflection at both poles."""
-    rows1, cols1, dat1 = [], [], []
-    rows2, cols2, dat2 = [], [], []
-
-    def idx(j):
-        if j < 0:
-            return -1 - j
-        if j >= ntheta:
-            return 2 * ntheta - 1 - j
-        return j
-
-    for j in range(ntheta):
-        up, dn = idx(j - 1), idx(j + 1)
-        rows1 += [j, j]
-        cols1 += [dn, up]
-        dat1 += [0.5 / dth, -0.5 / dth]
-        rows2 += [j, j, j]
-        cols2 += [dn, j, up]
-        dat2 += [1.0 / dth**2, -2.0 / dth**2, 1.0 / dth**2]
-
-    def mk(rows, cols, dat):
-        m = sp.csr_matrix((dat, (rows, cols)), shape=(ntheta, ntheta))
-        m.sum_duplicates()
-        return m
-
-    return {"t": mk(rows1, cols1, dat1), "tt": mk(rows2, cols2, dat2)}
+    up, dn = nb(-1, 0), nb(1, 0)
+    ops = {"t": mk([dn, up], [0.5 / dth, -0.5 / dth]),
+           "tt": mk([dn, r, up], [1.0 / dth**2, -2.0 / dth**2, 1.0 / dth**2])}
+    if nphi > 1:
+        le, ri = nb(0, -1), nb(0, 1)
+        ops["p"] = mk([ri, le], [0.5 / dph, -0.5 / dph])
+        ops["pp"] = mk([ri, r, le],
+                       [1.0 / dph**2, -2.0 / dph**2, 1.0 / dph**2])
+        ops["tp"] = (ops["t"] @ ops["p"]).tocsr()
+    return ops
 
 
 @dataclass

@@ -35,6 +35,26 @@ def write_cfg(path, cfg):
         json.dump(cfg, fh)
 
 
+RECT_GRID = 'grid={"shape": "rect", "h": 0.125, "bounds": %s}'
+
+# Malformed grids and data that only the library can reject; each must end
+# in the config-error exit, not in a traceback.
+CONFIG_PROBES = {
+    "odd_nphi": ("solve-surface", ["grid.sizes=[16,15]"]),
+    "one_size": ("solve-surface", ["grid.sizes=[16]"]),
+    "string_size": ("solve-surface", ['grid.sizes=["a",8]']),
+    "axisym_too_coarse": ("solve-surface", [
+        'grid={"mode": "axisym-1d", "sizes": [4]}']),
+    "full_2d_n3": ("solve-surface", ["n=3"]),
+    "epsilon_too_large": ("solve-surface", [
+        "epsilon=1.0", 'f={"builtin": "power_decay", "c": 2, "p": 3}']),
+    "flat_bounds_not_pairs": ("solve-flat", [RECT_GRID % "[1, 2]"]),
+    "flat_bounds_too_few": ("solve-flat", [RECT_GRID % "[[-1, 1]]"]),
+    "flat_bounds_ragged": ("solve-flat", [
+        RECT_GRID % "[[-1, 1], [-1, 1, 3]]"]),
+}
+
+
 class TestJsonText:
     def test_sorted_keys_and_float_format(self):
         text = cli.json_text({"b": 0.5, "a": [1, True, None, "x"]})
@@ -157,6 +177,21 @@ class TestOracleCommands:
         r = CliRunner().invoke(cli.main, ["oracle", "coeffs", "-5", "1",
                                           "1", "--k", "2"])
         assert r.exit_code != 0
+
+
+@pytest.mark.parametrize("probe", sorted(CONFIG_PROBES))
+def test_config_error_exits_2(tmp_path, probe):
+    command, overrides = CONFIG_PROBES[probe]
+    cfgp = tmp_path / "cfg.json"
+    write_cfg(cfgp, SURFACE_CFG if command == "solve-surface" else FLAT_CFG)
+    args = [command, "--config", str(cfgp), "--out", str(tmp_path / "o")]
+    for spec in overrides:
+        args += ["--override", spec]
+    r = CliRunner().invoke(cli.main, args)
+    assert r.exit_code == 2, (r.output, r.exception)
+    assert isinstance(r.exception, SystemExit)
+    assert "Traceback" not in r.output
+    assert "config error" in r.output
 
 
 class TestSolveFlatCommand:

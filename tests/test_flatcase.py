@@ -47,27 +47,53 @@ class TestBuildFlatGrid:
         with pytest.raises(ValueError):
             flatcase.build_flat_grid(2, "triangle", h=0.1)
 
-    def test_operators_exact_on_zero_boundary_quadratic(self):
-        # the bowl vanishes on the circle, so the snapped axis stencils
+    @pytest.mark.parametrize("dim,h", [(2, 1 / 16), (3, 1 / 6), (3, 1 / 12)],
+                             ids=["ball2d_h16", "ball3d_h6", "ball3d_h12"])
+    def test_operators_exact_on_zero_boundary_quadratic(self, dim, h):
+        # the bowl vanishes on the sphere, so the snapped axis stencils
         # reproduce its derivatives exactly; only the diagonal ghost
         # closure contributes a bounded local error near the boundary
-        g = flatcase.build_flat_grid(2, "ball", h=1 / 16)
+        g = flatcase.build_flat_grid(dim, "ball", h=h)
         phi = bowl(g)
-        for a in range(2):
+        for a in range(dim):
             assert np.abs(g.d2[a] @ phi - 1.0).max() < 1e-10
             assert np.abs(g.d1[a] @ phi - g.pts[:, a]).max() < 1e-10
-        assert np.abs(g.lap @ phi - 2.0).max() < 1e-10
-        mix = g.dmix[(0, 1)] @ phi
+        assert np.abs(g.lap @ phi - dim).max() < 1e-10
         r = np.linalg.norm(g.pts, axis=1)
         interior = r < 1.0 - 2 * g.h
-        assert np.abs(mix[interior]).max() < 1e-10
-        assert np.abs(mix).max() < 1.0  # bounded first-order closure
+        for op in g.dmix.values():
+            mix = op @ phi
+            assert np.abs(mix[interior]).max() < 1e-10
+            assert np.abs(mix).max() < 1.0  # bounded first-order closure
 
-    def test_rect_operators_exact_quadratic(self):
-        g = flatcase.build_flat_grid(2, "rect", h=1 / 8,
-                                     bounds=[(-1.0, 1.0), (-1.0, 1.0)])
-        phi = 0.5 * (g.pts[:, 0] ** 2 - 1.0) * 1.0 + 0.0 * g.pts[:, 1]
-        assert np.abs(g.d2[0] @ phi - 1.0).max() < 1e-10
+    @pytest.mark.parametrize("h,bounds", [
+        (1 / 8, [(-1.0, 1.0), (-1.0, 1.0)]),
+        (1 / 6, [(-1.0, 1.0), (0.0, 0.5), (-0.25, 1.3)]),
+    ], ids=["rect2d", "rect3d"])
+    def test_rect_operators_exact_quadratic(self, h, bounds):
+        # per axis, a quadratic vanishing on both faces is reproduced
+        # exactly, snapped arms included (the 3-d faces are off-lattice)
+        g = flatcase.build_flat_grid(len(bounds), "rect", h=h, bounds=bounds)
+        for a, (lo, hi) in enumerate(bounds):
+            x = g.pts[:, a]
+            phi = 0.5 * (x - lo) * (x - hi)
+            assert np.abs(g.d2[a] @ phi - 1.0).max() < 1e-10
+            assert np.abs(g.d1[a] @ phi - (x - 0.5 * (lo + hi))).max() \
+                < 1e-10
+
+    @pytest.mark.parametrize("bounds", [
+        [1, 2], [[-1, 1]], [[-1, 1], [-1, 1, 3]], [[-1, 1], [-1, 1], [0, 1]],
+        [["a", 1], [-1, 1]], [[1, -1], [-1, 1]],
+        [[-math.inf, 1], [-1, 1]], [[None, 1], [-1, 1]],
+    ])
+    def test_malformed_bounds(self, bounds):
+        with pytest.raises(ValueError):
+            flatcase.build_flat_grid(2, "rect", h=1 / 8, bounds=bounds)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_ball_radius(self, radius):
+        with pytest.raises(ValueError):
+            flatcase.build_flat_grid(2, "ball", h=1 / 8, radius=radius)
 
     def test_3d_grid(self):
         g = flatcase.build_flat_grid(3, "ball", h=1 / 6)

@@ -58,12 +58,37 @@ class TestBuildGrid:
         assert g.theta.max() < math.pi
 
     def test_stencils_kill_constants(self):
-        g = geometry.build_grid(2, "full-2d", (16, 16))
-        ones = np.ones(g.nnodes)
-        for name, op in g.ops.items():
-            if name == "t" or name == "p" or name == "tt" or name == "pp" \
-                    or name == "tp":
+        for g in (geometry.build_grid(2, "full-2d", (16, 16)),
+                  geometry.build_grid(3, "axisym-1d", (16,))):
+            ones = np.ones(g.nnodes)
+            expect = {"t", "tt"} | ({"p", "pp", "tp"}
+                                    if g.mode == "full-2d" else set())
+            assert set(g.ops) == expect
+            for op in g.ops.values():
                 assert np.abs(op @ ones).max() < 1e-12
+
+    @pytest.mark.parametrize("ntheta", [8, 9, 32])
+    def test_zonal_field_same_in_both_modes(self, ntheta):
+        # a zonal field is even across the pole under the half-period
+        # shift, so both modes' pole ghost rows must give the same values
+        nphi = 8
+        ga = geometry.build_grid(2, "axisym-1d", ntheta)
+        gf = geometry.build_grid(2, "full-2d", (ntheta, nphi))
+        profile = 1.1 + 0.2 * np.cos(ga.theta) + 0.05 * np.cos(3 * ga.theta)
+        for name in ("t", "tt"):
+            full = (gf.ops[name] @ np.repeat(profile, nphi)).reshape(
+                ntheta, nphi)
+            axi = ga.ops[name] @ profile
+            assert np.abs(full - axi[:, None]).max() < 1e-12
+
+    @pytest.mark.parametrize("mode,resolution", [
+        ("full-2d", (16,)), ("full-2d", (16, 16, 4)), ("full-2d", 16),
+        ("full-2d", ("a", 8)), ("full-2d", (16.0, 8)),
+        ("axisym-1d", (32, 16)), ("axisym-1d", 32.5), ("axisym-1d", ()),
+    ])
+    def test_malformed_resolution(self, mode, resolution):
+        with pytest.raises(ValueError):
+            geometry.build_grid(2, mode, resolution)
 
 
 class TestRoundSphere:

@@ -147,6 +147,12 @@ def _get(cfg, path, typ, required=True, default=None):
         cur = cur[part]
     if isinstance(cur, bool) or not isinstance(cur, _TYPES[typ]):
         raise ConfigError(f"key '{path}' must be of type {typ.__name__}")
+    if typ is float:
+        # JSON admits NaN and Infinity, and integers too large for a float.
+        if isinstance(cur, int) and abs(cur) > sys.float_info.max:
+            cur = math.inf
+        if not math.isfinite(cur):
+            raise ConfigError(f"key '{path}' must be a finite number")
     return typ(cur) if typ in (float, int) else cur
 
 

@@ -19,7 +19,8 @@ import scipy.sparse as sp
 
 from . import symm
 from .errors import DomainError, PreconditionError
-from .newton import NewtonConfig, damped_newton, fd_data_derivs, fd_jacobian
+from .newton import (NewtonConfig, SlotTable, damped_newton, fd_data_derivs,
+                     fd_jacobian)
 
 __all__ = [
     "DomainGrid", "FlatState", "build_flat_grid", "build_flat_state",
@@ -40,6 +41,7 @@ class DomainGrid:
     d2: list = field(repr=False)        # second-derivative operators per axis
     dmix: dict = field(repr=False)      # mixed operators keyed by (a, b), a < b
     lap: object = field(repr=False)     # sum of the axis second derivatives
+    slots: SlotTable = field(repr=False)    # pattern of the Jacobian
 
     @property
     def ninterior(self):
@@ -186,8 +188,11 @@ def build_flat_grid(dim, shape="ball", h=1.0 / 16, radius=1.0, bounds=None):
         dmix[(a, b)] = ((dpp - dpm) * 0.5).tocsr()
 
     lap = sum(d2).tocsr()
+    # Jacobian slots: the Hessian operators, then those of grad phi and phi.
+    slots = SlotTable(d2 + list(dmix.values()) + d1
+                      + [sp.identity(ni, format="csr")])
     return DomainGrid(dim=dim, shape=shape, h=h, radius=rad, center=center,
-                      pts=pts, d1=d1, d2=d2, dmix=dmix, lap=lap)
+                      pts=pts, d1=d1, d2=d2, dmix=dmix, lap=lap, slots=slots)
 
 
 @dataclass
@@ -254,24 +259,26 @@ def flat_jacobian(state, f, k, form="raw"):
     ctil = symm.sigma_k_grad_kappa_batch(mu, k)
     coef = np.einsum("nij,nj,nkj->nik", vecs, ctil, vecs)
 
-    j_sig = sum(sp.diags(coef[:, a, a]) @ grid.d2[a] for a in range(dim))
-    for (a, b), op in grid.dmix.items():
-        j_sig = j_sig + sp.diags(2.0 * coef[:, a, b]) @ op
+    slots = grid.slots
+    nhess = dim + len(grid.dmix)
+    j_sig = slots.accumulate([coef[:, a, a] for a in range(dim)]
+                             + [2.0 * coef[:, a, b] for a, b in grid.dmix])
 
     fphi, fgrad = fd_data_derivs(f, (grid.pts, state.phi, state.grad),
                                  ((1, True), (2, False)))
-    j_f = sp.diags(fphi) + sum(
-        sp.diags(fgrad[:, a]) @ grid.d1[a] for a in range(dim))
+    # f_phi + sum_a f_(grad_a) d1[a]: the gradient terms are summed first.
+    j_f = slots.accumulate([*fgrad.T, fphi],
+                           slots=range(nhess, nhess + dim + 1))
 
     if form == "root":
         sig = symm.elem_sym_all_batch(state.eta_spectrum)[:, k]
         fv = f(grid.pts, state.phi, state.grad)
         p = 1.0 / k
-        j_sig = sp.diags(p * sig ** (p - 1.0)) @ j_sig
-        j_f = sp.diags(p * fv ** (p - 1.0)) @ j_f
+        j_sig = slots.row_scale(p * sig ** (p - 1.0)) * j_sig
+        j_f = slots.row_scale(p * fv ** (p - 1.0)) * j_f
     elif form != "raw":
         raise ValueError(f"unknown residual form {form!r}")
-    return (j_sig - j_f).tocsr()
+    return slots.matrix(j_sig - j_f)
 
 
 def _initial_guess(grid, f, k):
@@ -335,14 +342,10 @@ def flat_csv_text(state, residual_field):
     cols += ["phi", "lap_phi"]
     cols += [f"eta_lambda{i + 1}" for i in range(dim)]
     cols += ["residual", "pogorelov"]
-    lines = [",".join(cols)]
     fmt = "{:.17g}".format
     neg = np.maximum(-state.phi, 0.0)
     pog = neg**state.pogorelov_beta * state.lap_phi
-    for p in range(grid.ninterior):
-        row = [fmt(v) for v in grid.pts[p]]
-        row += [fmt(state.phi[p]), fmt(state.lap_phi[p])]
-        row += [fmt(v) for v in state.eta_spectrum[p]]
-        row += [fmt(residual_field[p]), fmt(pog[p])]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    fields = [*grid.pts.T, state.phi, state.lap_phi, *state.eta_spectrum.T,
+              np.asarray(residual_field), pog]
+    rows = zip(*(map(fmt, f.tolist()) for f in fields))
+    return "\n".join([",".join(cols), *map(",".join, rows)]) + "\n"

@@ -22,6 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainError, EtacurvError
+from .newton import SlotTable
 from . import symm
 
 __all__ = ["SphereGrid", "SurfaceJet", "build_grid", "surface_jet",
@@ -41,6 +42,7 @@ class SphereGrid:
     theta: np.ndarray          # per-node polar angle
     phi: np.ndarray            # per-node longitude (zeros in axisym mode)
     ops: dict = field(repr=False)   # sparse differentiation matrices
+    slots: SlotTable = field(repr=False)    # pattern of the Jacobians
 
     @property
     def nnodes(self):
@@ -86,9 +88,13 @@ def build_grid(n, mode, resolution):
     dph = 2.0 * pi / nphi
     theta = np.repeat((np.arange(ntheta) + 0.5) * dth, nphi)
     phi = np.tile(np.arange(nphi) * dph, ntheta)
+    ops = _build_ops(ntheta, nphi, dth, dph)
+    # Jacobian slots: the value of rho, then t, p, tt, tp, pp as present.
+    slots = SlotTable([sp.identity(theta.size, format="csr")]
+                      + [ops[d] for d in ("t", "p", "tt", "tp", "pp")
+                         if d in ops])
     return SphereGrid(n=n, mode=mode, ntheta=ntheta, nphi=nphi,
-                      theta=theta, phi=phi,
-                      ops=_build_ops(ntheta, nphi, dth, dph))
+                      theta=theta, phi=phi, ops=ops, slots=slots)
 
 
 def _build_ops(ntheta, nphi, dth, dph):
@@ -300,19 +306,10 @@ def surface_csv_text(jet, k):
     cols += [f"eta_lambda{i + 1}" for i in range(n)]
     cols += ["sigma_k"]
 
-    lines = [",".join(cols)]
+    grid = jet.grid
+    fields = [grid.theta, grid.phi] if grid.mode == "full-2d" else [grid.theta]
+    fields += [jet.rho, *jet.X.T, jet.u, *jet.kappa.T, *jet.eta.T, sig]
     fmt = "{:.17g}".format
-    for p in range(jet.grid.nnodes):
-        row = [str(p)]
-        if jet.grid.mode == "full-2d":
-            row += [fmt(jet.grid.theta[p]), fmt(jet.grid.phi[p])]
-        else:
-            row += [fmt(jet.grid.theta[p])]
-        row += [fmt(jet.rho[p])]
-        row += [fmt(v) for v in jet.X[p]]
-        row += [fmt(jet.u[p])]
-        row += [fmt(v) for v in jet.kappa[p]]
-        row += [fmt(v) for v in jet.eta[p]]
-        row += [fmt(sig[p])]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    rows = zip(map(str, range(grid.nnodes)),
+               *(map(fmt, f.tolist()) for f in fields))
+    return "\n".join([",".join(cols), *map(",".join, rows)]) + "\n"

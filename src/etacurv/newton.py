@@ -6,7 +6,8 @@ Globalization is backtracking on the max-norm residual with step fractions
 (cone membership, positivity, range) before its residual is accepted.
 ``fd_jacobian`` is the column-by-column Jacobian oracle behind the "fd"
 Jacobian option, and ``fd_data_derivs`` gives the first derivatives of the
-prescribed data that the analytic Jacobians need.
+prescribed data that the analytic Jacobians need. ``SlotTable`` is the
+sparsity pattern every analytic Jacobian is assembled on.
 """
 
 from dataclasses import dataclass, field
@@ -17,8 +18,8 @@ from scipy.sparse.linalg import spsolve
 
 from .errors import ConeViolationError, DomainError, NewtonDiverged, ConeExit
 
-__all__ = ["NewtonConfig", "NewtonReport", "damped_newton", "fd_jacobian",
-           "fd_data_derivs"]
+__all__ = ["NewtonConfig", "NewtonReport", "SlotTable", "damped_newton",
+           "fd_jacobian", "fd_data_derivs"]
 
 
 @dataclass
@@ -40,6 +41,73 @@ class NewtonReport:
     @property
     def final_residual(self):
         return self.residual_history[-1] if self.residual_history else np.inf
+
+
+class SlotTable:
+    """Union sparsity pattern of a fixed list of operators, the "slots".
+
+    An analytic Jacobian is a per-row weighted sum sum_s diag(c_s) @ M_s of
+    a grid's operators, so its pattern is known when the grid is built.
+    ``accumulate`` gives the data array of such a sum on that pattern from
+    array products, ``row_scale`` the per-entry form of a row factor, and
+    ``matrix`` the CSR matrix. Entry (i, j) is the left-to-right sum of
+    c_s[i] M_s[i, j] over the slots holding (i, j), and exact zeros are
+    dropped, as in scipy's sparse products and sums: the result equals
+    that sparse sum bit for bit.
+
+    The operators are never modified: a slot whose rows hold unsorted
+    columns (a product such as t @ p) is sorted in a copy, because sorting
+    a live operator changes how its products with vectors round.
+    """
+
+    def __init__(self, mats):
+        self.shape = nrow, ncol = mats[0].shape
+        kdt = np.int32 if nrow * ncol < 2**31 else np.int64
+        rowkey = np.arange(nrow, dtype=kdt) * ncol
+        keys, parts = [], []
+        for m in map(sp.csr_matrix, mats):
+            count = np.diff(m.indptr)
+            key = np.repeat(rowkey, count) + m.indices
+            if np.any(np.diff(key) <= 0):
+                m = m.copy()
+                m.sort_indices()
+                key = np.repeat(rowkey, count) + m.indices
+                if np.any(np.diff(key) == 0):
+                    raise ValueError("slot operators must not repeat an entry")
+            keys.append(key)
+            parts.append((count, m.data))
+        union = np.sort(np.concatenate(keys))
+        union = union[np.concatenate(([True], np.diff(union) != 0))]
+        rows, cols = np.divmod(union, ncol)
+        idx = np.int32 if max(union.size, nrow, ncol) < 2**31 else np.int64
+        self.indices = cols.astype(idx)
+        self.indptr = np.searchsorted(rows, np.arange(nrow + 1)).astype(idx)
+        self.counts = np.diff(self.indptr)
+        # Per slot: pattern position of each entry, entries per row, weights.
+        self.slots = [(np.searchsorted(union, key).astype(idx), count, w)
+                      for key, (count, w) in zip(keys, parts)]
+
+    def accumulate(self, coefs, slots=None):
+        """Data of sum_s diag(coefs[s]) @ M_s, summed in list order.
+
+        ``slots`` names the slot of each coefficient (default 0, 1, ...).
+        """
+        data = np.zeros(self.indices.size)
+        for s, c in zip(range(len(coefs)) if slots is None else slots, coefs):
+            pos, counts, w = self.slots[s]
+            data[pos] += np.repeat(c, counts) * w
+        return data
+
+    def row_scale(self, a):
+        """The row factor a (one value per row) at every pattern entry."""
+        return np.repeat(a, self.counts)
+
+    def matrix(self, data):
+        """CSR matrix with this pattern and data, exact zeros dropped."""
+        out = sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
+                            shape=self.shape)
+        out.eliminate_zeros()
+        return out
 
 
 def _solve_linear(jac, rhs):

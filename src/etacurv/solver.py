@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import geometry, symm, verify
 from .errors import (ConfigError, ContinuationStuck, NewtonDiverged,
@@ -162,9 +161,10 @@ def homotopy_f(data, n, k, epsilon, t):
     return replace(data, f=blended)
 
 
-def _eval_state(grid, rho, data, k):
+def _eval_state(grid, rho, data, k, jet=None):
     """(jet, sigma_k field, f field); raises on cone exit or f <= 0."""
-    jet = geometry.surface_jet(grid, rho)
+    if jet is None:
+        jet = geometry.surface_jet(grid, rho)
     sig = geometry.sigma_k_of_eta(jet, k)
     fv = data.f(jet.X, jet.nu)
     if np.any(fv <= 0.0):
@@ -175,16 +175,19 @@ def _eval_state(grid, rho, data, k):
     return jet, sig, fv
 
 
-def residual(grid, rho, data, k, form="raw"):
-    """Per-node defect sigma_k(lambda(eta)) - f(X, nu) (or its k-th-root form)."""
-    _, sig, fv = _eval_state(grid, rho, data, k)
+def residual(grid, rho, data, k, form="raw", *, jet=None):
+    """Per-node defect sigma_k(lambda(eta)) - f(X, nu) (or its k-th-root form).
+
+    ``jet`` is the SurfaceJet of rho when the caller has already built it.
+    """
+    _, sig, fv = _eval_state(grid, rho, data, k, jet)
     if form == "root":
         return sig ** (1.0 / k) - fv ** (1.0 / k)
     return sig - fv
 
 
-def _jac_f_term(jet, data, dV, dW, dmats):
-    """Jacobian of f(X, nu): df = d_X f . dX + d_nu f . dnu, per stencil slot.
+def _jac_f_term(jet, data, dV, dW):
+    """Jacobian data of f(X, nu): df = d_X f . dX + d_nu f . dnu, per slot.
 
     Slot s perturbs the normal numerator by dV[s] and its length w by
     dW[s]; slot 0 (the value of rho) also moves X along x. The data
@@ -193,14 +196,14 @@ def _jac_f_term(jet, data, dV, dW, dmats):
     fx, fn = fd_data_derivs(data.f, (jet.X, jet.nu),
                             ((0, True), (1, False)))
     x, w = jet.raw["x"], jet.raw["w"]
-    j_f = 0
+    coefs = []
     for s, dv in enumerate(dV):
         dnu = (dv - jet.nu * dW[s][:, None]) / w[:, None]
         coef = np.einsum("nc,nc->n", fn, dnu)
         if s == 0:
             coef += np.einsum("nc,nc->n", fx, x)
-        j_f = j_f + sp.diags(coef) @ dmats[s]
-    return j_f
+        coefs.append(coef)
+    return jet.grid.slots.accumulate(coefs)
 
 
 def _inv2(a):
@@ -275,12 +278,9 @@ def _jac_full(grid, jet, data, k, form):
             coef += np.einsum("nab,nab->n", m_g, dg[s])
         coef_sig[s] = coef
 
-    ops = grid.ops
-    dmats = [sp.identity(npts, format="csr"), ops["t"], ops["p"],
-             ops["tt"], ops["tp"], ops["pp"]]
-    j_sig = sum(sp.diags(coef_sig[s]) @ dmats[s] for s in range(6))
+    j_sig = grid.slots.accumulate([coef_sig[s] for s in range(6)])
     dV = [raw["x"], -raw["e_t"], -raw["e_p"] / st[:, None] ** 2]
-    j_f = _jac_f_term(jet, data, dV, dW, dmats)
+    j_f = _jac_f_term(jet, data, dV, dW)
     return _combine_forms(j_sig, j_f, jet, data, k, form)
 
 
@@ -325,31 +325,34 @@ def _jac_axisym(grid, jet, data, k, form):
         2: cm * dkm[2],
     }
 
-    ops = grid.ops
-    dmats = [sp.identity(npts, format="csr"), ops["t"], ops["tt"]]
-    j_sig = sum(sp.diags(coef_sig[s]) @ dmats[s] for s in range(3))
-    j_f = _jac_f_term(jet, data, [raw["x"], -raw["e_t"]],
-                      [rho / w, rt / w], dmats)
+    j_sig = grid.slots.accumulate([coef_sig[s] for s in range(3)])
+    j_f = _jac_f_term(jet, data, [raw["x"], -raw["e_t"]], [rho / w, rt / w])
     return _combine_forms(j_sig, j_f, jet, data, k, form)
 
 
 def _combine_forms(j_sig, j_f, jet, data, k, form):
+    """Jacobian matrix from the data of its sigma_k and f parts."""
+    slots = jet.grid.slots
     if form == "raw":
-        return (j_sig - j_f).tocsr()
+        return slots.matrix(j_sig - j_f)
     sig = symm.elem_sym_all_batch(jet.eta)[:, k]
     fv = data.f(jet.X, jet.nu)
     p = 1.0 / k
-    left = sp.diags(p * sig ** (p - 1.0)) @ j_sig
-    right = sp.diags(p * fv ** (p - 1.0)) @ j_f
-    return (left - right).tocsr()
+    return slots.matrix(slots.row_scale(p * sig ** (p - 1.0)) * j_sig
+                        - slots.row_scale(p * fv ** (p - 1.0)) * j_f)
 
 
-def assemble_jacobian(grid, rho, data, k, form="raw", method="analytic"):
-    """Jacobian of the residual map at rho."""
+def assemble_jacobian(grid, rho, data, k, form="raw", method="analytic", *,
+                      jet=None):
+    """Jacobian of the residual map at rho.
+
+    ``jet`` is the SurfaceJet of rho when the caller has already built it.
+    """
     if method == "fd":
         return fd_jacobian(
             lambda r: residual(grid, r, data, k, form=form), rho, step=1e-7)
-    jet = geometry.surface_jet(grid, rho)
+    if jet is None:
+        jet = geometry.surface_jet(grid, rho)
     if grid.mode == "full-2d":
         return _jac_full(grid, jet, data, k, form)
     return _jac_axisym(grid, jet, data, k, form)
@@ -361,12 +364,18 @@ def newton_solve(grid, rho0, data, k, config=None, rho_margin=0.1):
     lo = data.r1 * (1.0 - rho_margin)
     hi = data.r2 * (1.0 + rho_margin)
 
+    # damped_newton asks for the Jacobian only at the iterate whose
+    # residual it computed last, so the jet built there is reused.
+    last = [None, None]
+
     def res_fn(rho):
-        return residual(grid, rho, data, k, form=cfg.form)
+        last[:] = rho, geometry.surface_jet(grid, rho)
+        return residual(grid, rho, data, k, form=cfg.form, jet=last[1])
 
     def jac_fn(rho):
-        return assemble_jacobian(grid, rho, data, k,
-                                 form=cfg.form, method=cfg.jacobian)
+        return assemble_jacobian(grid, rho, data, k, form=cfg.form,
+                                 method=cfg.jacobian,
+                                 jet=last[1] if rho is last[0] else None)
 
     def check(rho):
         if np.any(rho <= 0.0):

@@ -52,6 +52,11 @@ CONFIG_PROBES = {
     "flat_bounds_too_few": ("solve-flat", [RECT_GRID % "[[-1, 1]]"]),
     "flat_bounds_ragged": ("solve-flat", [
         RECT_GRID % "[[-1, 1], [-1, 1, 3]]"]),
+    "f_c_nan": ("solve-surface", ["f.c=NaN"]),
+    "r2_infinite": ("solve-surface", ["r2=Infinity"]),
+    "newton_tol_nan": ("solve-surface", ["newton.tol=NaN"]),
+    "r2_huge_int": ("solve-surface", ["r2=1" + "0" * 400]),
+    "flat_h_nan": ("solve-flat", ["grid.h=NaN"]),
 }
 
 

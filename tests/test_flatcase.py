@@ -297,7 +297,33 @@ class TestPogorelovMonitor:
         assert abs(vals[0] - vals[1]) / vals[1] < 0.05
 
 
+def flat_csv_rows(state, residual_field):
+    """Row-by-row flat CSV, the oracle of the column formatter."""
+    grid = state.grid
+    cols = [f"x{a}" for a in range(grid.dim)] + ["phi", "lap_phi"]
+    cols += [f"eta_lambda{i + 1}" for i in range(grid.dim)]
+    cols += ["residual", "pogorelov"]
+    lines = [",".join(cols)]
+    fmt = "{:.17g}".format
+    pog = np.maximum(-state.phi, 0.0)**state.pogorelov_beta * state.lap_phi
+    for p in range(grid.ninterior):
+        row = [fmt(v) for v in grid.pts[p]]
+        row += [fmt(state.phi[p]), fmt(state.lap_phi[p])]
+        row += [fmt(v) for v in state.eta_spectrum[p]]
+        row += [fmt(residual_field[p]), fmt(pog[p])]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
 class TestCsv:
+    @pytest.mark.parametrize("dim,h", [(2, 1 / 16), (3, 1 / 6)])
+    def test_matches_row_oracle(self, dim, h):
+        g = flatcase.build_flat_grid(dim, "ball", h=h)
+        phi = bowl(g) * (1.0 + 0.1 * g.pts[:, 0])
+        state = flatcase.build_flat_state(g, phi)
+        res = flatcase.flat_residual(state, f_grad_sq, 2)
+        assert flatcase.flat_csv_text(state, res) == flat_csv_rows(state, res)
+
     def test_columns(self):
         g = flatcase.build_flat_grid(2, "ball", h=1 / 8)
         state = flatcase.build_flat_state(g, bowl(g))

@@ -233,7 +233,37 @@ class TestSigmaKErrors:
             geometry.sigma_k_of_eta(jet, 3)
 
 
+def surface_csv_rows(jet, k):
+    """Row-by-row surface CSV, the oracle of the column formatter."""
+    sig = geometry.sigma_k_of_eta(jet, k)
+    n, grid = jet.n, jet.grid
+    full = grid.mode == "full-2d"
+    cols = ["node", "theta"] + (["phi"] if full else []) + ["rho"]
+    cols += [f"X{c}" for c in range(n + 1)] + ["u"]
+    cols += [f"kappa{i + 1}" for i in range(n)]
+    cols += [f"eta_lambda{i + 1}" for i in range(n)] + ["sigma_k"]
+    lines = [",".join(cols)]
+    fmt = "{:.17g}".format
+    for p in range(grid.nnodes):
+        row = [str(p), fmt(grid.theta[p])]
+        row += [fmt(grid.phi[p])] if full else []
+        row += [fmt(jet.rho[p])] + [fmt(v) for v in jet.X[p]]
+        row += [fmt(jet.u[p])] + [fmt(v) for v in jet.kappa[p]]
+        row += [fmt(v) for v in jet.eta[p]] + [fmt(sig[p])]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
 class TestCsv:
+    @pytest.mark.parametrize("n,mode,sizes", [(2, "full-2d", (16, 12)),
+                                              (4, "axisym-1d", 24)])
+    def test_matches_row_oracle(self, n, mode, sizes):
+        g = geometry.build_grid(n, mode, sizes)
+        rho = 1.0 + 0.05 * np.cos(g.theta) ** 2 + 0.02 * np.sin(
+            g.theta) * np.cos(g.phi)
+        jet = geometry.surface_jet(g, rho)
+        assert geometry.surface_csv_text(jet, 2) == surface_csv_rows(jet, 2)
+
     def test_header_and_shape_full(self):
         g = geometry.build_grid(2, "full-2d", (16, 16))
         jet = geometry.surface_jet(g, np.full(g.nnodes, 1.25))

@@ -192,6 +192,43 @@ class TestNewtonSolve:
             config=NewtonConfig(form="root"))
         assert np.abs(rho_raw - rho_root).max() < 1e-8
 
+    @pytest.mark.parametrize("mode,sizes", [("full-2d", (16, 16)),
+                                            ("axisym-1d", 32)])
+    def test_jacobian_reuses_residual_jet(self, round_data, monkeypatch,
+                                          mode, sizes):
+        g = geometry.build_grid(2, mode, sizes)
+        calls = {"jet": 0, "residual": 0, "jac": 0, "reused": 0}
+        jet_fn, res_fn = geometry.surface_jet, solver.residual
+        jac_fn = solver.assemble_jacobian
+
+        def jet(*args, **kw):
+            calls["jet"] += 1
+            return jet_fn(*args, **kw)
+
+        def res(*args, **kw):
+            calls["residual"] += 1
+            return res_fn(*args, **kw)
+
+        def jac(grid, rho, *args, jet=None, **kw):
+            calls["jac"] += 1
+            if jet is not None:
+                calls["reused"] += 1
+                assert jet.rho is rho
+                want = jac_fn(grid, rho, *args, **kw)
+                got = jac_fn(grid, rho, *args, jet=jet, **kw)
+                assert (got != want).nnz == 0
+                return got
+            return jac_fn(grid, rho, *args, **kw)
+
+        monkeypatch.setattr(geometry, "surface_jet", jet)
+        monkeypatch.setattr(solver, "residual", res)
+        monkeypatch.setattr(solver, "assemble_jacobian", jac)
+        _, rep = solver.newton_solve(g, np.full(g.nnodes, 1.1), round_data, 2)
+        assert rep.converged and rep.iterations > 0
+        assert calls["reused"] == calls["jac"] == rep.iterations
+        # One jet per residual plus the two each checked Jacobian built.
+        assert calls["jet"] == calls["residual"] + calls["jac"]
+
     def test_fd_jacobian_switch(self, round_data):
         g = geometry.build_grid(2, "axisym-1d", (32,))
         rho, rep = solver.newton_solve(

@@ -35,7 +35,8 @@ class ConfigError(EtacurvError):
 
 
 class NewtonDiverged(EtacurvError):
-    """Damped Newton could not decrease the residual.
+    """Damped Newton could not decrease the residual, or its step no
+    longer changes the iterate.
 
     ``last_iterate`` holds the last accepted state so callers can inspect
     or restart from it.

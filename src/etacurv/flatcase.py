@@ -228,21 +228,25 @@ def build_flat_state(grid, phi, beta=4.0):
                      pogorelov_beta=beta)
 
 
-def flat_residual(state, f, k, form="raw"):
+def flat_residual(state, f, k, form="raw", *, fields=None):
     """Per-interior-node sigma_k(eta spectrum) - f(x, phi, grad phi).
 
     With form "root" the defect is sigma_k^(1/k) - f^(1/k) instead.
+    ``fields``, a dict, receives the sigma_k and f fields under "sigma"
+    and "f", which the root-form Jacobian of the same state reuses.
     """
     if not 1 <= k <= state.grid.dim:
         raise ValueError(f"order k={k} outside [1, {state.grid.dim}]")
     sig = symm.require_cone_batch(state.eta_spectrum, k)[:, k]
     fv = f(state.grid.pts, state.phi, state.grad)
+    if fields is not None:
+        fields.update(sigma=sig, f=fv)
     if form == "root":
         return sig ** (1.0 / k) - fv ** (1.0 / k)
     return sig - fv
 
 
-def flat_jacobian(state, f, k, form="raw"):
+def flat_jacobian(state, f, k, form="raw", *, fields=None):
     """Analytic Jacobian of the flat residual map.
 
     The sigma_k sensitivity to the Hessian entries is the spectral
@@ -250,7 +254,8 @@ def flat_jacobian(state, f, k, form="raw"):
     sigma_k of the eta spectrum in the i-th Hessian eigenvalue; the f
     dependence on phi and grad phi enters by finite differencing in those
     slots. With form "root" the two parts carry the chain factors of
-    sigma_k^(1/k) and f^(1/k) respectively.
+    sigma_k^(1/k) and f^(1/k) respectively, taken from ``fields`` (filled
+    by ``flat_residual`` for this state) when given.
     """
     grid = state.grid
     dim = grid.dim
@@ -271,8 +276,11 @@ def flat_jacobian(state, f, k, form="raw"):
                            slots=range(nhess, nhess + dim + 1))
 
     if form == "root":
-        sig = symm.elem_sym_all_batch(state.eta_spectrum)[:, k]
-        fv = f(grid.pts, state.phi, state.grad)
+        if fields:
+            sig, fv = fields["sigma"], fields["f"]
+        else:
+            sig = symm.elem_sym_all_batch(state.eta_spectrum)[:, k]
+            fv = f(grid.pts, state.phi, state.grad)
         p = 1.0 / k
         j_sig = slots.row_scale(p * sig ** (p - 1.0)) * j_sig
         j_f = slots.row_scale(p * fv ** (p - 1.0)) * j_f
@@ -309,19 +317,28 @@ def dirichlet_solve(grid, f, k, config=None, phi0=None, beta=4.0):
         raise PreconditionError(
             f"f must be positive; min sampled value {float(fv0.min()):.6g}")
 
+    # damped_newton asks for the Jacobian only at the iterate whose
+    # residual it computed last, and returns that iterate, so the state
+    # and fields built there are reused.
+    last = [None, None, None]
+
+    def state_of(phi):
+        if phi is last[0]:
+            return last[1:]
+        return build_flat_state(grid, phi, beta=beta), None
+
     def res_fn(phi):
-        state = build_flat_state(grid, phi, beta=beta)
-        return flat_residual(state, f, k, form=cfg.form)
+        last[:] = phi, build_flat_state(grid, phi, beta=beta), {}
+        return flat_residual(last[1], f, k, form=cfg.form, fields=last[2])
 
     def jac_fn(phi):
         if cfg.jacobian == "fd":
             return fd_jacobian(res_fn, phi)
-        state = build_flat_state(grid, phi, beta=beta)
-        return flat_jacobian(state, f, k, form=cfg.form)
+        state, fields = state_of(phi)
+        return flat_jacobian(state, f, k, form=cfg.form, fields=fields)
 
     phi, report = damped_newton(phi0, res_fn, jac_fn, cfg)
-    state = build_flat_state(grid, phi, beta=beta)
-    return state, report
+    return state_of(phi)[0], report
 
 
 def pogorelov_monitor(state):

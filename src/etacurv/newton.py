@@ -3,7 +3,10 @@ curved and flat pipelines.
 
 Globalization is backtracking on the max-norm residual with step fractions
 1, 1/2, 1/4, ..., 1/64; every candidate is pre-checked for admissibility
-(cone membership, positivity, range) before its residual is accepted.
+(cone membership, positivity, range) before its residual is accepted. An
+admissible candidate equal to the iterate bit for bit ends the iteration:
+the correction has fallen below roundoff, and every later iteration would
+repeat the same step.
 ``fd_jacobian`` is the column-by-column Jacobian oracle behind the "fd"
 Jacobian option, and ``fd_data_derivs`` gives the first derivatives of the
 prescribed data that the analytic Jacobians need. ``SlotTable`` is the
@@ -134,14 +137,16 @@ def fd_jacobian(residual_fn, x, step=1e-6):
     return jac
 
 
-def fd_data_derivs(f, args, slots):
+def fd_data_derivs(f, args, slots, cols=None):
     """Central-difference partials of f(*args) in the listed argument slots.
 
     ``slots`` holds (index, relative) pairs. A relative slot steps by
     1e-6 (1 + |a|) per node, |a| the row norm of a 2-d argument; the
     others step by 1e-6. A slot of shape (N,) gives an (N,) derivative and
-    one of shape (N, d) gives (N, d), one column per component. Returns
-    the derivatives in slot order.
+    one of shape (N, d) gives (N, d), one column per component; with
+    ``cols`` (component indices) it gives only those columns, (N, len(cols)),
+    each equal to the matching column of the full derivative. Returns the
+    derivatives in slot order.
     """
     out = []
     for slot, relative in slots:
@@ -161,8 +166,10 @@ def fd_data_derivs(f, args, slots):
             out.append(diff(h))
         else:
             hcol = h[:, None] if relative else h
-            out.append(np.stack([diff(hcol * e) for e in np.eye(a.shape[1])],
-                                axis=1))
+            units = np.eye(a.shape[1])
+            if cols is not None:
+                units = units[cols]
+            out.append(np.stack([diff(hcol * e) for e in units], axis=1))
     return out
 
 
@@ -172,7 +179,10 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
     ``candidate_check(x)`` returns None if x is admissible, else a short
     reason string; cone and domain violations raised by ``residual_fn``
     count as admissibility failures too. A candidate is accepted only if
-    its max-norm residual does not exceed the current one.
+    its max-norm residual does not exceed the current one. An admissible
+    candidate equal to x bit for bit raises NewtonDiverged at once: with
+    deterministic callbacks, accepting it would repeat the same iteration
+    until ``max_iter``.
     """
     x = np.asarray(x0, dtype=float).copy()
     res = residual_fn(x)
@@ -194,6 +204,17 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
             cand = x + frac * delta
             if candidate_check is not None and candidate_check(cand):
                 continue
+            # Equal to x, the candidate has x's residual, which the step
+            # test below accepts (and every later iteration repeats) only
+            # when it is finite.
+            if (np.isfinite(rnorm)
+                    and np.array_equal(cand.view(np.int64), x.view(np.int64))):
+                report.residual_history.append(rnorm)
+                raise NewtonDiverged(
+                    f"step no longer changes the iterate (residual "
+                    f"{rnorm:.3e}, tol {cfg.tol:.1e})",
+                    last_iterate=x, report=report,
+                )
             try:
                 cres = residual_fn(cand)
             except (ConeViolationError, DomainError):

@@ -175,12 +175,16 @@ def _eval_state(grid, rho, data, k, jet=None):
     return jet, sig, fv
 
 
-def residual(grid, rho, data, k, form="raw", *, jet=None):
+def residual(grid, rho, data, k, form="raw", *, jet=None, fields=None):
     """Per-node defect sigma_k(lambda(eta)) - f(X, nu) (or its k-th-root form).
 
     ``jet`` is the SurfaceJet of rho when the caller has already built it.
+    ``fields``, a dict, receives the sigma_k and f fields of rho under
+    "sigma" and "f", which the root-form Jacobian at rho reuses.
     """
     _, sig, fv = _eval_state(grid, rho, data, k, jet)
+    if fields is not None:
+        fields.update(sigma=sig, f=fv)
     if form == "root":
         return sig ** (1.0 / k) - fv ** (1.0 / k)
     return sig - fv
@@ -191,14 +195,26 @@ def _jac_f_term(jet, data, dV, dW):
 
     Slot s perturbs the normal numerator by dV[s] and its length w by
     dW[s]; slot 0 (the value of rho) also moves X along x. The data
-    derivatives come from finite differences.
+    derivatives come from finite differences, taken only along the
+    components where x, nu or some dV[s] is nonzero anywhere: the others
+    enter every dot product as exact zeros (components 1..n-1 of an
+    axisymmetric grid). With every component live the arrays are used
+    as they are, since a column-indexed copy can make the dot products
+    round differently.
     """
+    x, nu, w = jet.raw["x"], jet.nu, jet.raw["w"]
+    live = np.any(x != 0, axis=0) | np.any(nu != 0, axis=0)
+    for dv in dV:
+        live |= np.any(dv != 0, axis=0)
+    cols = None
+    if not live.all():
+        cols = np.flatnonzero(live)
+        x, nu, dV = x[:, cols], nu[:, cols], [dv[:, cols] for dv in dV]
     fx, fn = fd_data_derivs(data.f, (jet.X, jet.nu),
-                            ((0, True), (1, False)))
-    x, w = jet.raw["x"], jet.raw["w"]
+                            ((0, True), (1, False)), cols)
     coefs = []
     for s, dv in enumerate(dV):
-        dnu = (dv - jet.nu * dW[s][:, None]) / w[:, None]
+        dnu = (dv - nu * dW[s][:, None]) / w[:, None]
         coef = np.einsum("nc,nc->n", fn, dnu)
         if s == 0:
             coef += np.einsum("nc,nc->n", fx, x)
@@ -216,8 +232,9 @@ def _inv2(a):
     return inv / det[:, None, None], det
 
 
-def _jac_full(grid, jet, data, k, form):
-    """Analytic Jacobian on the lat-lon grid (n = 2, k in {1, 2})."""
+def _jac_full(grid, jet, data, k):
+    """Jacobian data of the sigma_k and f parts on the lat-lon grid
+    (n = 2, k in {1, 2})."""
     raw = jet.raw
     rho = jet.rho
     rt, rp = raw["rt"], raw["rp"]
@@ -280,12 +297,12 @@ def _jac_full(grid, jet, data, k, form):
 
     j_sig = grid.slots.accumulate([coef_sig[s] for s in range(6)])
     dV = [raw["x"], -raw["e_t"], -raw["e_p"] / st[:, None] ** 2]
-    j_f = _jac_f_term(jet, data, dV, dW)
-    return _combine_forms(j_sig, j_f, jet, data, k, form)
+    return j_sig, _jac_f_term(jet, data, dV, dW)
 
 
-def _jac_axisym(grid, jet, data, k, form):
-    """Analytic Jacobian for the axisymmetric profile, any n >= 2."""
+def _jac_axisym(grid, jet, data, k):
+    """Jacobian data of the sigma_k and f parts for the axisymmetric
+    profile, any n >= 2."""
     raw = jet.raw
     n = grid.n
     rho = jet.rho
@@ -326,56 +343,69 @@ def _jac_axisym(grid, jet, data, k, form):
     }
 
     j_sig = grid.slots.accumulate([coef_sig[s] for s in range(3)])
-    j_f = _jac_f_term(jet, data, [raw["x"], -raw["e_t"]], [rho / w, rt / w])
-    return _combine_forms(j_sig, j_f, jet, data, k, form)
+    return j_sig, _jac_f_term(jet, data, [raw["x"], -raw["e_t"]],
+                              [rho / w, rt / w])
 
 
-def _combine_forms(j_sig, j_f, jet, data, k, form):
+def _combine_forms(j_sig, j_f, jet, data, k, form, fields):
     """Jacobian matrix from the data of its sigma_k and f parts."""
     slots = jet.grid.slots
     if form == "raw":
         return slots.matrix(j_sig - j_f)
-    sig = symm.elem_sym_all_batch(jet.eta)[:, k]
-    fv = data.f(jet.X, jet.nu)
+    if fields:
+        sig, fv = fields["sigma"], fields["f"]
+    else:
+        sig = symm.elem_sym_all_batch(jet.eta)[:, k]
+        fv = data.f(jet.X, jet.nu)
     p = 1.0 / k
     return slots.matrix(slots.row_scale(p * sig ** (p - 1.0)) * j_sig
                         - slots.row_scale(p * fv ** (p - 1.0)) * j_f)
 
 
 def assemble_jacobian(grid, rho, data, k, form="raw", method="analytic", *,
-                      jet=None):
+                      jet=None, fields=None):
     """Jacobian of the residual map at rho.
 
-    ``jet`` is the SurfaceJet of rho when the caller has already built it.
+    ``jet`` is the SurfaceJet of rho and ``fields`` the dict ``residual``
+    filled at rho, when the caller has them already.
     """
     if method == "fd":
         return fd_jacobian(
             lambda r: residual(grid, r, data, k, form=form), rho, step=1e-7)
     if jet is None:
         jet = geometry.surface_jet(grid, rho)
-    if grid.mode == "full-2d":
-        return _jac_full(grid, jet, data, k, form)
-    return _jac_axisym(grid, jet, data, k, form)
+    build = _jac_full if grid.mode == "full-2d" else _jac_axisym
+    j_sig, j_f = build(grid, jet, data, k)
+    return _combine_forms(j_sig, j_f, jet, data, k, form, fields)
 
 
-def newton_solve(grid, rho0, data, k, config=None, rho_margin=0.1):
-    """Damped Newton on the radial field with cone and range safeguards."""
+def newton_solve(grid, rho0, data, k, config=None, rho_margin=0.1, *,
+                 last=None):
+    """Damped Newton on the radial field with cone and range safeguards.
+
+    ``last``, a list, ends up holding [rho, jet, fields] of the last
+    residual evaluated; after a converged solve that rho is the returned
+    array itself.
+    """
     cfg = config or NewtonConfig()
     lo = data.r1 * (1.0 - rho_margin)
     hi = data.r2 * (1.0 + rho_margin)
 
     # damped_newton asks for the Jacobian only at the iterate whose
-    # residual it computed last, so the jet built there is reused.
-    last = [None, None]
+    # residual it computed last, so the jet and fields built there are
+    # reused.
+    last = [] if last is None else last
+    last[:] = None, None, None      # drops the previous solve's jet
 
     def res_fn(rho):
-        last[:] = rho, geometry.surface_jet(grid, rho)
-        return residual(grid, rho, data, k, form=cfg.form, jet=last[1])
+        last[:] = rho, geometry.surface_jet(grid, rho), {}
+        return residual(grid, rho, data, k, form=cfg.form, jet=last[1],
+                        fields=last[2])
 
     def jac_fn(rho):
+        jet, fields = last[1:] if rho is last[0] else (None, None)
         return assemble_jacobian(grid, rho, data, k, form=cfg.form,
-                                 method=cfg.jacobian,
-                                 jet=last[1] if rho is last[0] else None)
+                                 method=cfg.jacobian, jet=jet, fields=fields)
 
     def check(rho):
         if np.any(rho <= 0.0):
@@ -411,9 +441,11 @@ def continue_to_target(grid, data, run, k):
     rho = np.ones(grid.nnodes)
     t = 0.0
     dt = run.dt0
+    last = []       # [rho, jet, fields] of newton_solve's last residual
 
     def accept(t_val, rho_val, data_t, report):
-        jet = geometry.surface_jet(grid, rho_val)
+        jet = (last[1] if rho_val is last[0]
+               else geometry.surface_jet(grid, rho_val))
         monitors = verify.estimate_report(
             jet, data_t, k, A=run.monitor_A, alpha=run.monitor_alpha
         )
@@ -425,8 +457,8 @@ def continue_to_target(grid, data, run, k):
         })
 
     data0 = homotopy_f(data, n, k, run.epsilon, 0.0)
-    rho, rep = newton_solve(grid, rho, data0, k,
-                            config=run.newton, rho_margin=run.rho_margin)
+    rho, rep = newton_solve(grid, rho, data0, k, config=run.newton,
+                            rho_margin=run.rho_margin, last=last)
     accept(0.0, rho, data0, rep)
 
     while t < 1.0:
@@ -435,7 +467,7 @@ def continue_to_target(grid, data, run, k):
         try:
             rho_new, rep = newton_solve(grid, rho, data_t, k,
                                         config=run.newton,
-                                        rho_margin=run.rho_margin)
+                                        rho_margin=run.rho_margin, last=last)
         except NewtonDiverged:
             dt *= 0.5
             if dt < run.dt_min:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from etacurv import cli, solver
+from etacurv import cli, flatcase, solver
 from etacurv.errors import ConfigError
 
 
@@ -197,6 +197,34 @@ def test_config_error_exits_2(tmp_path, probe):
     assert isinstance(r.exception, SystemExit)
     assert "Traceback" not in r.output
     assert "config error" in r.output
+
+
+@pytest.mark.parametrize("command,jac_name", [
+    ("solve-surface", "assemble_jacobian"), ("solve-flat", "flat_jacobian")])
+def test_newton_stall_exits_4(tmp_path, monkeypatch, command, jac_name):
+    # tol = 1e-16 lies below the roundoff floor of both residuals: Newton
+    # must stop once its step no longer changes the iterate, well before
+    # max_iter = 40 Jacobians.
+    owner = solver if command == "solve-surface" else flatcase
+    real, jacobians = getattr(owner, jac_name), []
+
+    def counted(*args, **kw):
+        jacobians.append(1)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(owner, jac_name, counted)
+    cfgp = tmp_path / "cfg.json"
+    write_cfg(cfgp, SURFACE_CFG if command == "solve-surface" else FLAT_CFG)
+    out = tmp_path / "o"
+    r = CliRunner().invoke(cli.main, [command, "--config", str(cfgp),
+                                      "--out", str(out),
+                                      "--override", "newton.tol=1e-16"])
+    assert r.exit_code == 4, (r.output, r.exception)
+    err = json.loads((out / "error.json").read_text())
+    assert err["exit_code"] == 4
+    assert err["error"] == "NewtonDiverged"
+    assert "step no longer changes the iterate" in err["message"]
+    assert 0 < len(jacobians) < 10
 
 
 class TestSolveFlatCommand:

@@ -244,6 +244,44 @@ class TestDirichletSolve:
         assert rep.converged
         assert per_residual and set(per_residual) == {1}
 
+    @pytest.mark.parametrize("form", ["raw", "root"])
+    def test_newton_reuses_residual_state(self, monkeypatch, form):
+        calls = {"f": 0, "state": 0, "residual": 0, "jacobian": 0}
+        real = {name: getattr(flatcase, name) for name in
+                ("build_flat_state", "flat_residual", "flat_jacobian")}
+
+        def counted(key, name):
+            def wrapper(*args, **kw):
+                calls[key] += 1
+                return real[name](*args, **kw)
+            return wrapper
+
+        def f(x, phi, grad):
+            calls["f"] += 1
+            return f_grad_sq(x, phi, grad)
+
+        monkeypatch.setattr(flatcase, "build_flat_state",
+                            counted("state", "build_flat_state"))
+        monkeypatch.setattr(flatcase, "flat_residual",
+                            counted("residual", "flat_residual"))
+        monkeypatch.setattr(flatcase, "flat_jacobian",
+                            counted("jacobian", "flat_jacobian"))
+        g = flatcase.build_flat_grid(2, "ball", h=1 / 8)
+        state, rep = flatcase.dirichlet_solve(g, f, 2,
+                                              config=NewtonConfig(form=form))
+        assert rep.converged and calls["jacobian"] == rep.iterations > 0
+        # One state per residual: the Jacobians and the returned state are
+        # those the residual of the same phi built.
+        assert calls["state"] == calls["residual"]
+        # f: two calls before Newton (initial guess, positivity check), one
+        # per residual, 2 + 2 dim per Jacobian (differences in phi and in
+        # each gradient component) and none to rebuild f in root form.
+        assert calls["f"] == 2 + calls["residual"] + 6 * calls["jacobian"]
+        fresh = real["build_flat_state"](g, state.phi)
+        for name in ("grad", "hess", "lap_phi", "eta_spectrum"):
+            assert getattr(state, name).tobytes() == \
+                getattr(fresh, name).tobytes()
+
     def test_fd_jacobian_switch(self):
         g = flatcase.build_flat_grid(2, "ball", h=1 / 6)
         state, rep = flatcase.dirichlet_solve(

@@ -1,14 +1,15 @@
 """Tests for the continuity-method solver and the damped Newton core."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from etacurv import geometry, solver
-from etacurv.errors import (ConfigError, ContinuationStuck, NewtonDiverged,
-                            PreconditionError)
-from etacurv.newton import NewtonConfig, damped_newton
+from etacurv.errors import (ConeExit, ConfigError, ContinuationStuck,
+                            NewtonDiverged, PreconditionError)
+from etacurv.newton import NewtonConfig, damped_newton, fd_data_derivs
 
 
 def power_decay(c, p):
@@ -159,6 +160,61 @@ class TestJacobian:
         jf = solver.assemble_jacobian(g, rho, data, 2, method="fd")
         assert np.abs(ja - jf).max() / (1 + np.abs(jf).max()) < 1e-7
 
+    @pytest.mark.parametrize("n,mode,sizes",
+                             [(n, "axisym-1d", 33) for n in range(2, 7)]
+                             + [(2, "full-2d", (40, 10))])
+    def test_f_term_differences_live_components_only(self, n, mode, sizes):
+        calls = []
+        f = aniso(1.25, 3, 0.2)
+
+        def counted(x, nu):
+            calls.append(1)
+            return f(x, nu)
+
+        data = solver.PrescribedData(f=counted, r1=0.5, r2=2.0)
+        g = geometry.build_grid(n, mode, sizes)
+        rho = 1.1 + 0.05 * np.cos(g.theta) ** 2
+        jet = geometry.surface_jet(g, rho)
+        raw = jet.raw
+        dV = [raw["x"], -raw["e_t"]]
+        dW = [rho / raw["w"], raw["rt"] / raw["w"]]
+        if mode == "full-2d":
+            st2 = raw["st"] ** 2
+            dV.append(-raw["e_p"] / st2[:, None])
+            dW.append(raw["rp"] / (st2 * raw["w"]))
+        got = solver._jac_f_term(jet, data, dV, dW)
+        # Axisymmetric grids difference only components 0 and n of X and
+        # nu; on the sphere grid all three are live.
+        assert len(calls) == 2 * 2 * (3 if mode == "full-2d" else 2)
+        # The same sum with f differenced along every component; with all
+        # components live it must not be formed on a column-indexed copy.
+        fx, fn = fd_data_derivs(f, (jet.X, jet.nu), ((0, True), (1, False)))
+        coefs = []
+        for s, dv in enumerate(dV):
+            dnu = (dv - jet.nu * dW[s][:, None]) / raw["w"][:, None]
+            coef = np.einsum("nc,nc->n", fn, dnu)
+            if s == 0:
+                coef += np.einsum("nc,nc->n", fx, raw["x"])
+            coefs.append(coef)
+        assert got.tobytes() == g.slots.accumulate(coefs).tobytes()
+
+    def test_fd_data_derivs_columns(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(20, 4))
+        nu = rng.normal(size=(20, 4))
+
+        def f(x, nu):
+            return (np.linalg.norm(x, axis=-1) ** -2.0
+                    * (1.0 + 0.3 * nu[:, 1] + 0.1 * nu[:, 3] ** 2))
+
+        slots = ((0, True), (1, False))
+        full = fd_data_derivs(f, (x, nu), slots)
+        for cols in ([0], [1, 3], [3, 0], [0, 1, 2, 3]):
+            part = fd_data_derivs(f, (x, nu), slots, cols)
+            for p, q in zip(part, full):
+                assert p.shape == (20, len(cols))
+                assert p.tobytes() == q[:, cols].tobytes()
+
 
 class TestNewtonSolve:
     def test_round_from_offset_start(self, round_data):
@@ -191,6 +247,25 @@ class TestNewtonSolve:
             g, np.full(g.nnodes, 1.1), round_data, 2,
             config=NewtonConfig(form="root"))
         assert np.abs(rho_raw - rho_root).max() < 1e-8
+
+    def test_root_jacobian_reuses_residual_fields(self):
+        calls = []
+
+        def f(x, nu):
+            calls.append(1)
+            return 1.25 * np.linalg.norm(x, axis=-1) ** -3.0
+
+        data = solver.PrescribedData(f=f, r1=0.5, r2=2.0)
+        g = geometry.build_grid(2, "axisym-1d", 32)
+        rho, rep = solver.newton_solve(g, np.full(g.nnodes, 1.1), data, 2,
+                                       config=NewtonConfig(form="root"))
+        assert rep.converged and rep.iterations == 4
+        # One f call per residual and 8 per Jacobian (central differences
+        # along components 0 and n of X and nu); none to rebuild f.
+        residuals = len(rep.residual_history)
+        assert len(calls) == residuals + 8 * rep.iterations == 37
+        assert hashlib.sha256(rho.tobytes()).hexdigest() == (
+            "45855c111cea5938af0d7cf04bf11d06654168445bc8b529ecc4f094489c5c31")
 
     @pytest.mark.parametrize("mode,sizes", [("full-2d", (16, 16)),
                                             ("axisym-1d", 32)])
@@ -281,6 +356,26 @@ class TestDampedNewtonCore:
                           NewtonConfig(max_iter=3), candidate_check=check)
         assert calls
 
+    def test_stall_at_exact_fixed_point(self):
+        # The correction -1e-33 is lost in 1 + frac * delta for every frac:
+        # each iteration would repeat the first, so Newton stops there.
+        jacobians = []
+
+        def res(x):
+            return np.array([1e-3])
+
+        def jac(x):
+            jacobians.append(x.copy())
+            return np.array([[1e30]])
+
+        with pytest.raises(NewtonDiverged) as exc:
+            damped_newton(np.array([1.0]), res, jac, NewtonConfig())
+        assert not isinstance(exc.value, ConeExit)
+        assert len(jacobians) == 1
+        assert "no longer changes the iterate" in str(exc.value)
+        assert exc.value.report.iterations == 0
+        assert exc.value.last_iterate[0] == 1.0
+
 
 class TestContinuation:
     def test_round_completes(self, round_data):
@@ -328,6 +423,59 @@ class TestContinuation:
         assert rho.max() <= data.r2 + 2 * h
         # non-round final surface
         assert rho.max() - rho.min() > 1e-3
+
+    def test_sweep_case_golden(self, monkeypatch):
+        # axisym n = 5, k = 4 with the round data f = C(5,4) 4^4 R / |X|^5,
+        # R = 1.2: three homotopy attempts stall at the roundoff floor.
+        # The accepted steps and the answer were recorded from the solver
+        # that ran every stalled attempt to max_iter = 40.
+        n, k, radius = 5, 4, 1.2
+        const = math.comb(n, k) * (n - 1) ** k * radius
+        data = solver.PrescribedData(f=power_decay(const, k + 1),
+                                     r1=0.5, r2=2.0)
+        g = geometry.build_grid(n, "axisym-1d", 128)
+        jacobians, failed = [], []
+        real_jac, real_solve = solver.assemble_jacobian, solver.newton_solve
+
+        def jac(*args, **kw):
+            jacobians.append(1)
+            return real_jac(*args, **kw)
+
+        def solve(*args, **kw):
+            before = len(jacobians)
+            try:
+                return real_solve(*args, **kw)
+            except NewtonDiverged:
+                failed.append(len(jacobians) - before)
+                raise
+
+        monkeypatch.setattr(solver, "assemble_jacobian", jac)
+        monkeypatch.setattr(solver, "newton_solve", solve)
+        rho, run = solver.continue_to_target(g, data, solver.HomotopyRun(), k)
+        trace = [(rec["t"], rec["newton_iterations"], rec["max_residual"])
+                 for rec in run.trace]
+        assert trace == [
+            (0.0, 0, 4.547473508864641e-13),
+            (0.1, 7, 5.684341886080801e-13),
+            (0.2, 6, 7.958078640513122e-13),
+            (0.30000000000000004, 5, 4.547473508864641e-13),
+            (0.35000000000000003, 5, 1.1368683772161603e-12),
+            (0.4, 5, 1.0231815394945443e-12),
+            (0.41250000000000003, 3, 6.821210263296962e-13),
+            (0.43125, 3, 7.958078640513122e-13),
+            (0.45937500000000003, 3, 7.958078640513122e-13),
+            (0.5015625, 3, 6.821210263296962e-13),
+            (0.5648437500000001, 3, 7.958078640513122e-13),
+            (0.6597656250000001, 6, 9.811174095375463e-11),
+            (0.7546875000000002, 4, 9.686118573881686e-11),
+            (0.8496093750000002, 4, 5.684341886080801e-13),
+            (0.9445312500000003, 5, 6.821210263296962e-13),
+            (1.0, 4, 6.821210263296962e-13),
+        ]
+        assert hashlib.sha256(rho.tobytes()).hexdigest() == (
+            "bd42a76d70a8f9719eabd78e6be022fd4b51ae158ad5b9dfa1140576237f45dd")
+        assert len(failed) == 3
+        assert max(failed) <= 9
 
     def test_stuck_carries_trace(self, round_data):
         g = geometry.build_grid(2, "full-2d", (16, 16))

@@ -20,8 +20,8 @@ import tempfile
 import click
 import numpy as np
 
-from . import flatcase, geometry, solver, symm, verify
-from .errors import (ConeExit, ConfigError, ContinuationStuck, DomainError,
+from . import flatcase, geometry, solver, symm
+from .errors import (ConfigError, ContinuationStuck, DomainError,
                      NewtonDiverged, PreconditionError)
 from .newton import NewtonConfig
 
@@ -128,24 +128,19 @@ def load_config(path, overrides=()):
     return cfg
 
 
-_TYPES = {
-    float: (int, float),
-    int: (int,),
-    str: (str,),
-    list: (list,),
-    dict: (dict,),
-}
+_REQUIRED = object()
 
 
-def _get(cfg, path, typ, required=True, default=None):
+def _get(cfg, path, typ, default=_REQUIRED):
     cur = cfg
     for part in path.split("."):
         if not isinstance(cur, dict) or part not in cur:
-            if required:
+            if default is _REQUIRED:
                 raise ConfigError(f"missing required key '{path}'")
             return default
         cur = cur[part]
-    if isinstance(cur, bool) or not isinstance(cur, _TYPES[typ]):
+    if (isinstance(cur, bool)
+            or not isinstance(cur, (int, float) if typ is float else typ)):
         raise ConfigError(f"key '{path}' must be of type {typ.__name__}")
     if typ is float:
         # JSON admits NaN and Infinity, and integers too large for a float.
@@ -156,15 +151,11 @@ def _get(cfg, path, typ, required=True, default=None):
     return typ(cur) if typ in (float, int) else cur
 
 
-def _newton_config(cfg):
-    return NewtonConfig(
-        tol=_get(cfg, "newton.tol", float, required=False, default=1e-10),
-        max_iter=_get(cfg, "newton.max_iter", int, required=False,
-                      default=40),
-        jacobian=_get(cfg, "newton.jacobian", str, required=False,
-                      default="analytic"),
-        form=_get(cfg, "newton.form", str, required=False, default="raw"),
-    )
+def _given(cfg, **keys):
+    """Keyword arguments from the (path, type) keys present in the config;
+    the function or dataclass taking them holds the defaults."""
+    values = {name: _get(cfg, *key, None) for name, key in keys.items()}
+    return {name: v for name, v in values.items() if v is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -179,20 +170,23 @@ def _power_decay(spec):
     return lambda x, nu: c * np.linalg.norm(x, axis=-1) ** (-p)
 
 
-def _aniso_power(spec):
+def _aniso_power(spec, n):
     c = _get(spec, "c", float)
     p = _get(spec, "p", float)
     delta = _get(spec, "delta", float)
-    axis = _get(spec, "axis", int, required=False, default=-1)
+    axis = _get(spec, "axis", int, -1)
     if not abs(delta) < 1.0:
         raise ConfigError("key 'f.delta' must satisfy |delta| < 1")
+    if not -(n + 1) <= axis <= n:
+        raise ConfigError(f"key 'f.axis' must index one of the n + 1 = "
+                          f"{n + 1} coordinates, got {axis}")
     return lambda x, nu: (c * (1.0 + delta * nu[..., axis])
                           * np.linalg.norm(x, axis=-1) ** (-p))
 
 
 def _grad_sq(spec):
-    c0 = _get(spec, "c0", float, required=False, default=1.0)
-    c1 = _get(spec, "c1", float, required=False, default=1.0)
+    c0 = _get(spec, "c0", float, 1.0)
+    c1 = _get(spec, "c1", float, 1.0)
     if c0 <= 0 or c1 < 0:
         raise ConfigError("key 'f.c0' must be positive and 'f.c1' "
                           "nonnegative")
@@ -223,8 +217,6 @@ def _tabulated(spec):
 # Builtins that depend on the position only serve both pipelines; each
 # pipeline lifts them to its own argument list.
 _POSITION_BUILTINS = {"constant": _constant, "tabulated": _tabulated}
-_SURFACE_BUILTINS = {"power_decay": _power_decay,
-                     "aniso_power": _aniso_power}
 _FLAT_BUILTINS = {"grad_sq": _grad_sq}
 
 
@@ -237,10 +229,11 @@ def _build_f(spec, own, kind, lift):
     raise ConfigError(f"key 'f.builtin': unknown {kind} builtin {name!r}")
 
 
-def build_surface_f(spec):
-    """Callable f(X, nu) from the builtin catalog entry in the config."""
-    return _build_f(spec, _SURFACE_BUILTINS, "surface",
-                    lambda g: lambda x, nu: g(x))
+def build_surface_f(spec, n):
+    """Callable f(X, nu) on S^n from the config's builtin catalog entry."""
+    own = {"power_decay": _power_decay,
+           "aniso_power": lambda spec: _aniso_power(spec, n)}
+    return _build_f(spec, own, "surface", lambda g: lambda x, nu: g(x))
 
 
 def build_flat_f(spec):
@@ -258,18 +251,117 @@ def build_flat_f(spec):
 _CONFIG_ERRORS = (ConfigError, DomainError, ValueError)
 
 
-def _emit_error(outdir, exc, code, extra=None):
-    payload = {
-        "error": type(exc).__name__,
-        "message": str(exc),
-        "exit_code": code,
-    }
-    if extra:
-        payload.update(extra)
-    atomic_write_text(os.path.join(outdir, "error.json"),
-                      json_text(payload) + "\n")
-    click.echo(f"error: {exc}", err=True)
+def _jsonl(records):
+    return "".join(json_text(rec) + "\n" for rec in records)
+
+
+def _run_command(config_path, outdir, overrides, setup):
+    """Config stage, solve and artifacts of one command; every exit code
+    is set at this one boundary.
+
+    ``setup(cfg, n, k, newton)`` reads the command's own keys, builds its
+    grid and returns the HomotopyRun whose conditions an exit-3 error.json
+    carries (None if the command has none) and a callable that solves and
+    returns the artifact texts by file name with a one-line summary.
+    """
+    run = solve = None
+    try:
+        cfg = load_config(config_path, overrides)
+        n = _get(cfg, "n", int)
+        k = _get(cfg, "k", int)
+        if n < 2:
+            raise ConfigError("key 'n' must be at least 2")
+        if not 1 <= k <= n:
+            raise ConfigError(f"key 'k' must lie in [1, n] = [1, {n}]")
+        newton = NewtonConfig(**_given(
+            cfg, tol=("newton.tol", float), max_iter=("newton.max_iter", int),
+            jacobian=("newton.jacobian", str), form=("newton.form", str)))
+        run, solve = setup(cfg, n, k, newton)
+        texts, summary = solve()
+        code, message = 0, f"{summary}; report in {outdir}/report.json"
+    except _CONFIG_ERRORS as exc:
+        # Once the solve runs, only a ConfigError is bad input.
+        if solve is not None and not isinstance(exc, ConfigError):
+            raise
+        code, texts, message = 2, {}, f"config error: {exc}"
+    # ConeExit is a NewtonDiverged; a ContinuationStuck carries the trace.
+    except (PreconditionError, ContinuationStuck, NewtonDiverged) as exc:
+        code = 3 if isinstance(exc, PreconditionError) else 4
+        payload = {"error": type(exc).__name__, "message": str(exc),
+                   "exit_code": code}
+        if code == 3 and getattr(run, "conditions", None) is not None:
+            payload["conditions"] = run.conditions.as_dict()
+        trace = getattr(exc, "trace", None)
+        texts = {} if trace is None else {"trace.jsonl": _jsonl(trace)}
+        texts["error.json"] = json_text(payload) + "\n"
+        message = f"error: {exc}"
+    for name, text in texts.items():
+        atomic_write_text(os.path.join(outdir, name), text)
+    click.echo(message, err=code != 0)
     sys.exit(code)
+
+
+def _surface_setup(cfg, n, k, newton):
+    fcall = build_surface_f(_get(cfg, "f", dict), n)
+    data = solver.PrescribedData(
+        f=fcall, r1=_get(cfg, "r1", float), r2=_get(cfg, "r2", float))
+    run = solver.HomotopyRun(newton=newton, **_given(
+        cfg, epsilon=("epsilon", float), dt0=("t_schedule.dt0", float),
+        dt_min=("t_schedule.dt_min", float),
+        dt_max=("t_schedule.dt_max", float)))
+    grid = geometry.build_grid(n, _get(cfg, "grid.mode", str),
+                               _get(cfg, "grid.sizes", list))
+
+    def solve():
+        rho, _ = solver.continue_to_target(grid, data, run, k)
+        final = run.trace[-1]      # holds the monitors of rho at t = 1
+        report = {
+            "config": cfg,
+            "converged": True,
+            "conditions": run.conditions.as_dict(),
+            "nonunique": run.conditions.zero_margin,
+            "accepted_steps": len(run.trace),
+            "final_t": final["t"],
+            "final_max_residual": final["max_residual"],
+            "monitors": final["monitors"],
+        }
+        jet = geometry.surface_jet(grid, rho)
+        return ({"trace.jsonl": _jsonl(run.trace),
+                 "surface.csv": geometry.surface_csv_text(jet, k),
+                 "report.json": json_text(report) + "\n"},
+                f"converged in {len(run.trace)} accepted steps")
+
+    return run, solve
+
+
+def _flat_setup(cfg, n, k, newton):
+    fcall = build_flat_f(_get(cfg, "f", dict))
+    grid = flatcase.build_flat_grid(n, h=_get(cfg, "grid.h", float), **_given(
+        cfg, shape=("grid.shape", str), radius=("grid.radius", float),
+        bounds=("grid.bounds", list)))
+    beta_kw = _given(cfg, beta=("beta", float))
+
+    def solve():
+        state, rep = flatcase.dirichlet_solve(grid, fcall, k, config=newton,
+                                              **beta_kw)
+        report = {
+            "config": cfg,
+            "converged": rep.converged,
+            "iterations": rep.iterations,
+            "final_max_residual": rep.final_residual,
+            "pogorelov": flatcase.pogorelov_monitor(state),
+            "pogorelov_beta": state.pogorelov_beta,
+            "phi_min": float(state.phi.min()),
+            "phi_max": float(state.phi.max()),
+            "interior_negative": bool(state.phi.max() < 0.0),
+            "max_hessian_norm": float(np.abs(state.hess).max()),
+        }
+        res = flatcase.flat_residual(state, fcall, k)
+        return ({"flat.csv": flatcase.flat_csv_text(state, res),
+                 "report.json": json_text(report) + "\n"},
+                f"converged in {rep.iterations} iterations")
+
+    return None, solve
 
 
 def _common_options(fn):
@@ -293,132 +385,14 @@ def main():
 def cmd_solve_surface(config_path, outdir, overrides):
     """Continuity-method solve of the curved problem; writes trace,
     surface CSV, and report JSON."""
-    try:
-        cfg = load_config(config_path, overrides)
-        n = _get(cfg, "n", int)
-        k = _get(cfg, "k", int)
-        if n < 2:
-            raise ConfigError("key 'n' must be at least 2")
-        if not 1 <= k <= n:
-            raise ConfigError(f"key 'k' must lie in [1, n] = [1, {n}]")
-        mode = _get(cfg, "grid.mode", str)
-        sizes = _get(cfg, "grid.sizes", list)
-        fcall = build_surface_f(_get(cfg, "f", dict))
-        data = solver.PrescribedData(
-            f=fcall, r1=_get(cfg, "r1", float), r2=_get(cfg, "r2", float))
-        run = solver.HomotopyRun(
-            epsilon=_get(cfg, "epsilon", float, required=False,
-                         default=0.01),
-            dt0=_get(cfg, "t_schedule.dt0", float, required=False,
-                     default=0.1),
-            dt_min=_get(cfg, "t_schedule.dt_min", float, required=False,
-                        default=1e-4),
-            dt_max=_get(cfg, "t_schedule.dt_max", float, required=False,
-                        default=0.5),
-            newton=_newton_config(cfg),
-        )
-        grid = geometry.build_grid(n, mode, sizes)
-    except _CONFIG_ERRORS as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-
-    try:
-        rho, run = solver.continue_to_target(grid, data, run, k)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    except PreconditionError as exc:
-        _emit_error(outdir, exc, 3,
-                    extra={"conditions": run.conditions.as_dict()})
-    except (ContinuationStuck, NewtonDiverged, ConeExit) as exc:
-        trace = getattr(exc, "trace", None)
-        if trace is not None:
-            atomic_write_text(
-                os.path.join(outdir, "trace.jsonl"),
-                "".join(json_text(rec) + "\n" for rec in trace))
-        _emit_error(outdir, exc, 4)
-
-    jet = geometry.surface_jet(grid, rho)
-    data1 = solver.homotopy_f(data, n, k, run.epsilon, 1.0)
-    monitors = verify.estimate_report(jet, data1, k,
-                                      A=run.monitor_A,
-                                      alpha=run.monitor_alpha)
-    report = {
-        "config": cfg,
-        "converged": True,
-        "conditions": run.conditions.as_dict(),
-        "nonunique": run.conditions.zero_margin,
-        "accepted_steps": len(run.trace),
-        "final_t": run.trace[-1]["t"],
-        "final_max_residual": run.trace[-1]["max_residual"],
-        "monitors": monitors,
-    }
-    atomic_write_text(os.path.join(outdir, "trace.jsonl"),
-                      "".join(json_text(rec) + "\n" for rec in run.trace))
-    atomic_write_text(os.path.join(outdir, "surface.csv"),
-                      geometry.surface_csv_text(jet, k))
-    atomic_write_text(os.path.join(outdir, "report.json"),
-                      json_text(report) + "\n")
-    click.echo(f"converged in {len(run.trace)} accepted steps; "
-               f"report in {outdir}/report.json")
-    sys.exit(0)
+    _run_command(config_path, outdir, overrides, _surface_setup)
 
 
 @main.command("solve-flat")
 @_common_options
 def cmd_solve_flat(config_path, outdir, overrides):
     """Dirichlet solve of the flat problem; writes flat CSV and report."""
-    try:
-        cfg = load_config(config_path, overrides)
-        n = _get(cfg, "n", int)
-        k = _get(cfg, "k", int)
-        if n < 2:
-            raise ConfigError("key 'n' must be at least 2")
-        if not 1 <= k <= n:
-            raise ConfigError(f"key 'k' must lie in [1, n] = [1, {n}]")
-        shape = _get(cfg, "grid.shape", str, required=False, default="ball")
-        h = _get(cfg, "grid.h", float)
-        radius = _get(cfg, "grid.radius", float, required=False, default=1.0)
-        bounds = _get(cfg, "grid.bounds", list, required=False, default=None)
-        beta = _get(cfg, "beta", float, required=False, default=4.0)
-        fcall = build_flat_f(_get(cfg, "f", dict))
-        ncfg = _newton_config(cfg)
-        if shape not in ("ball", "rect"):
-            raise ConfigError("key 'grid.shape' must be 'ball' or 'rect'")
-        grid = flatcase.build_flat_grid(n, shape=shape, h=h, radius=radius,
-                                        bounds=bounds)
-    except _CONFIG_ERRORS as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-
-    try:
-        state, rep = flatcase.dirichlet_solve(grid, fcall, k, config=ncfg,
-                                              beta=beta)
-    except PreconditionError as exc:
-        _emit_error(outdir, exc, 3)
-    except (NewtonDiverged, ConeExit) as exc:
-        _emit_error(outdir, exc, 4)
-
-    res = flatcase.flat_residual(state, fcall, k)
-    report = {
-        "config": cfg,
-        "converged": rep.converged,
-        "iterations": rep.iterations,
-        "final_max_residual": rep.final_residual,
-        "pogorelov": flatcase.pogorelov_monitor(state),
-        "pogorelov_beta": beta,
-        "phi_min": float(state.phi.min()),
-        "phi_max": float(state.phi.max()),
-        "interior_negative": bool(state.phi.max() < 0.0),
-        "max_hessian_norm": float(np.abs(state.hess).max()),
-    }
-    atomic_write_text(os.path.join(outdir, "flat.csv"),
-                      flatcase.flat_csv_text(state, res))
-    atomic_write_text(os.path.join(outdir, "report.json"),
-                      json_text(report) + "\n")
-    click.echo(f"converged in {rep.iterations} iterations; "
-               f"report in {outdir}/report.json")
-    sys.exit(0)
+    _run_command(config_path, outdir, overrides, _flat_setup)
 
 
 # ---------------------------------------------------------------------------

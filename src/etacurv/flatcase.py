@@ -19,8 +19,8 @@ import scipy.sparse as sp
 
 from . import symm
 from .errors import DomainError, PreconditionError
-from .newton import (NewtonConfig, SlotTable, damped_newton, fd_data_derivs,
-                     fd_jacobian)
+from .newton import (MAX_NODES, NewtonConfig, SlotTable, damped_newton,
+                     fd_data_derivs, fd_jacobian)
 
 __all__ = [
     "DomainGrid", "FlatState", "build_flat_grid", "build_flat_state",
@@ -67,7 +67,7 @@ def build_flat_grid(dim, shape="ball", h=1.0 / 16, radius=1.0, bounds=None):
     if shape == "ball":
         if not 0 < radius < math.inf:
             raise ValueError("ball radius must be positive and finite")
-        half = int(math.floor(radius / h + 1e-12))
+        half = np.floor(radius / h + 1e-12)
         kmin, kmax = np.full(dim, -half), np.full(dim, half)
         center, rad = np.zeros(dim), radius
 
@@ -93,8 +93,8 @@ def build_flat_grid(dim, shape="ball", h=1.0 / 16, radius=1.0, bounds=None):
         lo, hi = box[:, 0], box[:, 1]
         center = 0.5 * (lo + hi)
         rad = float(np.linalg.norm(hi - center))
-        kmin = np.ceil(lo / h - 1e-12).astype(int)
-        kmax = np.floor(hi / h + 1e-12).astype(int)
+        kmin = np.ceil(lo / h - 1e-12)
+        kmax = np.floor(hi / h + 1e-12)
 
         def inside(x):
             return np.all(x > lo + 1e-12, axis=1) & np.all(x < hi - 1e-12,
@@ -109,8 +109,12 @@ def build_flat_grid(dim, shape="ball", h=1.0 / 16, radius=1.0, bounds=None):
     else:
         raise ValueError(f"unknown domain shape {shape!r}")
 
-    # Lattice keys in lexicographic order; the unknowns are numbered in it.
     extent = kmax - kmin + 1
+    box = math.prod(extent.tolist())    # in floats: a tiny h cannot overflow
+    if not box <= MAX_NODES:
+        raise ValueError(f"lattice box of {box:.4g} nodes exceeds {MAX_NODES}")
+    kmin, extent = kmin.astype(int), extent.astype(int)
+    # Lattice keys in lexicographic order; the unknowns are numbered in it.
     keys = np.indices(extent).reshape(dim, -1).T + kmin
     x = h * keys.astype(float)
     keep = inside(x)
@@ -305,14 +309,12 @@ def _initial_guess(grid, f, k):
     return 0.5 * c * (r2 - grid.radius**2)
 
 
-def dirichlet_solve(grid, f, k, config=None, phi0=None, beta=4.0):
+def dirichlet_solve(grid, f, k, config=None, beta=4.0):
     """Damped Newton with cone safeguarding under homogeneous Dirichlet data."""
     cfg = config or NewtonConfig()
-    if phi0 is None:
-        phi0 = _initial_guess(grid, f, k)
+    phi0 = _initial_guess(grid, f, k)
 
-    fv0 = f(grid.pts, np.asarray(phi0, dtype=float),
-            np.zeros((grid.ninterior, grid.dim)))
+    fv0 = f(grid.pts, phi0, np.zeros((grid.ninterior, grid.dim)))
     if np.any(fv0 <= 0.0):
         raise PreconditionError(
             f"f must be positive; min sampled value {float(fv0.min()):.6g}")

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainError, EtacurvError
-from .newton import SlotTable
+from .newton import MAX_NODES, SlotTable
 from . import symm
 
 __all__ = ["SphereGrid", "SurfaceJet", "build_grid", "surface_jet",
@@ -83,6 +83,8 @@ def build_grid(n, mode, resolution):
     ntheta, nphi = int(sizes[0]), (int(sizes[1]) if full else 1)
     if full and nphi % 2 != 0:
         raise ValueError("nphi must be even for the across-pole stencil")
+    if ntheta * nphi > MAX_NODES:
+        raise ValueError(f"{ntheta * nphi} grid nodes exceed {MAX_NODES}")
 
     dth = pi / ntheta
     dph = 2.0 * pi / nphi

@@ -19,19 +19,34 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from .errors import ConeViolationError, DomainError, NewtonDiverged, ConeExit
+from .errors import (ConeViolationError, ConfigError, DomainError,
+                     NewtonDiverged, ConeExit)
 
 __all__ = ["NewtonConfig", "NewtonReport", "SlotTable", "damped_newton",
            "fd_jacobian", "fd_data_derivs"]
+
+MAX_BACKTRACKS = 6      # smallest step fraction tried is 2**-6 = 1/64
+# Largest sphere grid (ntheta * nphi) or flat lattice box a builder allocates.
+MAX_NODES = 2**22
 
 
 @dataclass
 class NewtonConfig:
     tol: float = 1e-10
     max_iter: int = 40
-    max_backtracks: int = 6        # smallest fraction tried is 2**-6 = 1/64
     jacobian: str = "analytic"     # "analytic" | "fd"
     form: str = "raw"              # "raw" (sigma_k - f) | "root" (G - f^(1/k))
+
+    def __post_init__(self):
+        if not (self.tol > 0.0 and self.max_iter >= 1):
+            raise ConfigError(
+                "newton.tol must be positive and newton.max_iter at least 1, "
+                f"got tol={self.tol}, max_iter={self.max_iter}")
+        if (self.jacobian not in ("analytic", "fd")
+                or self.form not in ("raw", "root")):
+            raise ConfigError(
+                "newton.jacobian must be 'analytic' or 'fd' and newton.form "
+                f"'raw' or 'root', got {self.jacobian!r}, {self.form!r}")
 
 
 @dataclass
@@ -199,7 +214,7 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
 
         accepted = False
         inadmissible_only = True
-        for m in range(cfg.max_backtracks + 1):
+        for m in range(MAX_BACKTRACKS + 1):
             frac = 0.5**m
             cand = x + frac * delta
             if candidate_check is not None and candidate_check(cand):
@@ -240,7 +255,7 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
                 )
             raise NewtonDiverged(
                 f"residual {rnorm:.3e} could not be decreased after "
-                f"{cfg.max_backtracks} damping cuts",
+                f"{MAX_BACKTRACKS} damping cuts",
                 last_iterate=x, report=report,
             )
 

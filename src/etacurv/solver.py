@@ -49,6 +49,10 @@ class PrescribedData:
             )
 
 
+RHO_MARGIN = 0.1        # Newton iterates may leave [r1, r2] by this fraction
+EASY_ITERS = 3          # grow dt after a Newton solve this cheap
+
+
 @dataclass
 class HomotopyRun:
     """Configuration and trace of one continuity-method solve."""
@@ -58,8 +62,6 @@ class HomotopyRun:
     dt_min: float = 1e-4
     dt_max: float = 0.5
     newton: NewtonConfig = field(default_factory=NewtonConfig)
-    rho_margin: float = 0.1
-    easy_iters: int = 3            # grow dt after a solve this cheap
     monitor_A: float = 2.0
     monitor_alpha: float = None    # default 2 * max|X|^2, set per state
     trace: list = field(default_factory=list)
@@ -68,6 +70,13 @@ class HomotopyRun:
     def __post_init__(self):
         if self.epsilon <= 0.0:
             raise ConfigError("homotopy epsilon must be positive")
+        # With dt_min <= 0 the step halving never underflows, and with
+        # dt0 <= 0 the homotopy never advances: both would loop forever.
+        if not (self.dt_min > 0.0 and 0.0 < self.dt0 <= self.dt_max):
+            raise ConfigError(
+                "t_schedule must satisfy dt_min > 0 and 0 < dt0 <= dt_max, "
+                f"got dt_min={self.dt_min}, dt0={self.dt0}, "
+                f"dt_max={self.dt_max}")
 
 
 @dataclass
@@ -379,8 +388,7 @@ def assemble_jacobian(grid, rho, data, k, form="raw", method="analytic", *,
     return _combine_forms(j_sig, j_f, jet, data, k, form, fields)
 
 
-def newton_solve(grid, rho0, data, k, config=None, rho_margin=0.1, *,
-                 last=None):
+def newton_solve(grid, rho0, data, k, config=None, *, last=None):
     """Damped Newton on the radial field with cone and range safeguards.
 
     ``last``, a list, ends up holding [rho, jet, fields] of the last
@@ -388,8 +396,8 @@ def newton_solve(grid, rho0, data, k, config=None, rho_margin=0.1, *,
     array itself.
     """
     cfg = config or NewtonConfig()
-    lo = data.r1 * (1.0 - rho_margin)
-    hi = data.r2 * (1.0 + rho_margin)
+    lo = data.r1 * (1.0 - RHO_MARGIN)
+    hi = data.r2 * (1.0 + RHO_MARGIN)
 
     # damped_newton asks for the Jacobian only at the iterate whose
     # residual it computed last, so the jet and fields built there are
@@ -457,8 +465,7 @@ def continue_to_target(grid, data, run, k):
         })
 
     data0 = homotopy_f(data, n, k, run.epsilon, 0.0)
-    rho, rep = newton_solve(grid, rho, data0, k, config=run.newton,
-                            rho_margin=run.rho_margin, last=last)
+    rho, rep = newton_solve(grid, rho, data0, k, config=run.newton, last=last)
     accept(0.0, rho, data0, rep)
 
     while t < 1.0:
@@ -466,8 +473,7 @@ def continue_to_target(grid, data, run, k):
         data_t = homotopy_f(data, n, k, run.epsilon, t_try)
         try:
             rho_new, rep = newton_solve(grid, rho, data_t, k,
-                                        config=run.newton,
-                                        rho_margin=run.rho_margin, last=last)
+                                        config=run.newton, last=last)
         except NewtonDiverged:
             dt *= 0.5
             if dt < run.dt_min:
@@ -479,7 +485,7 @@ def continue_to_target(grid, data, run, k):
         rho = rho_new
         t = t_try
         accept(t, rho, data_t, rep)
-        if rep.iterations <= run.easy_iters:
+        if rep.iterations <= EASY_ITERS:
             dt = min(dt * 1.5, run.dt_max)
 
     return rho, run

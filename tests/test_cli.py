@@ -2,10 +2,15 @@
 
 import json
 import os
+import signal
+import tempfile
+import time
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etacurv import cli, flatcase, solver
 from etacurv.errors import ConfigError
@@ -36,6 +41,8 @@ def write_cfg(path, cfg):
 
 
 RECT_GRID = 'grid={"shape": "rect", "h": 0.125, "bounds": %s}'
+ANISO_F = ('f={"builtin": "aniso_power", "c": 1.25, "p": 3, "delta": 0.1, '
+           '"axis": %d}')
 
 # Malformed grids and data that only the library can reject; each must end
 # in the config-error exit, not in a traceback.
@@ -57,6 +64,23 @@ CONFIG_PROBES = {
     "newton_tol_nan": ("solve-surface", ["newton.tol=NaN"]),
     "r2_huge_int": ("solve-surface", ["r2=1" + "0" * 400]),
     "flat_h_nan": ("solve-flat", ["grid.h=NaN"]),
+    # A schedule that never advances t, or whose step halving never
+    # underflows, would loop forever.
+    "dt0_zero": ("solve-surface", ["t_schedule.dt0=0"]),
+    "dt_max_zero": ("solve-surface", ["t_schedule.dt_max=0"]),
+    "dt0_negative": ("solve-surface", ["t_schedule.dt0=-1"]),
+    "dt_min_zero": ("solve-surface", ["t_schedule.dt_min=0"]),
+    "max_iter_zero": ("solve-surface", ["newton.max_iter=0"]),
+    "tol_negative": ("solve-surface", ["newton.tol=-1"]),
+    "surface_form_bogus": ("solve-surface", ["newton.form=bogus"]),
+    "flat_form_bogus": ("solve-flat", ["newton.form=bogus"]),
+    "surface_jacobian_bogus": ("solve-surface", ["newton.jacobian=bogus"]),
+    "flat_jacobian_bogus": ("solve-flat", ["newton.jacobian=bogus"]),
+    # Far past the node cap: refused before any allocation.
+    "surface_grid_huge": ("solve-surface", ["grid.sizes=[100000,100000]"]),
+    "flat_h_tiny": ("solve-flat", ["grid.h=1e-5"]),
+    "aniso_axis_7": ("solve-surface", [ANISO_F % 7]),
+    "aniso_axis_minus_4": ("solve-surface", [ANISO_F % -4]),
 }
 
 
@@ -116,27 +140,27 @@ class TestConfigLoading:
 class TestBuiltinCatalog:
     def test_power_decay(self):
         f = cli.build_surface_f({"builtin": "power_decay", "c": 2.0,
-                                 "p": 3.0})
+                                 "p": 3.0}, 2)
         x = np.array([[2.0, 0.0, 0.0]])
         nu = x / 2.0
         assert f(x, nu)[0] == pytest.approx(2.0 / 8.0)
 
     def test_aniso_power(self):
         f = cli.build_surface_f({"builtin": "aniso_power", "c": 1.0,
-                                 "p": 0.0, "delta": 0.5})
+                                 "p": 0.0, "delta": 0.5}, 2)
         x = np.array([[1.0, 0.0, 0.0]])
         nu = np.array([[0.0, 0.0, 1.0]])
         assert f(x, nu)[0] == pytest.approx(1.5)
 
     def test_tabulated_interpolates(self):
         f = cli.build_surface_f({"builtin": "tabulated",
-                                 "r": [0.5, 1.5], "values": [2.0, 4.0]})
+                                 "r": [0.5, 1.5], "values": [2.0, 4.0]}, 2)
         x = np.array([[1.0, 0.0, 0.0]])
         assert f(x, x)[0] == pytest.approx(3.0)
 
     def test_unknown_builtin(self):
         with pytest.raises(ConfigError):
-            cli.build_surface_f({"builtin": "nope"})
+            cli.build_surface_f({"builtin": "nope"}, 2)
 
     def test_flat_grad_sq(self):
         f = cli.build_flat_f({"builtin": "grad_sq", "c0": 1.0, "c1": 2.0})
@@ -197,6 +221,112 @@ def test_config_error_exits_2(tmp_path, probe):
     assert isinstance(r.exception, SystemExit)
     assert "Traceback" not in r.output
     assert "config error" in r.output
+
+
+# Mutated configs for the exit-code property. Valid values keep each run
+# small: tiny grids or grids at least 100x past the node cap, never in
+# between, and schedule steps of at least 0.02, so that no draw takes more
+# than a few hundred homotopy attempts.
+INVALID = st.sampled_from([0, -1, "bogus", [], {}, None])
+SCHEDULE = st.floats(0.02, 1.0) | INVALID
+COMMON_KEYS = {
+    "k": st.integers(-1, 4) | INVALID,
+    "newton.tol": st.floats(1e-12, 1e-6) | INVALID,
+    "newton.max_iter": st.integers(-2, 40) | INVALID,
+    "newton.form": st.sampled_from(["raw", "root", "bogus"]),
+    "newton.jacobian": st.sampled_from(["analytic", "fd", "bogus"]),
+}
+MUTATIONS = {
+    "solve-surface": {
+        **COMMON_KEYS,
+        "n": st.integers(0, 4) | INVALID,
+        "grid": st.sampled_from([
+            {"mode": "axisym-1d", "sizes": [16]},
+            {"mode": "full-2d", "sizes": [8, 8]},
+            {"mode": "full-2d", "sizes": [100000, 100000]},
+            {"mode": "axisym-1d", "sizes": [10**9]},
+            {"mode": "full-2d", "sizes": [8, 7]},
+            {"mode": "bogus", "sizes": [16]}]) | INVALID,
+        "f": st.fixed_dictionaries({
+            "builtin": st.sampled_from(["power_decay", "aniso_power",
+                                        "constant", "bogus"]),
+            "c": st.floats(0.5, 2.0), "p": st.floats(0.0, 4.0),
+            "delta": st.floats(-0.9, 0.9), "axis": st.integers(-6, 6),
+            "value": st.floats(0.5, 2.0)}) | INVALID,
+        "r1": st.floats(0.1, 1.5) | INVALID,
+        "r2": st.floats(0.5, 3.0) | INVALID,
+        "epsilon": st.floats(1e-3, 1.0) | INVALID,
+        "t_schedule.dt0": SCHEDULE,
+        "t_schedule.dt_min": SCHEDULE,
+        "t_schedule.dt_max": SCHEDULE,
+    },
+    "solve-flat": {
+        **COMMON_KEYS,
+        "n": st.sampled_from([1, 2]) | INVALID,
+        "grid": st.sampled_from([
+            {"shape": "rect", "h": 0.125},
+            {"shape": "ball", "h": 0.25, "radius": 0.5},
+            {"shape": "ball", "h": 1e-5},
+            {"shape": "rect", "h": 1e-300},
+            {"shape": "bogus", "h": 0.125}]) | INVALID,
+        "grid.h": st.floats(0.125, 4.0) | INVALID,
+        "f": st.fixed_dictionaries({
+            "builtin": st.sampled_from(["grad_sq", "constant", "bogus"]),
+            "c0": st.floats(0.5, 2.0), "c1": st.floats(0.0, 4.0),
+            "value": st.floats(-1.0, 2.0)}) | INVALID,
+        "beta": st.floats(0.0, 8.0) | INVALID,
+    },
+}
+PROPERTY_BASE = {
+    "solve-surface": dict(SURFACE_CFG, grid={"mode": "axisym-1d",
+                                             "sizes": [16]},
+                          t_schedule={"dt0": 0.1, "dt_min": 0.02,
+                                      "dt_max": 0.5}),
+    "solve-flat": FLAT_CFG,
+}
+WALL_S = 20.0   # per example; the slowest valid draws take about 1 s
+
+
+@st.composite
+def mutated_runs(draw):
+    command = draw(st.sampled_from(sorted(MUTATIONS)))
+    keys = draw(st.lists(st.sampled_from(sorted(MUTATIONS[command])),
+                         min_size=1, max_size=2, unique=True))
+    return command, [(key, draw(MUTATIONS[command][key])) for key in keys]
+
+
+def _past_wall_bound(signum, frame):
+    raise TimeoutError(f"example ran past {WALL_S} s")
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_runs())
+def test_mutated_config_exit_codes(run):
+    command, mutations = run
+    args = [command]
+    for key, value in mutations:
+        args += ["--override", f"{key}={json.dumps(value)}"]
+    previous = signal.signal(signal.SIGALRM, _past_wall_bound)
+    signal.setitimer(signal.ITIMER_REAL, WALL_S)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            cfgp = os.path.join(tmp, "cfg.json")
+            write_cfg(cfgp, PROPERTY_BASE[command])
+            out = os.path.join(tmp, "o")
+            start = time.perf_counter()
+            r = CliRunner().invoke(cli.main, args + ["--config", cfgp,
+                                                     "--out", out])
+            elapsed = time.perf_counter() - start
+            error_json = os.path.exists(os.path.join(out, "error.json"))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert r.exit_code in (0, 2, 3, 4), (r.output, r.exception)
+    assert r.exit_code == 0 or isinstance(r.exception, SystemExit), \
+        r.exception
+    assert "Traceback" not in r.output
+    assert error_json == (r.exit_code in (3, 4))
+    assert elapsed < WALL_S
 
 
 @pytest.mark.parametrize("command,jac_name", [

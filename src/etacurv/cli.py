@@ -162,19 +162,19 @@ def _given(cfg, **keys):
 # builtin right-hand sides
 
 
-def _power_decay(spec):
-    c = _get(spec, "c", float)
-    p = _get(spec, "p", float)
+def _power_decay(cfg):
+    c = _get(cfg, "f.c", float)
+    p = _get(cfg, "f.p", float)
     if c <= 0:
         raise ConfigError("key 'f.c' must be positive")
     return lambda x, nu: c * np.linalg.norm(x, axis=-1) ** (-p)
 
 
-def _aniso_power(spec, n):
-    c = _get(spec, "c", float)
-    p = _get(spec, "p", float)
-    delta = _get(spec, "delta", float)
-    axis = _get(spec, "axis", int, -1)
+def _aniso_power(cfg, n):
+    c = _get(cfg, "f.c", float)
+    p = _get(cfg, "f.p", float)
+    delta = _get(cfg, "f.delta", float)
+    axis = _get(cfg, "f.axis", int, -1)
     if not abs(delta) < 1.0:
         raise ConfigError("key 'f.delta' must satisfy |delta| < 1")
     if not -(n + 1) <= axis <= n:
@@ -184,9 +184,9 @@ def _aniso_power(spec, n):
                           * np.linalg.norm(x, axis=-1) ** (-p))
 
 
-def _grad_sq(spec):
-    c0 = _get(spec, "c0", float, 1.0)
-    c1 = _get(spec, "c1", float, 1.0)
+def _grad_sq(cfg):
+    c0 = _get(cfg, "f.c0", float, 1.0)
+    c1 = _get(cfg, "f.c1", float, 1.0)
     if c0 <= 0 or c1 < 0:
         raise ConfigError("key 'f.c0' must be positive and 'f.c1' "
                           "nonnegative")
@@ -194,16 +194,16 @@ def _grad_sq(spec):
         c0 + c1 * np.einsum("ni,ni->n", grad, grad))
 
 
-def _constant(spec):
-    value = _get(spec, "value", float)
+def _constant(cfg):
+    value = _get(cfg, "f.value", float)
     if value <= 0:
         raise ConfigError("key 'f.value' must be positive")
     return lambda x: np.full(x.shape[:-1], value)
 
 
-def _tabulated(spec):
-    radii = np.asarray(_get(spec, "r", list), dtype=float)
-    values = np.asarray(_get(spec, "values", list), dtype=float)
+def _tabulated(cfg):
+    radii = np.asarray(_get(cfg, "f.r", list), dtype=float)
+    values = np.asarray(_get(cfg, "f.values", list), dtype=float)
     if radii.size != values.size or radii.size < 2:
         raise ConfigError("key 'f.r' and 'f.values' must be equal-length "
                           "tables with at least two entries")
@@ -221,18 +221,19 @@ _FLAT_BUILTINS = {"grad_sq": _grad_sq}
 
 
 def _build_f(spec, own, kind, lift):
-    name = _get(spec, "builtin", str)
+    cfg = {"f": spec}       # so that errors name the keys' full paths
+    name = _get(cfg, "f.builtin", str)
     if name in _POSITION_BUILTINS:
-        return lift(_POSITION_BUILTINS[name](spec))
+        return lift(_POSITION_BUILTINS[name](cfg))
     if name in own:
-        return own[name](spec)
+        return own[name](cfg)
     raise ConfigError(f"key 'f.builtin': unknown {kind} builtin {name!r}")
 
 
 def build_surface_f(spec, n):
     """Callable f(X, nu) on S^n from the config's builtin catalog entry."""
     own = {"power_decay": _power_decay,
-           "aniso_power": lambda spec: _aniso_power(spec, n)}
+           "aniso_power": lambda cfg: _aniso_power(cfg, n)}
     return _build_f(spec, own, "surface", lambda g: lambda x, nu: g(x))
 
 
@@ -342,8 +343,9 @@ def _flat_setup(cfg, n, k, newton):
     beta_kw = _given(cfg, beta=("beta", float))
 
     def solve():
+        fields = {}     # of the last residual, at the returned state
         state, rep = flatcase.dirichlet_solve(grid, fcall, k, config=newton,
-                                              **beta_kw)
+                                              fields=fields, **beta_kw)
         report = {
             "config": cfg,
             "converged": rep.converged,
@@ -356,7 +358,8 @@ def _flat_setup(cfg, n, k, newton):
             "interior_negative": bool(state.phi.max() < 0.0),
             "max_hessian_norm": float(np.abs(state.hess).max()),
         }
-        res = flatcase.flat_residual(state, fcall, k)
+        # flat.csv holds the raw residual, whatever form the solve used.
+        res = fields["sigma"] - fields["f"]
         return ({"flat.csv": flatcase.flat_csv_text(state, res),
                  "report.json": json_text(report) + "\n"},
                 f"converged in {rep.iterations} iterations")

@@ -11,7 +11,7 @@ snapped zero crossing.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
@@ -23,8 +23,8 @@ from .newton import (MAX_NODES, NewtonConfig, SlotTable, damped_newton,
                      fd_data_derivs, fd_jacobian)
 
 __all__ = [
-    "DomainGrid", "FlatState", "build_flat_grid", "build_flat_state",
-    "flat_residual", "flat_jacobian", "dirichlet_solve",
+    "DomainGrid", "FlatState", "build_flat_grid", "lattice_dissection",
+    "build_flat_state", "flat_residual", "flat_jacobian", "dirichlet_solve",
     "pogorelov_monitor", "flat_csv_text",
 ]
 
@@ -42,6 +42,7 @@ class DomainGrid:
     dmix: dict = field(repr=False)      # mixed operators keyed by (a, b), a < b
     lap: object = field(repr=False)     # sum of the axis second derivatives
     slots: SlotTable = field(repr=False)    # pattern of the Jacobian
+    perm: np.ndarray = field(repr=False)    # its LU order (new -> old)
 
     @property
     def ninterior(self):
@@ -57,6 +58,49 @@ def _rowdot(p, q):
     return (p[:, None, :] @ q[..., None])[:, 0, 0]
 
 
+def lattice_dissection(node, cuts=None):
+    """Nested-dissection order of lattice points, as a permutation (new ->
+    old) of the rows of ``node``, their integer lattice coordinates.
+
+    Each cut splits a set of points at the median lattice plane across the
+    longest axis of their bounding box, orders the points below the plane,
+    then those above, then the plane itself, and recurses on both halves
+    down to sets of at most 64 points, kept in their given order (George,
+    Nested dissection of a regular finite element mesh, SIAM J. Numer.
+    Anal. 10, 1973). A plane separates the halves of any stencil that
+    reaches one lattice step along each axis. ``cuts``, a list, receives
+    the index arrays (below, above) of every cut.
+    """
+    order = []
+
+    def dissect(idx):
+        if idx.size <= 64:
+            order.append(idx)
+            return
+        c = node[idx]
+        col = c[:, np.argmax(c.max(axis=0) - c.min(axis=0))]
+        mid = np.partition(col, col.size // 2)[col.size // 2]
+        below, above = idx[col < mid], idx[col > mid]
+        if cuts is not None:
+            cuts.append((below, above))
+        dissect(below)
+        dissect(above)
+        order.append(idx[col == mid])
+
+    dissect(np.arange(len(node)))
+    return np.concatenate(order)
+
+
+def _check_scale(far, h):
+    """Refuse a domain reaching ``far`` from the origin at spacing h before
+    any arithmetic overflows: coordinates are squared (distances, the
+    circumradius) and divided by h into lattice indices, which must be
+    exact in a float."""
+    if not (far < 1e150 and far / 2**53 < h):
+        raise ValueError(f"domain reaching {far:.4g} at h = {h:.4g} is out "
+                         f"of range: need reach < 1e150 and reach / h < 2**53")
+
+
 def build_flat_grid(dim, shape="ball", h=1.0 / 16, radius=1.0, bounds=None):
     """Lattice discretization of the domain with all difference operators."""
     if dim < 2:
@@ -67,6 +111,7 @@ def build_flat_grid(dim, shape="ball", h=1.0 / 16, radius=1.0, bounds=None):
     if shape == "ball":
         if not 0 < radius < math.inf:
             raise ValueError("ball radius must be positive and finite")
+        _check_scale(radius, h)
         half = np.floor(radius / h + 1e-12)
         kmin, kmax = np.full(dim, -half), np.full(dim, half)
         center, rad = np.zeros(dim), radius
@@ -90,6 +135,7 @@ def build_flat_grid(dim, shape="ball", h=1.0 / 16, radius=1.0, bounds=None):
                 or not np.all(box[:, 0] < box[:, 1])):
             raise ValueError(f"bounds must be {dim} finite (lo, hi) pairs "
                              f"with lo < hi, got {bounds!r}")
+        _check_scale(float(np.abs(box).max()), h)
         lo, hi = box[:, 0], box[:, 1]
         center = 0.5 * (lo + hi)
         rad = float(np.linalg.norm(hi - center))
@@ -196,7 +242,8 @@ def build_flat_grid(dim, shape="ball", h=1.0 / 16, radius=1.0, bounds=None):
     slots = SlotTable(d2 + list(dmix.values()) + d1
                       + [sp.identity(ni, format="csr")])
     return DomainGrid(dim=dim, shape=shape, h=h, radius=rad, center=center,
-                      pts=pts, d1=d1, d2=d2, dmix=dmix, lap=lap, slots=slots)
+                      pts=pts, d1=d1, d2=d2, dmix=dmix, lap=lap, slots=slots,
+                      perm=lattice_dissection(node))
 
 
 @dataclass
@@ -241,6 +288,8 @@ def flat_residual(state, f, k, form="raw", *, fields=None):
     """
     if not 1 <= k <= state.grid.dim:
         raise ValueError(f"order k={k} outside [1, {state.grid.dim}]")
+    if form not in ("raw", "root"):
+        raise ValueError(f"unknown residual form {form!r}")
     sig = symm.require_cone_batch(state.eta_spectrum, k)[:, k]
     fv = f(state.grid.pts, state.phi, state.grad)
     if fields is not None:
@@ -309,9 +358,14 @@ def _initial_guess(grid, f, k):
     return 0.5 * c * (r2 - grid.radius**2)
 
 
-def dirichlet_solve(grid, f, k, config=None, beta=4.0):
-    """Damped Newton with cone safeguarding under homogeneous Dirichlet data."""
-    cfg = config or NewtonConfig()
+def dirichlet_solve(grid, f, k, config=None, beta=4.0, *, fields=None):
+    """Damped Newton with cone safeguarding under homogeneous Dirichlet data.
+
+    The linear solves use the grid's LU order. ``fields``, a dict,
+    receives the sigma_k and f fields of the returned state under "sigma"
+    and "f", from its last residual evaluation.
+    """
+    cfg = replace(config or NewtonConfig(), perm=grid.perm)
     phi0 = _initial_guess(grid, f, k)
 
     fv0 = f(grid.pts, phi0, np.zeros((grid.ninterior, grid.dim)))
@@ -340,7 +394,10 @@ def dirichlet_solve(grid, f, k, config=None, beta=4.0):
         return flat_jacobian(state, f, k, form=cfg.form, fields=fields)
 
     phi, report = damped_newton(phi0, res_fn, jac_fn, cfg)
-    return state_of(phi)[0], report
+    state, last_fields = state_of(phi)
+    if fields is not None:
+        fields.update(last_fields)
+    return state, report
 
 
 def pogorelov_monitor(state):

@@ -43,6 +43,7 @@ class SphereGrid:
     phi: np.ndarray            # per-node longitude (zeros in axisym mode)
     ops: dict = field(repr=False)   # sparse differentiation matrices
     slots: SlotTable = field(repr=False)    # pattern of the Jacobians
+    perm: np.ndarray = field(repr=False)    # their LU order, None in axisym
 
     @property
     def nnodes(self):
@@ -95,8 +96,10 @@ def build_grid(n, mode, resolution):
     slots = SlotTable([sp.identity(theta.size, format="csr")]
                       + [ops[d] for d in ("t", "p", "tt", "tp", "pp")
                          if d in ops])
+    # The axisym Jacobians are tridiagonal and need no fill-reducing order.
+    perm = slots.min_degree_order() if full else None
     return SphereGrid(n=n, mode=mode, ntheta=ntheta, nphi=nphi,
-                      theta=theta, phi=phi, ops=ops, slots=slots)
+                      theta=theta, phi=phi, ops=ops, slots=slots, perm=perm)
 
 
 def _build_ops(ntheta, nphi, dth, dph):

@@ -10,20 +10,22 @@ repeat the same step.
 ``fd_jacobian`` is the column-by-column Jacobian oracle behind the "fd"
 Jacobian option, and ``fd_data_derivs`` gives the first derivatives of the
 prescribed data that the analytic Jacobians need. ``SlotTable`` is the
-sparsity pattern every analytic Jacobian is assembled on.
+sparsity pattern every analytic Jacobian is assembled on, and ``factor``
+the one sparse LU every Newton step solves with, in the fill-reducing
+order each grid stores when it is built.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import spilu, splu, spsolve
 
 from .errors import (ConeViolationError, ConfigError, DomainError,
                      NewtonDiverged, ConeExit)
 
 __all__ = ["NewtonConfig", "NewtonReport", "SlotTable", "damped_newton",
-           "fd_jacobian", "fd_data_derivs"]
+           "factor", "fd_jacobian", "fd_data_derivs"]
 
 MAX_BACKTRACKS = 6      # smallest step fraction tried is 2**-6 = 1/64
 # Largest sphere grid (ntheta * nphi) or flat lattice box a builder allocates.
@@ -36,6 +38,9 @@ class NewtonConfig:
     max_iter: int = 40
     jacobian: str = "analytic"     # "analytic" | "fd"
     form: str = "raw"              # "raw" (sigma_k - f) | "root" (G - f^(1/k))
+    # Fill-reducing order of the unknowns for the sparse LU (see factor);
+    # the pipelines set it to their grid's, no config key reads it.
+    perm: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.tol > 0.0 and self.max_iter >= 1):
@@ -120,6 +125,25 @@ class SlotTable:
         """The row factor a (one value per row) at every pattern entry."""
         return np.repeat(a, self.counts)
 
+    def min_degree_order(self):
+        """SuperLU's multiple-minimum-degree order of this pattern, as a
+        permutation (new -> old) for ``factor``.
+
+        SuperLU orders a matrix by its pattern alone, before any
+        arithmetic, so the order is read from a factorization of a
+        diagonally dominant symmetric matrix on the pattern of P + P^T in
+        SuperLU's symmetric mode; an incomplete one, which drops all fill,
+        costs less than half as much and gives the same order.
+        """
+        pat = sp.csr_matrix((np.ones(self.indices.size), self.indices,
+                             self.indptr), shape=self.shape)
+        sym = pat + pat.T
+        dominant = sym + sp.diags(np.asarray(sym.sum(axis=0)).ravel() + 1.0)
+        ilu = spilu(dominant.tocsc(), drop_tol=1.0, fill_factor=1,
+                    permc_spec="MMD_AT_PLUS_A",
+                    options={"SymmetricMode": True})
+        return np.argsort(ilu.perm_c)
+
     def matrix(self, data):
         """CSR matrix with this pattern and data, exact zeros dropped."""
         out = sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
@@ -128,10 +152,26 @@ class SlotTable:
         return out
 
 
-def _solve_linear(jac, rhs):
-    if sp.issparse(jac):
-        return spsolve(jac.tocsc(), rhs)
-    return np.linalg.solve(jac, rhs)
+def factor(jac, perm=None):
+    """The solver of jac x = b, factored once: a function of b.
+
+    A dense jac (the "fd" oracle) is solved by ``np.linalg.solve``. A
+    sparse jac with a permutation ``perm`` (new -> old, as stored on the
+    grid) gets SuperLU's LU of jac[perm][:, perm] with no further column
+    reordering; without one, ``spsolve`` with SuperLU's default COLAMD
+    order. SuperLU raises RuntimeError on an exactly singular matrix.
+    """
+    if not sp.issparse(jac):
+        return lambda b: np.linalg.solve(jac, b)
+    if perm is None:
+        return lambda b: spsolve(jac.tocsc(), b)
+    lu = splu(jac.tocsc()[perm][:, perm], permc_spec="NATURAL")
+
+    def solve(b):
+        x = np.empty_like(b)
+        x[perm] = lu.solve(b[perm])
+        return x
+    return solve
 
 
 def fd_jacobian(residual_fn, x, step=1e-6):
@@ -210,7 +250,14 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
             return x, report
 
         jac = jacobian_fn(x)
-        delta = _solve_linear(jac, -res)
+        # The factors are dropped at once: kept, they would live on through
+        # the next factorization and double the peak memory.
+        try:
+            delta = factor(jac, cfg.perm)(-res)
+        except RuntimeError as exc:     # SuperLU: exactly singular
+            report.residual_history.append(rnorm)
+            raise NewtonDiverged(f"Jacobian not factored: {exc}",
+                                 last_iterate=x, report=report) from exc
 
         accepted = False
         inadmissible_only = True

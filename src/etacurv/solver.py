@@ -191,6 +191,8 @@ def residual(grid, rho, data, k, form="raw", *, jet=None, fields=None):
     ``fields``, a dict, receives the sigma_k and f fields of rho under
     "sigma" and "f", which the root-form Jacobian at rho reuses.
     """
+    if form not in ("raw", "root"):
+        raise ValueError(f"unknown residual form {form!r}")
     _, sig, fv = _eval_state(grid, rho, data, k, jet)
     if fields is not None:
         fields.update(sigma=sig, f=fv)
@@ -361,6 +363,8 @@ def _combine_forms(j_sig, j_f, jet, data, k, form, fields):
     slots = jet.grid.slots
     if form == "raw":
         return slots.matrix(j_sig - j_f)
+    if form != "root":
+        raise ValueError(f"unknown residual form {form!r}")
     if fields:
         sig, fv = fields["sigma"], fields["f"]
     else:
@@ -381,6 +385,8 @@ def assemble_jacobian(grid, rho, data, k, form="raw", method="analytic", *,
     if method == "fd":
         return fd_jacobian(
             lambda r: residual(grid, r, data, k, form=form), rho, step=1e-7)
+    if method != "analytic":
+        raise ValueError(f"unknown Jacobian method {method!r}")
     if jet is None:
         jet = geometry.surface_jet(grid, rho)
     build = _jac_full if grid.mode == "full-2d" else _jac_axisym
@@ -393,9 +399,9 @@ def newton_solve(grid, rho0, data, k, config=None, *, last=None):
 
     ``last``, a list, ends up holding [rho, jet, fields] of the last
     residual evaluated; after a converged solve that rho is the returned
-    array itself.
+    array itself. The linear solves use the grid's LU order.
     """
-    cfg = config or NewtonConfig()
+    cfg = replace(config or NewtonConfig(), perm=grid.perm)
     lo = data.r1 * (1.0 - RHO_MARGIN)
     hi = data.r2 * (1.0 + RHO_MARGIN)
 

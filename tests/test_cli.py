@@ -1,6 +1,7 @@
 """Tests for the command-line interface and its serialization helpers."""
 
 import json
+import math
 import os
 import signal
 import tempfile
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from etacurv import cli, flatcase, solver
 from etacurv.errors import ConfigError
+from etacurv.newton import NewtonConfig
 
 
 SURFACE_CFG = {
@@ -45,7 +47,8 @@ ANISO_F = ('f={"builtin": "aniso_power", "c": 1.25, "p": 3, "delta": 0.1, '
            '"axis": %d}')
 
 # Malformed grids and data that only the library can reject; each must end
-# in the config-error exit, not in a traceback.
+# in the config-error exit, not in a traceback. A third entry is text the
+# message must hold.
 CONFIG_PROBES = {
     "odd_nphi": ("solve-surface", ["grid.sizes=[16,15]"]),
     "one_size": ("solve-surface", ["grid.sizes=[16]"]),
@@ -59,7 +62,8 @@ CONFIG_PROBES = {
     "flat_bounds_too_few": ("solve-flat", [RECT_GRID % "[[-1, 1]]"]),
     "flat_bounds_ragged": ("solve-flat", [
         RECT_GRID % "[[-1, 1], [-1, 1, 3]]"]),
-    "f_c_nan": ("solve-surface", ["f.c=NaN"]),
+    "f_c_nan": ("solve-surface", ["f.c=NaN"],
+                "key 'f.c' must be a finite number"),
     "r2_infinite": ("solve-surface", ["r2=Infinity"]),
     "newton_tol_nan": ("solve-surface", ["newton.tol=NaN"]),
     "r2_huge_int": ("solve-surface", ["r2=1" + "0" * 400]),
@@ -162,6 +166,26 @@ class TestBuiltinCatalog:
         with pytest.raises(ConfigError):
             cli.build_surface_f({"builtin": "nope"}, 2)
 
+    @pytest.mark.parametrize("build,spec,key", [
+        (cli.build_surface_f, {"builtin": "power_decay", "c": 1.0}, "f.p"),
+        (cli.build_surface_f, {"builtin": "power_decay", "c": 1.0,
+                               "p": "x"}, "f.p"),
+        (cli.build_surface_f, {"builtin": "aniso_power", "c": 1.0, "p": 3,
+                               "delta": math.nan}, "f.delta"),
+        (cli.build_surface_f, {"builtin": "aniso_power", "c": 1.0, "p": 3,
+                               "delta": 0.1, "axis": 0.5}, "f.axis"),
+        (cli.build_surface_f, {"builtin": "tabulated", "r": [1, 2]},
+         "f.values"),
+        (cli.build_flat_f, {"builtin": "grad_sq", "c0": math.inf}, "f.c0"),
+        (cli.build_flat_f, {"builtin": "grad_sq", "c1": "x"}, "f.c1"),
+        (cli.build_flat_f, {"builtin": "constant"}, "f.value"),
+        (cli.build_flat_f, {}, "f.builtin"),
+    ])
+    def test_errors_name_the_full_key(self, build, spec, key):
+        args = (spec, 2) if build is cli.build_surface_f else (spec,)
+        with pytest.raises(ConfigError, match=f"key '{key}'"):
+            build(*args)
+
     def test_flat_grad_sq(self):
         f = cli.build_flat_f({"builtin": "grad_sq", "c0": 1.0, "c1": 2.0})
         x = np.zeros((1, 2))
@@ -210,7 +234,7 @@ class TestOracleCommands:
 
 @pytest.mark.parametrize("probe", sorted(CONFIG_PROBES))
 def test_config_error_exits_2(tmp_path, probe):
-    command, overrides = CONFIG_PROBES[probe]
+    command, overrides, *message = CONFIG_PROBES[probe]
     cfgp = tmp_path / "cfg.json"
     write_cfg(cfgp, SURFACE_CFG if command == "solve-surface" else FLAT_CFG)
     args = [command, "--config", str(cfgp), "--out", str(tmp_path / "o")]
@@ -221,6 +245,8 @@ def test_config_error_exits_2(tmp_path, probe):
     assert isinstance(r.exception, SystemExit)
     assert "Traceback" not in r.output
     assert "config error" in r.output
+    for text in message:
+        assert text in r.output
 
 
 # Mutated configs for the exit-code property. Valid values keep each run
@@ -371,6 +397,29 @@ class TestSolveFlatCommand:
         assert report["pogorelov"] > 0
         csv_lines = (out / "flat.csv").read_text().strip().split("\n")
         assert csv_lines[0].startswith("x0,x1,phi")
+
+    @pytest.mark.parametrize("cfg", [
+        FLAT_CFG,
+        {**FLAT_CFG, "newton": {"form": "root"}},
+        {**FLAT_CFG, "n": 3, "grid": {"shape": "ball", "h": 0.25},
+         "f": {"builtin": "grad_sq", "c0": 1.0, "c1": 0.5}},
+    ], ids=["flat_cfg", "root_form", "grad_sq_3d"])
+    def test_csv_holds_the_raw_residual(self, tmp_path, cfg):
+        # flat.csv takes the solve's last residual fields; it must equal
+        # the file written from the raw residual recomputed at the answer.
+        cfgp = tmp_path / "cfg.json"
+        write_cfg(cfgp, cfg)
+        out = tmp_path / "out"
+        r = CliRunner().invoke(cli.main, ["solve-flat", "--config",
+                                          str(cfgp), "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        fcall = cli.build_flat_f(cfg["f"])
+        grid = flatcase.build_flat_grid(cfg["n"], h=cfg["grid"]["h"])
+        state, _ = flatcase.dirichlet_solve(
+            grid, fcall, cfg["k"], config=NewtonConfig(**cfg["newton"]))
+        res = flatcase.flat_residual(state, fcall, cfg["k"])
+        assert ((out / "flat.csv").read_text()
+                == flatcase.flat_csv_text(state, res))
 
     def test_k_greater_than_n(self, tmp_path):
         cfgp = tmp_path / "cfg.json"

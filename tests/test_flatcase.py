@@ -1,6 +1,7 @@
 """Tests for the Euclidean Dirichlet pipeline."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,21 @@ class TestBuildFlatGrid:
         with pytest.raises(ValueError):
             flatcase.build_flat_grid(2, "rect", h=1 / 8, bounds=bounds)
 
+    @pytest.mark.parametrize("shape,h,size", [
+        ("rect", 1e-5, [[1e300, 1.1e300], [0, 1]]),
+        ("rect", 1e-10, [[1e300, 1.1e300], [0, 1]]),
+        ("rect", 1e-300, [[-1, 1], [-1, 1]]),
+        ("ball", 1e199, 1e200),
+        ("ball", 1e-17, 1.0),
+    ])
+    def test_out_of_range_scale_refused_quietly(self, shape, h, size):
+        # Refused before lattice indices or squared coordinates overflow.
+        kw = {"bounds": size} if shape == "rect" else {"radius": size}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="out of range"):
+                flatcase.build_flat_grid(2, shape, h=h, **kw)
+
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan])
     def test_bad_ball_radius(self, radius):
         with pytest.raises(ValueError):
@@ -150,6 +166,12 @@ class TestFlatResidual:
         state = flatcase.build_flat_state(g, bowl(g))
         with pytest.raises(ValueError):
             flatcase.flat_residual(state, f_const(1.0), 3)
+
+    def test_unknown_form_rejected(self):
+        g = flatcase.build_flat_grid(2, "ball", h=1 / 8)
+        state = flatcase.build_flat_state(g, bowl(g))
+        with pytest.raises(ValueError, match="bogus"):
+            flatcase.flat_residual(state, f_const(1.0), 2, form="bogus")
 
 
 class TestFlatJacobian:
@@ -281,6 +303,18 @@ class TestDirichletSolve:
         for name in ("grad", "hess", "lap_phi", "eta_spectrum"):
             assert getattr(state, name).tobytes() == \
                 getattr(fresh, name).tobytes()
+
+    @pytest.mark.parametrize("form", ["raw", "root"])
+    @pytest.mark.parametrize("dim,h,f", [(2, 1 / 8, f_const(1.0)),
+                                         (3, 1 / 4, f_grad_sq)])
+    def test_fields_of_the_returned_state(self, form, dim, h, f):
+        g = flatcase.build_flat_grid(dim, "ball", h=h)
+        fields = {}
+        state, _ = flatcase.dirichlet_solve(g, f, 2, fields=fields,
+                                            config=NewtonConfig(form=form))
+        # The raw residual of the returned state, bit for bit.
+        res = flatcase.flat_residual(state, f, 2)
+        assert (fields["sigma"] - fields["f"]).tobytes() == res.tobytes()
 
     def test_fd_jacobian_switch(self):
         g = flatcase.build_flat_grid(2, "ball", h=1 / 6)

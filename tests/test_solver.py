@@ -127,8 +127,28 @@ class TestResidual:
                               form="root")
         assert np.abs(res).max() < 1e-12
 
+    def test_unknown_form_rejected(self, round_data):
+        g = geometry.build_grid(2, "full-2d", (16, 16))
+        with pytest.raises(ValueError, match="bogus"):
+            solver.residual(g, np.ones(g.nnodes), round_data, 2,
+                            form="bogus")
+
 
 class TestJacobian:
+    def test_unknown_form_rejected(self, round_data):
+        g = geometry.build_grid(2, "full-2d", (16, 8))
+        jet = geometry.surface_jet(g, np.ones(g.nnodes))
+        j_sig, j_f = solver._jac_full(g, jet, round_data, 2)
+        with pytest.raises(ValueError, match="bogus"):
+            solver._combine_forms(j_sig, j_f, jet, round_data, 2, "bogus",
+                                  None)
+
+    def test_unknown_method_rejected(self, round_data):
+        g = geometry.build_grid(2, "full-2d", (16, 8))
+        with pytest.raises(ValueError, match="bogus"):
+            solver.assemble_jacobian(g, np.ones(g.nnodes), round_data, 2,
+                                     method="bogus")
+
     @pytest.mark.parametrize("form", ["raw", "root"])
     def test_full_2d_matches_fd(self, round_data, form):
         g = geometry.build_grid(2, "full-2d", (16, 8))

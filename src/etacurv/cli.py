@@ -292,6 +292,10 @@ def _run_command(config_path, outdir, overrides, setup):
                    "exit_code": code}
         if code == 3 and getattr(run, "conditions", None) is not None:
             payload["conditions"] = run.conditions.as_dict()
+        rep = getattr(exc, "report", None)      # a NewtonDiverged's
+        if rep is not None:
+            payload.update(residual_history=rep.residual_history,
+                           step_fractions=rep.step_fractions, tol=rep.tol)
         trace = getattr(exc, "trace", None)
         texts = {} if trace is None else {"trace.jsonl": _jsonl(trace)}
         texts["error.json"] = json_text(payload) + "\n"
@@ -324,6 +328,7 @@ def _surface_setup(cfg, n, k, newton):
             "accepted_steps": len(run.trace),
             "final_t": final["t"],
             "final_max_residual": final["max_residual"],
+            "tol": final["tol"],
             "monitors": final["monitors"],
         }
         jet = geometry.surface_jet(grid, rho)
@@ -351,6 +356,7 @@ def _flat_setup(cfg, n, k, newton):
             "converged": rep.converged,
             "iterations": rep.iterations,
             "final_max_residual": rep.final_residual,
+            "tol": rep.tol,
             "pogorelov": flatcase.pogorelov_monitor(state),
             "pogorelov_beta": state.pogorelov_beta,
             "phi_min": float(state.phi.min()),

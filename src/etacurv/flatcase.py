@@ -11,7 +11,7 @@ snapped zero crossing.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -19,8 +19,8 @@ import scipy.sparse as sp
 
 from . import symm
 from .errors import DomainError, PreconditionError
-from .newton import (MAX_NODES, NewtonConfig, SlotTable, damped_newton,
-                     fd_data_derivs, fd_jacobian)
+from .newton import (MAX_NODES, SlotTable, damped_newton, fd_data_derivs,
+                     fd_jacobian, solve_config)
 
 __all__ = [
     "DomainGrid", "FlatState", "build_flat_grid", "lattice_dissection",
@@ -361,11 +361,12 @@ def _initial_guess(grid, f, k):
 def dirichlet_solve(grid, f, k, config=None, beta=4.0, *, fields=None):
     """Damped Newton with cone safeguarding under homogeneous Dirichlet data.
 
-    The linear solves use the grid's LU order. ``fields``, a dict,
-    receives the sigma_k and f fields of the returned state under "sigma"
-    and "f", from its last residual evaluation.
+    The linear solves use the grid's LU order, and the tolerance is
+    relative to max f at the initial guess (max f^(1/k) in root form).
+    ``fields``, a dict, receives the sigma_k and f fields of the returned
+    state under "sigma" and "f", from its last residual evaluation.
     """
-    cfg = replace(config or NewtonConfig(), perm=grid.perm)
+    cfg = solve_config(config, grid.perm, k, lambda: last[2]["f"])
     phi0 = _initial_guess(grid, f, k)
 
     fv0 = f(grid.pts, phi0, np.zeros((grid.ninterior, grid.dim)))

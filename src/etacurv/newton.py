@@ -1,12 +1,19 @@
 """Damped Newton iteration and finite-difference oracles shared by the
 curved and flat pipelines.
 
-Globalization is backtracking on the max-norm residual with step fractions
-1, 1/2, 1/4, ..., 1/64; every candidate is pre-checked for admissibility
-(cone membership, positivity, range) before its residual is accepted. An
-admissible candidate equal to the iterate bit for bit ends the iteration:
-the correction has fallen below roundoff, and every later iteration would
-repeat the same step.
+Convergence is relative to the size of the data: the iteration stops at
+max|F| <= tol * max(1, max|f|), with f the prescribed data of the first
+residual, at the solve's start (f^(1/k) in root form). The residual's
+roundoff floor grows with f, so an absolute test can sit below what
+large data can attain (Deuflhard, Newton Methods for Nonlinear Problems,
+2004, sec. 2.1).
+
+Globalization is backtracking on the max-norm residual with step
+fractions 1, 1/2, 1/4, ..., 1/64; every candidate is pre-checked for
+admissibility (cone membership, positivity, range) before its residual
+is accepted. An admissible candidate equal to the iterate bit for bit
+ends the iteration: the correction has fallen below roundoff, and every
+later iteration would repeat the same step.
 ``fd_jacobian`` is the column-by-column Jacobian oracle behind the "fd"
 Jacobian option, and ``fd_data_derivs`` gives the first derivatives of the
 prescribed data that the analytic Jacobians need. ``SlotTable`` is the
@@ -15,7 +22,8 @@ the one sparse LU every Newton step solves with, in the fill-reducing
 order each grid stores when it is built.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,7 +33,7 @@ from .errors import (ConeViolationError, ConfigError, DomainError,
                      NewtonDiverged, ConeExit)
 
 __all__ = ["NewtonConfig", "NewtonReport", "SlotTable", "damped_newton",
-           "factor", "fd_jacobian", "fd_data_derivs"]
+           "factor", "fd_jacobian", "fd_data_derivs", "solve_config"]
 
 MAX_BACKTRACKS = 6      # smallest step fraction tried is 2**-6 = 1/64
 # Largest sphere grid (ntheta * nphi) or flat lattice box a builder allocates.
@@ -34,6 +42,13 @@ MAX_NODES = 2**22
 
 @dataclass
 class NewtonConfig:
+    """Newton settings. ``tol`` is relative to the data's scale: the stop
+    test is max|F| <= tol * max(1, scale()), with ``scale`` a zero-argument
+    callable evaluated once, after the first residual. The pipelines set
+    it to max|f| of that residual (max f^(1/k) in root form) with
+    ``solve_config``; without one the test is absolute.
+    """
+
     tol: float = 1e-10
     max_iter: int = 40
     jacobian: str = "analytic"     # "analytic" | "fd"
@@ -41,6 +56,9 @@ class NewtonConfig:
     # Fill-reducing order of the unknowns for the sparse LU (see factor);
     # the pipelines set it to their grid's, no config key reads it.
     perm: np.ndarray = field(default=None, repr=False, compare=False)
+    # Size of the data the tolerance is relative to, a zero-argument
+    # callable; the pipelines set it with solve_config, no config key does.
+    scale: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.tol > 0.0 and self.max_iter >= 1):
@@ -58,6 +76,7 @@ class NewtonConfig:
 class NewtonReport:
     converged: bool = False
     iterations: int = 0
+    tol: float = None           # the tolerance applied, tol * max(1, scale)
     residual_history: list = field(default_factory=list)
     step_fractions: list = field(default_factory=list)
 
@@ -228,9 +247,38 @@ def fd_data_derivs(f, args, slots, cols=None):
     return out
 
 
-def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
-    """Drive x to max|residual(x)| <= cfg.tol.
+def solve_config(config, perm, k, f_field):
+    """The settings of one pipeline solve: ``config`` (default
+    NewtonConfig()) with the grid's LU order ``perm`` and, as the scale,
+    max f or, in root form, max f^(1/k), for the f field that
+    ``f_field()`` returns once the first residual has filled it.
+    """
+    cfg = config or NewtonConfig()
+    root = cfg.form == "root"
 
+    def scale():
+        top = float(np.max(f_field()))
+        if root:
+            return top ** (1.0 / k) if top > 0.0 else 0.0
+        return top
+
+    # scale must not refer to cfg: that cycle would keep the solve's last
+    # fields alive after it returns, until the next garbage collection.
+    return replace(cfg, perm=perm, scale=scale)
+
+
+def _applied_tol(cfg):
+    """tol * max(1, scale()), or tol itself if that is not finite."""
+    scale = 1.0 if cfg.scale is None else float(cfg.scale())
+    tol = cfg.tol * scale
+    return tol if scale > 1.0 and math.isfinite(tol) else cfg.tol
+
+
+def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
+    """Drive x to max|residual(x)| <= cfg.tol * max(1, cfg.scale()).
+
+    The scale is read once, after the first residual; the tolerance it
+    gives is kept in the report and named in every failure message.
     ``candidate_check(x)`` returns None if x is admissible, else a short
     reason string; cone and domain violations raised by ``residual_fn``
     count as admissibility failures too. A candidate is accepted only if
@@ -242,10 +290,16 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
     x = np.asarray(x0, dtype=float).copy()
     res = residual_fn(x)
     rnorm = float(np.max(np.abs(res)))
-    report = NewtonReport(residual_history=[rnorm])
+    tol = _applied_tol(cfg)
+    report = NewtonReport(tol=tol, residual_history=[rnorm])
+
+    def diverged(why, cls=NewtonDiverged):
+        report.residual_history.append(rnorm)
+        return cls(f"{why} (residual {rnorm:.3e}, tol {tol:.3e})",
+                   last_iterate=x, report=report)
 
     for _ in range(cfg.max_iter):
-        if rnorm <= cfg.tol:
+        if rnorm <= tol:
             report.converged = True
             return x, report
 
@@ -255,9 +309,7 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
         try:
             delta = factor(jac, cfg.perm)(-res)
         except RuntimeError as exc:     # SuperLU: exactly singular
-            report.residual_history.append(rnorm)
-            raise NewtonDiverged(f"Jacobian not factored: {exc}",
-                                 last_iterate=x, report=report) from exc
+            raise diverged(f"Jacobian not factored: {exc}") from exc
 
         accepted = False
         inadmissible_only = True
@@ -271,12 +323,7 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
             # when it is finite.
             if (np.isfinite(rnorm)
                     and np.array_equal(cand.view(np.int64), x.view(np.int64))):
-                report.residual_history.append(rnorm)
-                raise NewtonDiverged(
-                    f"step no longer changes the iterate (residual "
-                    f"{rnorm:.3e}, tol {cfg.tol:.1e})",
-                    last_iterate=x, report=report,
-                )
+                raise diverged("step no longer changes the iterate")
             try:
                 cres = residual_fn(cand)
             except (ConeViolationError, DomainError):
@@ -294,23 +341,17 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
                 break
 
         if not accepted:
-            report.residual_history.append(rnorm)
             if inadmissible_only:
-                raise ConeExit(
-                    "no step fraction kept the iterate admissible",
-                    last_iterate=x, report=report,
-                )
-            raise NewtonDiverged(
-                f"residual {rnorm:.3e} could not be decreased after "
-                f"{MAX_BACKTRACKS} damping cuts",
-                last_iterate=x, report=report,
-            )
+                raise diverged("no step fraction kept the iterate admissible",
+                               ConeExit)
+            raise diverged(f"no step fraction down to "
+                           f"1/{2**MAX_BACKTRACKS} decreased the residual")
 
-    if rnorm <= cfg.tol:
+    if rnorm <= tol:
         report.converged = True
         return x, report
     raise NewtonDiverged(
         f"no convergence in {cfg.max_iter} iterations "
-        f"(residual {rnorm:.3e}, tol {cfg.tol:.1e})",
+        f"(residual {rnorm:.3e}, tol {tol:.3e})",
         last_iterate=x, report=report,
     )

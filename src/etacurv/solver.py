@@ -19,7 +19,8 @@ import numpy as np
 from . import geometry, symm, verify
 from .errors import (ConfigError, ContinuationStuck, NewtonDiverged,
                      PreconditionError)
-from .newton import NewtonConfig, damped_newton, fd_data_derivs, fd_jacobian
+from .newton import (NewtonConfig, damped_newton, fd_data_derivs, fd_jacobian,
+                     solve_config)
 
 __all__ = [
     "PrescribedData", "HomotopyRun", "ConditionsReport",
@@ -399,9 +400,10 @@ def newton_solve(grid, rho0, data, k, config=None, *, last=None):
 
     ``last``, a list, ends up holding [rho, jet, fields] of the last
     residual evaluated; after a converged solve that rho is the returned
-    array itself. The linear solves use the grid's LU order.
+    array itself. The linear solves use the grid's LU order, and the
+    tolerance is relative to max f at rho0 (max f^(1/k) in root form).
     """
-    cfg = replace(config or NewtonConfig(), perm=grid.perm)
+    cfg = solve_config(config, grid.perm, k, lambda: last[2]["f"])
     lo = data.r1 * (1.0 - RHO_MARGIN)
     hi = data.r2 * (1.0 + RHO_MARGIN)
 
@@ -467,6 +469,7 @@ def continue_to_target(grid, data, run, k):
             "t": t_val,
             "newton_iterations": report.iterations,
             "max_residual": report.final_residual,
+            "tol": report.tol,
             "monitors": monitors,
         })
 

@@ -37,10 +37,27 @@ def gradient_bound(jet):
     return float(jet.grad_norm.max()), float(jet.u.min())
 
 
+# Nodes whose value is this close to the maximum, relative to max(1, |max|),
+# count as ties.
+TIE_RTOL = 1e-8
+
+
+def _max_result(values):
+    """The maximum, at the lowest node within the tie tolerance of it.
+
+    On round data these fields are constant up to roundoff, so a plain
+    argmax would move with the answer's last bits.
+    """
+    top = float(values.max())
+    node = int(np.argmax(values >= top - TIE_RTOL * max(1.0, abs(top))))
+    return MonitorResult(value=top, node=node)
+
+
 def q_monitor(jet, A=2.0):
     """Max of log kappa_max - log(u - a) + (A/2)|X|^2 over {kappa_max > 0}.
 
     a is recomputed per state as half the minimum of the support function.
+    Its node is the lowest within TIE_RTOL * max(1, |max|) of the maximum.
     Returns a vacuous result when no node has a positive largest curvature.
     """
     kmax = jet.kappa[:, 0]
@@ -52,18 +69,17 @@ def q_monitor(jet, A=2.0):
     q = np.full(kmax.shape, -np.inf)
     q[mask] = (np.log(kmax[mask]) - np.log(jet.u[mask] - a)
                + 0.5 * A * r2[mask])
-    node = int(np.argmax(q))
-    return MonitorResult(value=float(q[node]), node=node)
+    return _max_result(q)
 
 
 def w_monitor(jet, alpha=None):
-    """Max of -log u + alpha / |X|^2 and its location; needs u > 0."""
+    """Max of -log u + alpha / |X|^2 and its node, located as in
+    ``q_monitor``; needs u > 0."""
     r2 = np.einsum("ij,ij->i", jet.X, jet.X)
     if alpha is None:
         alpha = 2.0 * float(r2.max())
     w = -np.log(jet.u) + alpha / r2
-    node = int(np.argmax(w))
-    return MonitorResult(value=float(w[node]), node=node)
+    return _max_result(w)
 
 
 def identity_check(jet, data, k):

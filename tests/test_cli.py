@@ -383,6 +383,53 @@ def test_newton_stall_exits_4(tmp_path, monkeypatch, command, jac_name):
     assert 0 < len(jacobians) < 10
 
 
+# Round data with f = C(6,6) 5^6 R / |X|^7, R = 0.8: the exact solution is
+# the sphere of radius 0.8, and f is about 1.6e4 at the start.
+ROUND_66_CFG = {
+    "n": 6, "k": 6,
+    "grid": {"mode": "axisym-1d", "sizes": [128]},
+    "f": {"builtin": "power_decay", "c": 15625 * 0.8, "p": 7},
+    "r1": 0.5, "r2": 2.0,
+}
+
+
+def test_large_round_data_converges(tmp_path):
+    # An absolute tolerance of 1e-10 lies below this residual's roundoff
+    # floor, which ended the homotopy in a step underflow (exit 4).
+    cfgp = tmp_path / "cfg.json"
+    write_cfg(cfgp, ROUND_66_CFG)
+    out = tmp_path / "o"
+    r = CliRunner().invoke(cli.main, ["solve-surface", "--config", str(cfgp),
+                                      "--out", str(out)])
+    assert r.exit_code == 0, (r.output, r.exception)
+    report = json.loads((out / "report.json").read_text())
+    assert abs(report["monitors"]["rho_min"] - 0.8) < 1e-10
+    assert abs(report["monitors"]["rho_max"] - 0.8) < 1e-10
+    assert 1e-10 < report["final_max_residual"] <= report["tol"]
+    records = [json.loads(line)
+               for line in (out / "trace.jsonl").read_text().splitlines()]
+    assert records[-1]["tol"] == report["tol"]
+    assert all(rec["max_residual"] <= rec["tol"] for rec in records)
+
+
+def test_stall_error_names_the_applied_tol(tmp_path):
+    # newton.tol = 1e-16 times max f = 15625 at the round start.
+    cfgp = tmp_path / "cfg.json"
+    write_cfg(cfgp, ROUND_66_CFG)
+    out = tmp_path / "o"
+    r = CliRunner().invoke(cli.main, ["solve-surface", "--config", str(cfgp),
+                                      "--out", str(out),
+                                      "--override", "newton.tol=1e-16"])
+    assert r.exit_code == 4, (r.output, r.exception)
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "NewtonDiverged"
+    assert err["tol"] == pytest.approx(1e-16 * 15625, rel=1e-12)
+    assert "tol 1.563e-12" in err["message"]
+    history = err["residual_history"]
+    assert len(history) == len(err["step_fractions"]) + 2
+    assert min(history) > err["tol"]
+
+
 class TestSolveFlatCommand:
     def test_quadratic_run(self, tmp_path):
         cfgp = tmp_path / "cfg.json"
@@ -397,6 +444,18 @@ class TestSolveFlatCommand:
         assert report["pogorelov"] > 0
         csv_lines = (out / "flat.csv").read_text().strip().split("\n")
         assert csv_lines[0].startswith("x0,x1,phi")
+
+    def test_report_states_the_applied_tol(self, tmp_path):
+        cfgp = tmp_path / "cfg.json"
+        write_cfg(cfgp, {**FLAT_CFG, "f": {"builtin": "constant",
+                                           "value": 4.0}})
+        out = tmp_path / "out"
+        r = CliRunner().invoke(cli.main, ["solve-flat", "--config",
+                                          str(cfgp), "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        report = json.loads((out / "report.json").read_text())
+        assert report["tol"] == 4e-10
+        assert report["final_max_residual"] <= report["tol"]
 
     @pytest.mark.parametrize("cfg", [
         FLAT_CFG,

@@ -266,6 +266,15 @@ class TestDirichletSolve:
         assert rep.converged
         assert per_residual and set(per_residual) == {1}
 
+    @pytest.mark.parametrize("form,scale", [("raw", 9.0), ("root", 3.0)])
+    def test_tolerance_relative_to_f(self, form, scale):
+        # f = 9: tol * max f in raw form, tol * max f^(1/2) in root form.
+        g = flatcase.build_flat_grid(2, "ball", h=1 / 8)
+        _, rep = flatcase.dirichlet_solve(g, f_const(9.0), 2,
+                                          config=NewtonConfig(form=form))
+        assert rep.converged
+        assert rep.tol == 1e-10 * scale
+
     @pytest.mark.parametrize("form", ["raw", "root"])
     def test_newton_reuses_residual_state(self, monkeypatch, form):
         calls = {"f": 0, "state": 0, "residual": 0, "jacobian": 0}

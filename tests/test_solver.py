@@ -397,6 +397,97 @@ class TestDampedNewtonCore:
         assert exc.value.last_iterate[0] == 1.0
 
 
+def _cubic(x):
+    return x**3 - np.array([2.0, 3.0, 5.0]) + 0.1 * np.roll(x, 1)
+
+
+def _cubic_jac(x):
+    return np.diag(3.0 * x**2) + 0.1 * np.roll(np.eye(3), 1, axis=1)
+
+
+class TestScaledStop:
+    """The stop test max|F| <= tol * max(1, scale())."""
+
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 1.0, float("nan")])
+    def test_scale_at_most_one_is_absolute(self, scale):
+        x0 = np.array([3.0, -2.0, 0.5])
+        want, want_rep = damped_newton(x0, _cubic, _cubic_jac, NewtonConfig())
+        got, rep = damped_newton(x0, _cubic, _cubic_jac,
+                                 NewtonConfig(scale=lambda: scale))
+        assert want_rep.iterations > 3
+        assert got.tobytes() == want.tobytes()
+        assert rep == want_rep
+        assert rep.tol == want_rep.tol == 1e-10
+
+    def test_roundoff_floor_needs_the_scale(self):
+        # Near sqrt(1.3e7) the residual x^2 - 1.3e7 takes no value below
+        # 1.86e-9, the spacing of doubles at 1.3e7.
+        c = 1.3e7
+
+        def res(x):
+            return x**2 - c
+
+        def jac(x):
+            return np.diag(2.0 * x)
+
+        x0 = np.array([3000.0])
+        with pytest.raises(NewtonDiverged) as exc:
+            damped_newton(x0, res, jac, NewtonConfig())
+        assert exc.value.report.final_residual == pytest.approx(1.86e-9,
+                                                                rel=1e-2)
+        x, rep = damped_newton(x0, res, jac, NewtonConfig(scale=lambda: 1e4))
+        assert rep.converged and rep.tol == pytest.approx(1e-6)
+        assert 1e-10 < rep.final_residual <= 1e-6
+        assert x[0] == pytest.approx(math.sqrt(c), rel=1e-15)
+
+    def test_scale_read_once_after_first_residual(self):
+        seen, reads = [], []
+
+        def res(x):
+            seen.append(x.copy())
+            return _cubic(x)
+
+        def scale():
+            reads.append(len(seen))
+            return 50.0
+
+        _, rep = damped_newton(np.array([3.0, -2.0, 0.5]), res, _cubic_jac,
+                               NewtonConfig(scale=scale))
+        assert reads == [1]
+        assert rep.tol == 50.0 * 1e-10
+
+    @pytest.mark.parametrize("scale", [float("inf"), 1e300])
+    def test_unbounded_scale_falls_back(self, scale):
+        # An infinite tolerance would accept any residual.
+        with pytest.raises(NewtonDiverged) as exc:
+            damped_newton(np.array([0.0]), lambda x: np.array([1e20]),
+                          lambda x: np.array([[1.0]]),
+                          NewtonConfig(tol=1e10, max_iter=2,
+                                       scale=lambda: scale))
+        assert exc.value.report.tol == 1e10
+
+    def test_failure_names_the_applied_tol(self):
+        with pytest.raises(NewtonDiverged) as exc:
+            damped_newton(np.array([0.0]), lambda x: np.array([1.0]),
+                          lambda x: np.array([[1.0]]),
+                          NewtonConfig(max_iter=5, scale=lambda: 1e4))
+        assert "tol 1.000e-06" in str(exc.value)
+        assert "1e-10" not in str(exc.value)
+        assert "1.0e-10" not in str(exc.value)
+        assert exc.value.report.tol == pytest.approx(1e-6)
+
+    def test_pipelines_scale_by_f(self, round_data):
+        # f = 1.25 / |X|^3 at rho = 0.9: max f = 1.25 / 0.729.
+        g = geometry.build_grid(2, "axisym-1d", 32)
+        rho0 = np.full(g.nnodes, 0.9)
+        _, raw = solver.newton_solve(g, rho0, round_data, 2)
+        _, root = solver.newton_solve(g, rho0, round_data, 2,
+                                      config=NewtonConfig(form="root"))
+        assert raw.tol == pytest.approx(1e-10 * 1.25 / 0.729, rel=1e-12)
+        assert root.tol == pytest.approx(1e-10 * (1.25 / 0.729) ** 0.5,
+                                         rel=1e-12)
+
+
 class TestContinuation:
     def test_round_completes(self, round_data):
         g = geometry.build_grid(2, "full-2d", (32, 16))
@@ -446,9 +537,10 @@ class TestContinuation:
 
     def test_sweep_case_golden(self, monkeypatch):
         # axisym n = 5, k = 4 with the round data f = C(5,4) 4^4 R / |X|^5,
-        # R = 1.2: three homotopy attempts stall at the roundoff floor.
-        # The accepted steps and the answer were recorded from the solver
-        # that ran every stalled attempt to max_iter = 40.
+        # R = 1.2. f is about 1e3 here, and with an absolute tolerance of
+        # 1e-10 three homotopy attempts stalled at the residual's roundoff
+        # floor. Relative to max f, every attempt is accepted. The steps
+        # and the answer were recorded from the scaled stop test.
         n, k, radius = 5, 4, 1.2
         const = math.comb(n, k) * (n - 1) ** k * radius
         data = solver.PrescribedData(f=power_decay(const, k + 1),
@@ -476,26 +568,43 @@ class TestContinuation:
                  for rec in run.trace]
         assert trace == [
             (0.0, 0, 4.547473508864641e-13),
-            (0.1, 7, 5.684341886080801e-13),
-            (0.2, 6, 7.958078640513122e-13),
-            (0.30000000000000004, 5, 4.547473508864641e-13),
-            (0.35000000000000003, 5, 1.1368683772161603e-12),
-            (0.4, 5, 1.0231815394945443e-12),
-            (0.41250000000000003, 3, 6.821210263296962e-13),
-            (0.43125, 3, 7.958078640513122e-13),
-            (0.45937500000000003, 3, 7.958078640513122e-13),
-            (0.5015625, 3, 6.821210263296962e-13),
-            (0.5648437500000001, 3, 7.958078640513122e-13),
-            (0.6597656250000001, 6, 9.811174095375463e-11),
-            (0.7546875000000002, 4, 9.686118573881686e-11),
-            (0.8496093750000002, 4, 5.684341886080801e-13),
-            (0.9445312500000003, 5, 6.821210263296962e-13),
-            (1.0, 4, 6.821210263296962e-13),
+            (0.1, 5, 5.09544406668283e-10),
+            (0.2, 4, 2.205524651799351e-10),
+            (0.30000000000000004, 3, 2.9899638320785016e-09),
+            (0.45000000000000007, 3, 9.301857062382624e-10),
+            (0.675, 3, 3.389004632481374e-10),
+            (1.0, 3, 3.5788616514764726e-10),
         ]
         assert hashlib.sha256(rho.tobytes()).hexdigest() == (
-            "bd42a76d70a8f9719eabd78e6be022fd4b51ae158ad5b9dfa1140576237f45dd")
-        assert len(failed) == 3
-        assert max(failed) <= 9
+            "1484b29fdcb336d5634ab0feaed8a3856702500699551648c9eb358852eb3207")
+        assert len(failed) == 0
+        assert np.abs(rho - radius).max() < 1e-10
+
+    @pytest.mark.parametrize("radius", [0.8, 1.2, 1.2 + 1e-13, 1.6])
+    @pytest.mark.parametrize("n,k", [(5, 3), (6, 3), (6, 6)])
+    def test_round_sweep_data_never_stalls(self, monkeypatch, n, k, radius):
+        # f = C(n,k) (n-1)^k R / |X|^(k+1) reaches 1e3 to 1e5, where the
+        # raw residual cannot reach an absolute 1e-10: R = 0.8 and 1.6
+        # used to end in a homotopy step underflow on these cases.
+        const = math.comb(n, k) * (n - 1) ** k * radius
+        data = solver.PrescribedData(f=power_decay(const, k + 1),
+                                     r1=0.5, r2=2.0)
+        g = geometry.build_grid(n, "axisym-1d", 128)
+        real_solve, failed = solver.newton_solve, []
+
+        def solve(*args, **kw):
+            try:
+                return real_solve(*args, **kw)
+            except NewtonDiverged as exc:
+                failed.append(str(exc))
+                raise
+
+        monkeypatch.setattr(solver, "newton_solve", solve)
+        rho, run = solver.continue_to_target(g, data, solver.HomotopyRun(), k)
+        assert failed == []
+        assert np.abs(rho - radius).max() < 1e-10
+        for rec in run.trace:
+            assert 1e-10 <= rec["tol"] and rec["max_residual"] <= rec["tol"]
 
     def test_stuck_carries_trace(self, round_data):
         g = geometry.build_grid(2, "full-2d", (16, 16))

@@ -92,7 +92,11 @@ class TestWMonitor:
         g = geometry.build_grid(2, "axisym-1d", (64,))
         jet = geometry.surface_jet(g, 1.1 + 0.08 * np.cos(2 * g.theta))
         res = verify.w_monitor(jet, alpha=1e-8)
-        assert res.node == int(np.argmin(jet.u))
+        # u is least at the two nodes mirrored about the equator, equal up
+        # to roundoff; the lower index is reported.
+        ties = np.flatnonzero(jet.u <= jet.u.min() * (1.0 + 1e-12))
+        assert ties.tolist() == [31, 32]
+        assert res.node == 31
 
     def test_default_alpha(self):
         jet = round_jet(1.5)
@@ -100,6 +104,31 @@ class TestWMonitor:
         # default alpha = 2 max|X|^2 = 2 * 1.5^2
         assert res.value == pytest.approx(
             -math.log(1.5) + 2 * 1.5**2 / 1.5**2, abs=1e-10)
+
+
+class TestMonitorNodes:
+    """q_node and w_node: the lowest node within 1e-8 of the maximum."""
+
+    def test_round_sphere_reports_node_0(self):
+        g = geometry.build_grid(2, "full-2d", (32, 16))
+        jet = geometry.surface_jet(g, np.full(g.nnodes, 1.25))
+        q, w = verify.q_monitor(jet), verify.w_monitor(jet)
+        assert (q.node, w.node) == (0, 0)
+        # The value is still the largest one, not node 0's.
+        r2 = np.einsum("ij,ij->i", jet.X, jet.X)
+        field = -np.log(jet.u) + 2.0 * r2.max() / r2
+        assert np.ptp(field) > 0.0
+        assert w.value == field.max()
+
+    @pytest.mark.parametrize("node", [5, 200, 511])
+    def test_bumped_node_found(self, node):
+        # An outward bump is the peak of Q, an inward one the peak of w.
+        g = geometry.build_grid(2, "full-2d", (32, 16))
+        for amp, monitor in ((1e-4, verify.q_monitor),
+                             (-1e-4, verify.w_monitor)):
+            rho = np.full(g.nnodes, 1.25)
+            rho[node] += amp
+            assert monitor(geometry.surface_jet(g, rho)).node == node
 
 
 class TestIdentityCheck:

@@ -292,7 +292,7 @@ def _run_command(config_path, outdir, overrides, setup):
                    "exit_code": code}
         if code == 3 and getattr(run, "conditions", None) is not None:
             payload["conditions"] = run.conditions.as_dict()
-        rep = getattr(exc, "report", None)      # a NewtonDiverged's
+        rep = getattr(exc, "report", None)      # the failed Newton solve's
         if rep is not None:
             payload.update(residual_history=rep.residual_history,
                            step_fractions=rep.step_fractions, tol=rep.tol)

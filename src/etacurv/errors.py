@@ -53,9 +53,11 @@ class ConeExit(NewtonDiverged):
 
 
 class ContinuationStuck(EtacurvError):
-    """Homotopy step size underflowed; carries the partial trace."""
+    """Homotopy step size underflowed; carries the partial trace and the
+    NewtonReport of the attempt that underflowed."""
 
-    def __init__(self, message, trace, last_rho=None):
+    def __init__(self, message, trace, last_rho=None, report=None):
         self.trace = trace
         self.last_rho = last_rho
+        self.report = report
         super().__init__(message)

@@ -21,7 +21,7 @@ from math import pi
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DomainError, EtacurvError
+from .errors import DomainError
 from .newton import MAX_NODES, SlotTable
 from . import symm
 
@@ -167,11 +167,11 @@ def surface_jet(grid, rho):
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (grid.nnodes,):
         raise ValueError(f"rho must have shape ({grid.nnodes},)")
-    if np.any(rho <= 0.0):
-        raise DomainError(
-            f"rho must be positive; node {int(np.argmin(rho))} has "
-            f"rho = {rho.min():.6g}"
-        )
+    ok = (rho > 0.0) & (rho < np.inf)
+    if not ok.all():
+        node = int(np.argmin(ok))
+        raise DomainError(f"rho must be positive and finite; node {node} "
+                          f"has rho = {rho[node]:.6g}")
     if grid.mode == "full-2d":
         return _jet_full(grid, rho)
     return _jet_axisym(grid, rho)
@@ -196,15 +196,7 @@ def _jet_full(grid, rho):
     w = np.sqrt(rho**2 + gn2)
 
     nn = rho.size
-    g = np.empty((nn, 2, 2))
-    g[:, 0, 0] = rho**2 + rt**2
-    g[:, 0, 1] = g[:, 1, 0] = rt * rp
-    g[:, 1, 1] = rho**2 * st**2 + rp**2
-
-    h = np.empty((nn, 2, 2))
-    h[:, 0, 0] = (rho**2 + 2 * rt**2 - rho * s_tt) / w
-    h[:, 0, 1] = h[:, 1, 0] = (2 * rt * rp - rho * s_tp) / w
-    h[:, 1, 1] = (rho**2 * st**2 + 2 * rp**2 - rho * s_pp) / w
+    g, h = _fundamental_forms(rho, rt, rp, s_tt, s_tp, s_pp, st, w)
 
     cp, spn = np.cos(ph), np.sin(ph)
     x = np.stack([st * cp, st * spn, ct], axis=1)
@@ -221,6 +213,19 @@ def _jet_full(grid, rho):
            "st": st, "ct": ct, "x": x, "e_t": e_t, "e_p": e_p,
            "g": g, "h": h}
     return _finish_jet(grid, rho, pos, nu, np.sqrt(gn2), w, kappa, raw)
+
+
+def _fundamental_forms(rho, rt, rp, s_tt, s_tp, s_pp, st, w):
+    """Metric g and second fundamental form h per node, (N, 2, 2) each."""
+    g = np.empty((rho.size, 2, 2))
+    g[:, 0, 0] = rho**2 + rt**2
+    g[:, 0, 1] = g[:, 1, 0] = rt * rp
+    g[:, 1, 1] = rho**2 * st**2 + rp**2
+    h = np.empty_like(g)
+    h[:, 0, 0] = (rho**2 + 2 * rt**2 - rho * s_tt) / w
+    h[:, 0, 1] = h[:, 1, 0] = (2 * rt * rp - rho * s_tp) / w
+    h[:, 1, 1] = (rho**2 * st**2 + 2 * rp**2 - rho * s_pp) / w
+    return g, h
 
 
 def _jet_axisym(grid, rho):
@@ -254,23 +259,18 @@ def _jet_axisym(grid, rho):
 
 
 def _principal_curvatures(g, h):
-    """Generalized symmetric eigenvalues of (h, g) via Cholesky reduction."""
-    try:
-        ell = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        raise EtacurvError(f"metric not positive definite: {exc}") from exc
-    y = np.linalg.solve(ell, h)
-    a = np.linalg.solve(ell, y.transpose(0, 2, 1))
-    a = 0.5 * (a + a.transpose(0, 2, 1))
-    try:
-        kappa = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        bad = np.flatnonzero(~np.all(np.isfinite(a), axis=(1, 2)))
-        node = int(bad[0]) if bad.size else -1
-        raise EtacurvError(
-            f"eigen-decomposition failed near node {node}: {exc}"
-        ) from exc
-    return kappa
+    """Eigenvalues of h relative to g per node, in closed form: g's LDL^T
+    factor reduces h to [[a, b], [b, c]], whose eigenvalues (a+c)/2 +-
+    hypot((a-c)/2, b) do not cancel at umbilics. g is positive definite
+    wherever rho is positive and finite."""
+    m = g[:, 0, 1] / g[:, 0, 0]
+    d = g[:, 1, 1] - m * g[:, 0, 1]
+    a = h[:, 0, 0] / g[:, 0, 0]
+    b = (h[:, 0, 1] - m * h[:, 0, 0]) / np.sqrt(g[:, 0, 0] * d)
+    c = (h[:, 1, 1] - m * (2 * h[:, 0, 1] - m * h[:, 0, 0])) / d
+    mid = 0.5 * (a + c)
+    rad = np.hypot(0.5 * (a - c), b)
+    return np.stack([mid + rad, mid - rad], axis=1)
 
 
 def _finish_jet(grid, rho, pos, nu, grad_norm, w, kappa, raw):

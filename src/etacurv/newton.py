@@ -77,8 +77,8 @@ class NewtonReport:
     converged: bool = False
     iterations: int = 0
     tol: float = None           # the tolerance applied, tol * max(1, scale)
-    residual_history: list = field(default_factory=list)
-    step_fractions: list = field(default_factory=list)
+    residual_history: list = field(default_factory=list)    # per iterate
+    step_fractions: list = field(default_factory=list)      # per step
 
     @property
     def final_residual(self):
@@ -294,7 +294,6 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
     report = NewtonReport(tol=tol, residual_history=[rnorm])
 
     def diverged(why, cls=NewtonDiverged):
-        report.residual_history.append(rnorm)
         return cls(f"{why} (residual {rnorm:.3e}, tol {tol:.3e})",
                    last_iterate=x, report=report)
 

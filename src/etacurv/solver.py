@@ -441,8 +441,9 @@ def continue_to_target(grid, data, run, k):
     Steps are halved on Newton failure and grown by 1.5x after cheap
     successes; monitors are recorded at every accepted t. The
     barrier/monotonicity report is kept in ``run.conditions``. Raises
-    ContinuationStuck (with the partial trace) on step underflow and
-    PreconditionError when that report fails.
+    ContinuationStuck (with the partial trace and the NewtonReport of the
+    last attempt) on step underflow and PreconditionError when that
+    report fails.
     """
     n = grid.n
     conditions = validate_conditions(data, n, k)
@@ -483,13 +484,13 @@ def continue_to_target(grid, data, run, k):
         try:
             rho_new, rep = newton_solve(grid, rho, data_t, k,
                                         config=run.newton, last=last)
-        except NewtonDiverged:
+        except NewtonDiverged as exc:
             dt *= 0.5
             if dt < run.dt_min:
                 raise ContinuationStuck(
                     f"homotopy step underflow below {run.dt_min} at t={t:.6g}",
-                    trace=run.trace, last_rho=rho,
-                )
+                    trace=run.trace, last_rho=rho, report=exc.report,
+                ) from exc
             continue
         rho = rho_new
         t = t_try

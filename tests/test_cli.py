@@ -426,8 +426,27 @@ def test_stall_error_names_the_applied_tol(tmp_path):
     assert err["tol"] == pytest.approx(1e-16 * 15625, rel=1e-12)
     assert "tol 1.563e-12" in err["message"]
     history = err["residual_history"]
-    assert len(history) == len(err["step_fractions"]) + 2
+    assert len(history) == len(err["step_fractions"]) + 1
     assert min(history) > err["tol"]
+
+
+def test_step_underflow_error_carries_the_newton_report(tmp_path):
+    # At 1e-14 * max f every homotopy attempt past t = 0.2125 stalls.
+    cfgp = tmp_path / "cfg.json"
+    write_cfg(cfgp, ROUND_66_CFG)
+    out = tmp_path / "o"
+    r = CliRunner().invoke(cli.main, ["solve-surface", "--config", str(cfgp),
+                                      "--out", str(out),
+                                      "--override", "newton.tol=1e-14"])
+    assert r.exit_code == 4, (r.output, r.exception)
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ContinuationStuck"
+    assert "homotopy step underflow" in err["message"]
+    assert "at t=0.2125" in err["message"]
+    history = err["residual_history"]
+    assert len(history) == len(err["step_fractions"]) + 1
+    assert min(history) > err["tol"] > 0
+    assert (out / "trace.jsonl").exists()
 
 
 class TestSolveFlatCommand:

@@ -1,9 +1,12 @@
 """Tests for the sphere grids and the radial-graph jet."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etacurv import geometry, symm
 from etacurv.errors import ConeViolationError, DomainError
@@ -161,6 +164,82 @@ class TestJetInvariants:
         rho[3] = -0.1
         with pytest.raises(DomainError):
             geometry.surface_jet(g, rho)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("mode,sizes", [("full-2d", (16, 8)),
+                                            ("axisym-1d", 16)])
+    def test_rho_finite_required(self, bad, mode, sizes):
+        g = geometry.build_grid(2, mode, sizes)
+        rho = np.ones(g.nnodes)
+        rho[[5, 11]] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="node 5 has rho = "):
+                geometry.surface_jet(g, rho)
+
+
+def _oracle_kappa(g, h):
+    """Descending eigenvalues of the Cholesky-reduced L^-1 h L^-T."""
+    ell = np.linalg.cholesky(g)
+    y = np.linalg.solve(ell, h)
+    a = np.linalg.solve(ell, y.transpose(0, 2, 1))
+    return np.linalg.eigvalsh(0.5 * (a + a.transpose(0, 2, 1)))[:, ::-1]
+
+
+def _assert_matches_oracle(kappa, g, h):
+    assert np.all(kappa[:, 0] >= kappa[:, 1])
+    want = _oracle_kappa(g, h)
+    size = np.maximum(1.0, np.abs(want).max(axis=1, keepdims=True))
+    assert np.all(np.abs(kappa - want) <= 1e-12 * size)
+
+
+# One node of a radial graph: rho, theta with sin(theta) >= sin(pi/256),
+# and the first and covariant second derivatives of rho in units of rho
+# and of the coordinate scale (1 along theta, sin(theta) along phi).
+_sin_floor = math.pi / 256
+radial_nodes = st.lists(
+    st.tuples(st.floats(0.1, 10.0),
+              st.floats(_sin_floor, math.pi - _sin_floor),
+              *[st.floats(-2.0, 2.0)] * 2, *[st.floats(-5.0, 5.0)] * 3),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(radial_nodes)
+def test_closed_form_curvatures_match_eigvalsh(nodes):
+    rho, theta, q_t, q_p, u_tt, u_tp, u_pp = map(np.array, zip(*nodes))
+    s = np.sin(theta)
+    rt, rp = rho * q_t, rho * s * q_p
+    w = np.sqrt(rho**2 + rt**2 + (rp / s) ** 2)
+    g, h = geometry._fundamental_forms(rho, rt, rp, rho * u_tt,
+                                       rho * s * u_tp, rho * s**2 * u_pp,
+                                       s, w)
+    _assert_matches_oracle(geometry._principal_curvatures(g, h), g, h)
+
+
+ROUND_GRID = geometry.build_grid(2, "full-2d", (16, 8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.1, 10.0))
+def test_closed_form_exact_at_umbilics(radius):
+    jet = geometry.surface_jet(ROUND_GRID, np.full(ROUND_GRID.nnodes, radius))
+    ulp = np.spacing(1.0 / radius)
+    assert np.all(np.abs(jet.kappa - 1.0 / radius) <= 4 * ulp)
+    assert np.all(jet.kappa[:, 0] - jet.kappa[:, 1] <= 4 * ulp)
+    _assert_matches_oracle(jet.kappa, jet.raw["g"], jet.raw["h"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.1, 10.0), st.floats(-9.0, -3.0),
+       st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+def test_closed_form_near_umbilics(radius, log_eps, modes):
+    th, ph = ROUND_GRID.theta, ROUND_GRID.phi
+    shape = (modes[0] * np.cos(th) + modes[1] * np.sin(th) * np.cos(ph)
+             + modes[2] * np.sin(th) ** 2 * np.sin(2 * ph))
+    jet = geometry.surface_jet(ROUND_GRID,
+                               radius * (1.0 + 10.0**log_eps * shape))
+    _assert_matches_oracle(jet.kappa, jet.raw["g"], jet.raw["h"])
 
 
 class TestEllipsoidOracle:

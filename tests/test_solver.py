@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from etacurv import geometry, solver
 from etacurv.errors import (ConeExit, ConfigError, ContinuationStuck,
@@ -395,6 +396,50 @@ class TestDampedNewtonCore:
         assert "no longer changes the iterate" in str(exc.value)
         assert exc.value.report.iterations == 0
         assert exc.value.last_iterate[0] == 1.0
+
+
+def _failing_newton(kind):
+    """A scalar Newton problem that fails in the given way after one
+    accepted step; returns (x0, residual, jacobian, candidate check)."""
+    jacobians = []
+
+    def count(value):
+        jacobians.append(value)
+        return np.array([[value]])
+
+    if kind == "not factored":      # singular sparse Jacobian
+        return (np.array([0.0]), lambda x: x - 1.0,
+                lambda x: sp.csr_matrix(count(0.5 if not jacobians else 0.0)),
+                None)
+    if kind == "stalled":           # the correction is lost in x + delta
+        return (np.array([1.0]), lambda x: np.array([1e-3]),
+                lambda x: count(1.0 if not jacobians else 1e30), None)
+    if kind == "inadmissible":      # ConeExit
+        return (np.array([0.0]), lambda x: x - 10.0, lambda x: count(2.0),
+                lambda x: "blocked" if len(jacobians) > 1 else None)
+    if kind == "no decrease":       # a wrong slope overshoots
+        return (np.array([1.0]), lambda x: 1.0 + x**2, lambda x: count(1.0),
+                None)
+    # "max_iter": a constant residual is accepted but never decreases
+    return (np.array([0.0]), lambda x: np.array([1.0]), lambda x: count(1.0),
+            None)
+
+
+@pytest.mark.parametrize("kind", ["not factored", "stalled", "inadmissible",
+                                  "no decrease", "max_iter"])
+def test_failed_report_holds_one_residual_per_iterate(kind):
+    x0, res, jac, check = _failing_newton(kind)
+    cfg = NewtonConfig(max_iter=3, perm=np.array([0]))
+    with pytest.raises(NewtonDiverged) as exc:
+        damped_newton(x0, res, jac, cfg, candidate_check=check)
+    rep = exc.value.report
+    assert isinstance(exc.value, ConeExit) == (kind == "inadmissible")
+    assert rep.iterations == (3 if kind == "max_iter" else 1)
+    assert len(rep.residual_history) == rep.iterations + 1
+    assert len(rep.step_fractions) == rep.iterations
+    last = float(np.max(np.abs(res(exc.value.last_iterate))))
+    assert rep.residual_history[-1] == rep.final_residual == last
+    assert f"residual {last:.3e}" in str(exc.value)
 
 
 def _cubic(x):

@@ -295,7 +295,8 @@ def _run_command(config_path, outdir, overrides, setup):
         rep = getattr(exc, "report", None)      # the failed Newton solve's
         if rep is not None:
             payload.update(residual_history=rep.residual_history,
-                           step_fractions=rep.step_fractions, tol=rep.tol)
+                           step_fractions=rep.step_fractions, tol=rep.tol,
+                           factorizations=rep.factorizations)
         trace = getattr(exc, "trace", None)
         texts = {} if trace is None else {"trace.jsonl": _jsonl(trace)}
         texts["error.json"] = json_text(payload) + "\n"
@@ -355,6 +356,7 @@ def _flat_setup(cfg, n, k, newton):
             "config": cfg,
             "converged": rep.converged,
             "iterations": rep.iterations,
+            "factorizations": rep.factorizations,
             "final_max_residual": rep.final_residual,
             "tol": rep.tol,
             "pogorelov": flatcase.pogorelov_monitor(state),

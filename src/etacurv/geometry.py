@@ -243,6 +243,7 @@ def _jet_axisym(grid, rho):
     kappa = np.empty((nn, n))
     kappa[:, 0] = kap_m
     kappa[:, 1:] = kap_p[:, None]
+    kappa = np.sort(kappa, axis=1)[:, ::-1]      # descending
 
     x = np.zeros((nn, n + 1))
     x[:, 0] = st
@@ -261,8 +262,8 @@ def _jet_axisym(grid, rho):
 def _principal_curvatures(g, h):
     """Eigenvalues of h relative to g per node, in closed form: g's LDL^T
     factor reduces h to [[a, b], [b, c]], whose eigenvalues (a+c)/2 +-
-    hypot((a-c)/2, b) do not cancel at umbilics. g is positive definite
-    wherever rho is positive and finite."""
+    hypot((a-c)/2, b) do not cancel at umbilics, descending per node. g is
+    positive definite wherever rho is positive and finite."""
     m = g[:, 0, 1] / g[:, 0, 0]
     d = g[:, 1, 1] - m * g[:, 0, 1]
     a = h[:, 0, 0] / g[:, 0, 0]
@@ -274,7 +275,7 @@ def _principal_curvatures(g, h):
 
 
 def _finish_jet(grid, rho, pos, nu, grad_norm, w, kappa, raw):
-    kappa = np.sort(kappa, axis=1)[:, ::-1]      # descending
+    """The jet of kappa, which the caller sorts descending."""
     hsum = kappa.sum(axis=1)
     eta = hsum[:, None] - kappa                  # ascending, paired with kappa
     u = np.einsum("ij,ij->i", pos, nu)

@@ -14,6 +14,21 @@ admissibility (cone membership, positivity, range) before its residual
 is accepted. An admissible candidate equal to the iterate bit for bit
 ends the iteration: the correction has fallen below roundoff, and every
 later iteration would repeat the same step.
+
+The LU of a Jacobian is kept across iterations (simplified Newton with
+Shamanskii's refresh rule; Kelley, Solving Nonlinear Equations with
+Newton's Method, 2003, sec. 2.3). After a step that cut the residual by at
+least REFACTOR_RATIO, the next full step is taken on the kept factors; it
+is accepted only if it is admissible, changes the iterate and decreases
+the residual. Otherwise, and after any step that contracted less, the
+Jacobian at the iterate is built and factored afresh, and the step is
+backtracked as above. When the stop test is first met after a step on
+kept factors, one more step on them is taken and kept if it does not
+raise the residual: kept factors converge linearly, and that step
+restores the margin below tol that exact Newton's last step leaves.
+Factors are freed as soon as no step will use them, so that two LUs are
+never alive at once.
+
 ``fd_jacobian`` is the column-by-column Jacobian oracle behind the "fd"
 Jacobian option, and ``fd_data_derivs`` gives the first derivatives of the
 prescribed data that the analytic Jacobians need. ``SlotTable`` is the
@@ -27,7 +42,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spilu, splu, spsolve
+from scipy.sparse.linalg import spilu, splu
 
 from .errors import (ConeViolationError, ConfigError, DomainError,
                      NewtonDiverged, ConeExit)
@@ -36,6 +51,8 @@ __all__ = ["NewtonConfig", "NewtonReport", "SlotTable", "damped_newton",
            "factor", "fd_jacobian", "fd_data_derivs", "solve_config"]
 
 MAX_BACKTRACKS = 6      # smallest step fraction tried is 2**-6 = 1/64
+# Refactor after a step that leaves more than this share of the residual.
+REFACTOR_RATIO = 0.1
 # Largest sphere grid (ntheta * nphi) or flat lattice box a builder allocates.
 MAX_NODES = 2**22
 
@@ -76,6 +93,7 @@ class NewtonConfig:
 class NewtonReport:
     converged: bool = False
     iterations: int = 0
+    factorizations: int = 0     # Jacobians built and factored
     tol: float = None           # the tolerance applied, tol * max(1, scale)
     residual_history: list = field(default_factory=list)    # per iterate
     step_fractions: list = field(default_factory=list)      # per step
@@ -177,13 +195,15 @@ def factor(jac, perm=None):
     A dense jac (the "fd" oracle) is solved by ``np.linalg.solve``. A
     sparse jac with a permutation ``perm`` (new -> old, as stored on the
     grid) gets SuperLU's LU of jac[perm][:, perm] with no further column
-    reordering; without one, ``spsolve`` with SuperLU's default COLAMD
-    order. SuperLU raises RuntimeError on an exactly singular matrix.
+    reordering; without one, SuperLU's LU in its default COLAMD order
+    (the factors ``spsolve`` would compute for every b). SuperLU raises
+    RuntimeError on an exactly singular matrix; numpy's dense solve raises
+    LinAlgError, at every call.
     """
     if not sp.issparse(jac):
         return lambda b: np.linalg.solve(jac, b)
     if perm is None:
-        return lambda b: spsolve(jac.tocsc(), b)
+        return splu(jac.tocsc()).solve
     lu = splu(jac.tocsc()[perm][:, perm], permc_spec="NATURAL")
 
     def solve(b):
@@ -285,72 +305,119 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
     its max-norm residual does not exceed the current one. An admissible
     candidate equal to x bit for bit raises NewtonDiverged at once: with
     deterministic callbacks, accepting it would repeat the same iteration
-    until ``max_iter``.
+    until ``max_iter``. The factors of a Jacobian are kept, and refreshed,
+    as the module docstring describes. ``jacobian_fn(x)`` is called, and x
+    returned, only right after ``residual_fn(x)``.
     """
     x = np.asarray(x0, dtype=float).copy()
     res = residual_fn(x)
     rnorm = float(np.max(np.abs(res)))
     tol = _applied_tol(cfg)
     report = NewtonReport(tol=tol, residual_history=[rnorm])
+    solve = None        # the kept factors, a function of the right-hand side
+    reuse = False       # the last step contracted enough to step on them
+    kept = False        # the last step was taken on them
+    elsewhere = False   # the last residual was evaluated away from x
 
     def diverged(why, cls=NewtonDiverged):
         return cls(f"{why} (residual {rnorm:.3e}, tol {tol:.3e})",
                    last_iterate=x, report=report)
 
-    for _ in range(cfg.max_iter):
-        if rnorm <= tol:
-            report.converged = True
-            return x, report
+    def same(cand):
+        return np.array_equal(cand.view(np.int64), x.view(np.int64))
 
-        jac = jacobian_fn(x)
-        # The factors are dropped at once: kept, they would live on through
-        # the next factorization and double the peak memory.
+    def admissible(cand):
+        return candidate_check is None or not candidate_check(cand)
+
+    def evaluate(cand):
+        """(F, max|F|) at cand, or None if F is not defined and finite."""
+        nonlocal elsewhere
+        elsewhere = True
         try:
-            delta = factor(jac, cfg.perm)(-res)
-        except RuntimeError as exc:     # SuperLU: exactly singular
+            cres = residual_fn(cand)
+        except (ConeViolationError, DomainError):
+            return None
+        cnorm = float(np.max(np.abs(cres)))
+        return (cres, cnorm) if np.isfinite(cnorm) else None
+
+    def accept(cand, cres, cnorm, frac):
+        nonlocal x, res, rnorm, reuse, elsewhere
+        reuse = cnorm <= REFACTOR_RATIO * rnorm
+        x, res, rnorm, elsewhere = cand, cres, cnorm, False
+        report.iterations += 1
+        report.residual_history.append(rnorm)
+        report.step_fractions.append(frac)
+
+    def correction():
+        try:
+            return solve(-res)
+        except np.linalg.LinAlgError as exc:    # numpy: singular dense jac
             raise diverged(f"Jacobian not factored: {exc}") from exc
 
-        accepted = False
+    def full_step():
+        """The full step on the kept factors, (cand, F, max|F|), or None if
+        cand is inadmissible or x itself."""
+        cand = x + correction()
+        if not admissible(cand) or same(cand):
+            return None
+        step = evaluate(cand)
+        return None if step is None else (cand, *step)
+
+    while rnorm > tol:
+        if report.iterations == cfg.max_iter:
+            raise diverged(f"no convergence in {cfg.max_iter} iterations")
+        kept = False
+        if reuse:
+            step = full_step()
+            if step is not None and step[2] < rnorm:
+                accept(*step, 1.0)
+                kept = True
+                continue
+
+        solve = None    # two LUs are never alive at once
+        if elsewhere:
+            residual_fn(x)
+        jac = jacobian_fn(x)
+        try:
+            solve = factor(jac, cfg.perm)
+        except RuntimeError as exc:     # SuperLU: exactly singular
+            raise diverged(f"Jacobian not factored: {exc}") from exc
+        del jac         # the steps need only its factors
+        delta = correction()
+        report.factorizations += 1
+
         inadmissible_only = True
         for m in range(MAX_BACKTRACKS + 1):
             frac = 0.5**m
             cand = x + frac * delta
-            if candidate_check is not None and candidate_check(cand):
+            if not admissible(cand):
                 continue
             # Equal to x, the candidate has x's residual, which the step
             # test below accepts (and every later iteration repeats) only
             # when it is finite.
-            if (np.isfinite(rnorm)
-                    and np.array_equal(cand.view(np.int64), x.view(np.int64))):
+            if np.isfinite(rnorm) and same(cand):
                 raise diverged("step no longer changes the iterate")
-            try:
-                cres = residual_fn(cand)
-            except (ConeViolationError, DomainError):
-                continue
-            cnorm = float(np.max(np.abs(cres)))
-            if not np.isfinite(cnorm):
+            step = evaluate(cand)
+            if step is None:
                 continue
             inadmissible_only = False
-            if cnorm <= rnorm:
-                x, res, rnorm = cand, cres, cnorm
-                report.iterations += 1
-                report.residual_history.append(rnorm)
-                report.step_fractions.append(frac)
-                accepted = True
+            if step[1] <= rnorm:
+                accept(cand, *step, frac)
                 break
-
-        if not accepted:
+        else:
             if inadmissible_only:
                 raise diverged("no step fraction kept the iterate admissible",
                                ConeExit)
             raise diverged(f"no step fraction down to "
                            f"1/{2**MAX_BACKTRACKS} decreased the residual")
+        if not reuse:   # the next step refactors: free the LU at once
+            solve = None
 
-    if rnorm <= tol:
-        report.converged = True
-        return x, report
-    raise NewtonDiverged(
-        f"no convergence in {cfg.max_iter} iterations "
-        f"(residual {rnorm:.3e}, tol {tol:.3e})",
-        last_iterate=x, report=report,
-    )
+    if kept:
+        step = full_step()
+        if step is not None and step[2] <= rnorm:
+            accept(*step, 1.0)
+    if elsewhere:
+        residual_fn(x)
+    report.converged = True
+    return x, report

@@ -51,7 +51,9 @@ class PrescribedData:
 
 
 RHO_MARGIN = 0.1        # Newton iterates may leave [r1, r2] by this fraction
-EASY_ITERS = 3          # grow dt after a Newton solve this cheap
+# Grow dt after a Newton solve with at most this many LUs (for exact
+# Newton, one per iteration).
+EASY_FACTORIZATIONS = 3
 
 
 @dataclass
@@ -469,6 +471,7 @@ def continue_to_target(grid, data, run, k):
         run.trace.append({
             "t": t_val,
             "newton_iterations": report.iterations,
+            "newton_factorizations": report.factorizations,
             "max_residual": report.final_residual,
             "tol": report.tol,
             "monitors": monitors,
@@ -495,7 +498,7 @@ def continue_to_target(grid, data, run, k):
         rho = rho_new
         t = t_try
         accept(t, rho, data_t, rep)
-        if rep.iterations <= EASY_ITERS:
+        if rep.factorizations <= EASY_FACTORIZATIONS:
             dt = min(dt * 1.5, run.dt_max)
 
     return rho, run

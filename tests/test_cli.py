@@ -431,7 +431,7 @@ def test_stall_error_names_the_applied_tol(tmp_path):
 
 
 def test_step_underflow_error_carries_the_newton_report(tmp_path):
-    # At 1e-14 * max f every homotopy attempt past t = 0.2125 stalls.
+    # At 1e-14 * max f every homotopy attempt past t = 0.0265625 stalls.
     cfgp = tmp_path / "cfg.json"
     write_cfg(cfgp, ROUND_66_CFG)
     out = tmp_path / "o"
@@ -442,11 +442,31 @@ def test_step_underflow_error_carries_the_newton_report(tmp_path):
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "ContinuationStuck"
     assert "homotopy step underflow" in err["message"]
-    assert "at t=0.2125" in err["message"]
+    assert "at t=0.0265625" in err["message"]
     history = err["residual_history"]
     assert len(history) == len(err["step_fractions"]) + 1
     assert min(history) > err["tol"] > 0
+    assert err["factorizations"] >= 1
     assert (out / "trace.jsonl").exists()
+
+
+def test_singular_fd_jacobian_exits_4(tmp_path, monkeypatch):
+    # numpy raises LinAlgError on a singular dense ("fd") Jacobian; it
+    # must end in exit 4, not a traceback.
+    monkeypatch.setattr(flatcase, "fd_jacobian",
+                        lambda res, x: np.zeros((x.size, x.size)))
+    cfgp = tmp_path / "cfg.json"
+    write_cfg(cfgp, FLAT_CFG)
+    out = tmp_path / "o"
+    r = CliRunner().invoke(cli.main, ["solve-flat", "--config", str(cfgp),
+                                      "--out", str(out),
+                                      "--override", "newton.jacobian=fd"])
+    assert r.exit_code == 4, (r.output, r.exception)
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "NewtonDiverged"
+    assert "Jacobian not factored" in err["message"]
+    assert err["factorizations"] == 0
+    assert len(err["residual_history"]) == 1
 
 
 class TestSolveFlatCommand:
@@ -459,6 +479,7 @@ class TestSolveFlatCommand:
         assert r.exit_code == 0, r.output
         report = json.loads((out / "report.json").read_text())
         assert report["converged"]
+        assert 1 <= report["factorizations"] <= report["iterations"]
         assert report["interior_negative"]
         assert report["pogorelov"] > 0
         csv_lines = (out / "flat.csv").read_text().strip().split("\n")
@@ -535,6 +556,8 @@ class TestSolveSurfaceCommand:
                  (out / "trace.jsonl").read_text().strip().split("\n")]
         assert trace[0]["t"] == 0.0
         assert trace[-1]["t"] == 1.0
+        assert all(0 <= rec["newton_factorizations"]
+                   <= rec["newton_iterations"] for rec in trace)
         surface = (out / "surface.csv").read_text()
         assert surface.startswith("node,theta,phi,rho")
 

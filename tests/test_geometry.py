@@ -242,6 +242,27 @@ def test_closed_form_near_umbilics(radius, log_eps, modes):
     _assert_matches_oracle(jet.kappa, jet.raw["g"], jet.raw["h"])
 
 
+@pytest.mark.parametrize("c", [0.8, 1.3])         # oblate, prolate
+@pytest.mark.parametrize("n,mode,sizes", [(2, "full-2d", (32, 16)),
+                                          (2, "axisym-1d", 32),
+                                          (4, "axisym-1d", 32)])
+def test_kappa_descending(n, mode, sizes, c):
+    g = geometry.build_grid(n, mode, sizes)
+    jet = geometry.surface_jet(g, spheroid_rho(g.theta, 1.0, c))
+    assert np.all(np.diff(jet.kappa, axis=1) <= 0.0)
+    if mode == "full-2d":
+        # The closed form returns kappa descending, so it is not re-sorted.
+        want = geometry._principal_curvatures(jet.raw["g"], jet.raw["h"])
+        assert jet.kappa.tobytes() == want.tobytes()
+    else:
+        kap_m, kap_p = jet.raw["kap_m"], jet.raw["kap_p"]
+        assert np.array_equal(jet.kappa[:, 0], np.maximum(kap_m, kap_p))
+        assert np.array_equal(jet.kappa[:, -1], np.minimum(kap_m, kap_p))
+        # Only on the prolate spheroid does the parallel curvature lead
+        # (away from the poles), so that the sort reorders kappa.
+        assert np.any(kap_m < kap_p) == (c > 1.0)
+
+
 class TestEllipsoidOracle:
     def test_axisym_convergence_order(self):
         a, c = 1.0, 1.3

@@ -2,12 +2,16 @@
 
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from etacurv import geometry, solver
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from etacurv import geometry, newton, solver
 from etacurv.errors import (ConeExit, ConfigError, ContinuationStuck,
                             NewtonDiverged, PreconditionError)
 from etacurv.newton import NewtonConfig, damped_newton, fd_data_derivs
@@ -280,13 +284,13 @@ class TestNewtonSolve:
         g = geometry.build_grid(2, "axisym-1d", 32)
         rho, rep = solver.newton_solve(g, np.full(g.nnodes, 1.1), data, 2,
                                        config=NewtonConfig(form="root"))
-        assert rep.converged and rep.iterations == 4
+        assert rep.converged and rep.iterations == 9
         # One f call per residual and 8 per Jacobian (central differences
         # along components 0 and n of X and nu); none to rebuild f.
         residuals = len(rep.residual_history)
-        assert len(calls) == residuals + 8 * rep.iterations == 37
+        assert len(calls) == residuals + 8 * rep.factorizations == 26
         assert hashlib.sha256(rho.tobytes()).hexdigest() == (
-            "45855c111cea5938af0d7cf04bf11d06654168445bc8b529ecc4f094489c5c31")
+            "36dc0e33765e2e14387ad75bfca61fd391d92ba289b899b8db5df5fc060209de")
 
     @pytest.mark.parametrize("mode,sizes", [("full-2d", (16, 16)),
                                             ("axisym-1d", 32)])
@@ -321,7 +325,7 @@ class TestNewtonSolve:
         monkeypatch.setattr(solver, "assemble_jacobian", jac)
         _, rep = solver.newton_solve(g, np.full(g.nnodes, 1.1), round_data, 2)
         assert rep.converged and rep.iterations > 0
-        assert calls["reused"] == calls["jac"] == rep.iterations
+        assert calls["reused"] == calls["jac"] == rep.factorizations
         # One jet per residual plus the two each checked Jacobian built.
         assert calls["jet"] == calls["residual"] + calls["jac"]
 
@@ -397,6 +401,13 @@ class TestDampedNewtonCore:
         assert exc.value.report.iterations == 0
         assert exc.value.last_iterate[0] == 1.0
 
+    def test_singular_dense_jacobian_diverges(self):
+        # numpy's solve raises LinAlgError on the "fd" oracle's matrix.
+        with pytest.raises(NewtonDiverged, match="Jacobian not factored"):
+            damped_newton(np.zeros(2), lambda x: x - 1,
+                          lambda x: np.zeros((2, 2)),
+                          NewtonConfig(jacobian="fd"))
+
 
 def _failing_newton(kind):
     """A scalar Newton problem that fails in the given way after one
@@ -411,6 +422,9 @@ def _failing_newton(kind):
         return (np.array([0.0]), lambda x: x - 1.0,
                 lambda x: sp.csr_matrix(count(0.5 if not jacobians else 0.0)),
                 None)
+    if kind == "singular dense":
+        return (np.array([0.0]), lambda x: x - 1.0,
+                lambda x: count(0.5 if not jacobians else 0.0), None)
     if kind == "stalled":           # the correction is lost in x + delta
         return (np.array([1.0]), lambda x: np.array([1e-3]),
                 lambda x: count(1.0 if not jacobians else 1e30), None)
@@ -425,8 +439,8 @@ def _failing_newton(kind):
             None)
 
 
-@pytest.mark.parametrize("kind", ["not factored", "stalled", "inadmissible",
-                                  "no decrease", "max_iter"])
+@pytest.mark.parametrize("kind", ["not factored", "singular dense", "stalled",
+                                  "inadmissible", "no decrease", "max_iter"])
 def test_failed_report_holds_one_residual_per_iterate(kind):
     x0, res, jac, check = _failing_newton(kind)
     cfg = NewtonConfig(max_iter=3, perm=np.array([0]))
@@ -448,6 +462,89 @@ def _cubic(x):
 
 def _cubic_jac(x):
     return np.diag(3.0 * x**2) + 0.1 * np.roll(np.eye(3), 1, axis=1)
+
+
+def _logged_newton(x0, monkeypatch):
+    """damped_newton on _cubic with its calls logged in order: ("residual",
+    x, max|F|), ("jacobian", x) and ("solve", i), a solve on the factors
+    of the i-th Jacobian."""
+    events, real_factor = [], newton.factor
+
+    def factor(jac, perm=None):
+        solve, i = real_factor(jac, perm), len(events)
+
+        def logged(b):
+            events.append(("solve", i))
+            return solve(b)
+        return logged
+
+    def res(x):
+        r = _cubic(x)
+        events.append(("residual", x.copy(), float(np.max(np.abs(r)))))
+        return r
+
+    def jac(x):
+        events.append(("jacobian", x.copy()))
+        return _cubic_jac(x)
+
+    monkeypatch.setattr(newton, "factor", factor)
+    x, rep = damped_newton(np.array(x0), res, jac, NewtonConfig())
+    return x, rep, events
+
+
+class TestKeptFactors:
+    """The LU of a Jacobian is kept while the residual contracts."""
+
+    def test_fewer_factorizations_than_iterations(self, monkeypatch):
+        _, rep, events = _logged_newton([3.0, -2.0, 0.5], monkeypatch)
+        assert rep.converged
+        jacobians = sum(e[0] == "jacobian" for e in events)
+        assert jacobians == rep.factorizations < rep.iterations
+
+    def test_residual_never_increases(self, monkeypatch):
+        _, rep, _ = _logged_newton([3.0, -2.0, 0.5], monkeypatch)
+        hist = rep.residual_history
+        assert all(b <= a for a, b in zip(hist, hist[1:]))
+
+    def test_rising_kept_step_refactors_at_the_same_x(self, monkeypatch):
+        # From this start, one full step on kept factors raises the
+        # residual; the iterate stays, and gets its own Jacobian.
+        _, rep, events = _logged_newton([-1.5, 1.5, 0.5], monkeypatch)
+        assert rep.converged
+        solved, rising = set(), 0
+        for i, event in enumerate(events):
+            if event[0] != "solve":
+                continue
+            if event[1] in solved:      # a step on kept factors
+                (_, x, rnorm), (kind, _, cnorm) = events[i - 1], events[i + 1]
+                assert kind == "residual"
+                if cnorm > rnorm:
+                    rising += 1
+                    assert cnorm not in rep.residual_history
+                    # The residual at x again, then its Jacobian.
+                    again, jac = events[i + 2:i + 4]
+                    assert again[0] == "residual" and jac[0] == "jacobian"
+                    assert again[1].tobytes() == jac[1].tobytes() \
+                        == x.tobytes()
+            solved.add(event[1])
+        assert rising > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.floats(0.3, 4.0)] * 3))
+def test_kept_factors_find_the_exact_newton_root(x0):
+    # With REFACTOR_RATIO = 0 every step gets a fresh LU: exact Newton.
+    x0 = np.array(x0)
+    x, rep = damped_newton(x0, _cubic, _cubic_jac, NewtonConfig())
+    with mock.patch.object(newton, "REFACTOR_RATIO", 0.0):
+        root, exact = damped_newton(x0, _cubic, _cubic_jac, NewtonConfig())
+    assert exact.factorizations == exact.iterations
+    assert np.max(np.abs(_cubic(x))) <= rep.tol
+    # |J v| >= min|J'| |v| in the max norm near the root, where J is
+    # diagonally dominant: min|J'| = min 3 x^2 - 0.1; both answers have
+    # a residual of at most tol.
+    jmin = 3.0 * np.min(root**2) - 0.1
+    assert np.max(np.abs(x - root)) <= 2.0 * rep.tol / jmin
 
 
 class TestScaledStop:
@@ -585,7 +682,8 @@ class TestContinuation:
         # R = 1.2. f is about 1e3 here, and with an absolute tolerance of
         # 1e-10 three homotopy attempts stalled at the residual's roundoff
         # floor. Relative to max f, every attempt is accepted. The steps
-        # and the answer were recorded from the scaled stop test.
+        # and the answer were recorded from the scaled stop test, with LU
+        # factors kept across Newton iterations.
         n, k, radius = 5, 4, 1.2
         const = math.comb(n, k) * (n - 1) ** k * radius
         data = solver.PrescribedData(f=power_decay(const, k + 1),
@@ -609,19 +707,19 @@ class TestContinuation:
         monkeypatch.setattr(solver, "assemble_jacobian", jac)
         monkeypatch.setattr(solver, "newton_solve", solve)
         rho, run = solver.continue_to_target(g, data, solver.HomotopyRun(), k)
-        trace = [(rec["t"], rec["newton_iterations"], rec["max_residual"])
+        trace = [(rec["t"], rec["newton_iterations"],
+                  rec["newton_factorizations"], rec["max_residual"])
                  for rec in run.trace]
         assert trace == [
-            (0.0, 0, 4.547473508864641e-13),
-            (0.1, 5, 5.09544406668283e-10),
-            (0.2, 4, 2.205524651799351e-10),
-            (0.30000000000000004, 3, 2.9899638320785016e-09),
-            (0.45000000000000007, 3, 9.301857062382624e-10),
-            (0.675, 3, 3.389004632481374e-10),
-            (1.0, 3, 3.5788616514764726e-10),
+            (0.0, 0, 0, 4.547473508864641e-13),
+            (0.1, 9, 3, 6.168647814774886e-10),
+            (0.25, 7, 2, 7.338485374930315e-10),
+            (0.47500000000000003, 5, 2, 4.3496584112290293e-10),
+            (0.8125, 8, 1, 3.570107764971908e-09),
+            (1.0, 6, 1, 2.653450792422518e-10),
         ]
         assert hashlib.sha256(rho.tobytes()).hexdigest() == (
-            "1484b29fdcb336d5634ab0feaed8a3856702500699551648c9eb358852eb3207")
+            "d954f3df45d854e5e1d760d211f5b8fbbab01b100e25b99344de8c7f3e139c97")
         assert len(failed) == 0
         assert np.abs(rho - radius).max() < 1e-10
 

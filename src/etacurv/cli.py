@@ -133,8 +133,12 @@ _REQUIRED = object()
 
 def _get(cfg, path, typ, default=_REQUIRED):
     cur = cfg
-    for part in path.split("."):
-        if not isinstance(cur, dict) or part not in cur:
+    parts = path.split(".")
+    for i, part in enumerate(parts):
+        if not isinstance(cur, dict):
+            raise ConfigError(
+                f"key '{'.'.join(parts[:i])}' must be of type dict")
+        if part not in cur:
             if default is _REQUIRED:
                 raise ConfigError(f"missing required key '{path}'")
             return default

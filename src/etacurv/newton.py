@@ -11,9 +11,11 @@ large data can attain (Deuflhard, Newton Methods for Nonlinear Problems,
 Globalization is backtracking on the max-norm residual with step
 fractions 1, 1/2, 1/4, ..., 1/64; every candidate is pre-checked for
 admissibility (cone membership, positivity, range) before its residual
-is accepted. An admissible candidate equal to the iterate bit for bit
-ends the iteration: the correction has fallen below roundoff, and every
-later iteration would repeat the same step.
+is accepted, and a candidate where the residual is not defined (a cone
+exit, or data that is not positive there) is inadmissible too. An
+admissible candidate equal to the iterate bit for bit ends the
+iteration: the correction has fallen below roundoff, and every later
+iteration would repeat the same step.
 
 The LU of a Jacobian is kept across iterations (simplified Newton with
 Shamanskii's refresh rule; Kelley, Solving Nonlinear Equations with
@@ -45,7 +47,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spilu, splu
 
 from .errors import (ConeViolationError, ConfigError, DomainError,
-                     NewtonDiverged, ConeExit)
+                     NewtonDiverged, ConeExit, PreconditionError)
 
 __all__ = ["NewtonConfig", "NewtonReport", "SlotTable", "damped_newton",
            "factor", "fd_jacobian", "fd_data_derivs", "solve_config"]
@@ -69,7 +71,9 @@ class NewtonConfig:
     tol: float = 1e-10
     max_iter: int = 40
     jacobian: str = "analytic"     # "analytic" | "fd"
-    form: str = "raw"              # "raw" (sigma_k - f) | "root" (G - f^(1/k))
+    # "root" (G - f^(1/k), G = sigma_k^(1/k) concave on Gamma_k) or "raw"
+    # (sigma_k - f); root needs fewer Newton steps and homotopy steps.
+    form: str = "root"
     # Fill-reducing order of the unknowns for the sparse LU (see factor);
     # the pipelines set it to their grid's, no config key reads it.
     perm: np.ndarray = field(default=None, repr=False, compare=False)
@@ -300,8 +304,10 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
     The scale is read once, after the first residual; the tolerance it
     gives is kept in the report and named in every failure message.
     ``candidate_check(x)`` returns None if x is admissible, else a short
-    reason string; cone and domain violations raised by ``residual_fn``
-    count as admissibility failures too. A candidate is accepted only if
+    reason string; cone, domain and data-positivity violations
+    (ConeViolationError, DomainError, PreconditionError) raised by
+    ``residual_fn`` at a candidate count as admissibility failures too,
+    while at x0 they propagate. A candidate is accepted only if
     its max-norm residual does not exceed the current one. An admissible
     candidate equal to x bit for bit raises NewtonDiverged at once: with
     deterministic callbacks, accepting it would repeat the same iteration
@@ -335,7 +341,7 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
         elsewhere = True
         try:
             cres = residual_fn(cand)
-        except (ConeViolationError, DomainError):
+        except (ConeViolationError, DomainError, PreconditionError):
             return None
         cnorm = float(np.max(np.abs(cres)))
         return (cres, cnorm) if np.isfinite(cnorm) else None

@@ -61,7 +61,7 @@ class HomotopyRun:
     """Configuration and trace of one continuity-method solve."""
 
     epsilon: float = 0.01
-    dt0: float = 0.1
+    dt0: float = 0.5
     dt_min: float = 1e-4
     dt_max: float = 0.5
     newton: NewtonConfig = field(default_factory=NewtonConfig)
@@ -155,7 +155,9 @@ def homotopy_f(data, n, k, epsilon, t):
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"homotopy parameter t={t} outside [0, 1]")
     # The bracketed factor is decreasing in rho; positivity on [r1, r2]
-    # is decided at r2.
+    # is decided at r2. Newton iterates may go past r2 by RHO_MARGIN, where
+    # the factor can be negative: a trial iterate whose blended data is not
+    # positive there is inadmissible (see damped_newton).
     floor = (1.0 + epsilon) / data.r2**k - epsilon
     if floor <= 0.0:
         raise ConfigError(
@@ -404,6 +406,8 @@ def newton_solve(grid, rho0, data, k, config=None, *, last=None):
     residual evaluated; after a converged solve that rho is the returned
     array itself. The linear solves use the grid's LU order, and the
     tolerance is relative to max f at rho0 (max f^(1/k) in root form).
+    Raises PreconditionError if f is not positive at rho0; a trial iterate
+    where it is not positive is inadmissible.
     """
     cfg = solve_config(config, grid.perm, k, lambda: last[2]["f"])
     lo = data.r1 * (1.0 - RHO_MARGIN)

@@ -85,6 +85,13 @@ CONFIG_PROBES = {
     "flat_h_tiny": ("solve-flat", ["grid.h=1e-5"]),
     "aniso_axis_7": ("solve-surface", [ANISO_F % 7]),
     "aniso_axis_minus_4": ("solve-surface", [ANISO_F % -4]),
+    # A non-object where an object of keys belongs is not read as absent.
+    "t_schedule_list": ("solve-surface", ["t_schedule=[]"],
+                        "key 't_schedule' must be of type dict"),
+    "newton_list": ("solve-surface", ["newton=[]"],
+                    "key 'newton' must be of type dict"),
+    "flat_newton_list": ("solve-flat", ["newton=[]"],
+                         "key 'newton' must be of type dict"),
 }
 
 
@@ -355,9 +362,7 @@ def test_mutated_config_exit_codes(run):
     assert elapsed < WALL_S
 
 
-@pytest.mark.parametrize("command,jac_name", [
-    ("solve-surface", "assemble_jacobian"), ("solve-flat", "flat_jacobian")])
-def test_newton_stall_exits_4(tmp_path, monkeypatch, command, jac_name):
+def _newton_stall_exits_4(tmp_path, monkeypatch, command, jac_name, form):
     # tol = 1e-16 lies below the roundoff floor of both residuals: Newton
     # must stop once its step no longer changes the iterate, well before
     # max_iter = 40 Jacobians.
@@ -374,7 +379,8 @@ def test_newton_stall_exits_4(tmp_path, monkeypatch, command, jac_name):
     out = tmp_path / "o"
     r = CliRunner().invoke(cli.main, [command, "--config", str(cfgp),
                                       "--out", str(out),
-                                      "--override", "newton.tol=1e-16"])
+                                      "--override", "newton.tol=1e-16",
+                                      "--override", f"newton.form={form}"])
     assert r.exit_code == 4, (r.output, r.exception)
     err = json.loads((out / "error.json").read_text())
     assert err["exit_code"] == 4
@@ -383,14 +389,40 @@ def test_newton_stall_exits_4(tmp_path, monkeypatch, command, jac_name):
     assert 0 < len(jacobians) < 10
 
 
+@pytest.mark.parametrize("command,jac_name", [
+    ("solve-surface", "assemble_jacobian"), ("solve-flat", "flat_jacobian")])
+def test_newton_stall_exits_4(tmp_path, monkeypatch, command, jac_name):
+    # In root form the surface stalls in a later homotopy step, which ends
+    # in a step underflow (test_step_underflow_in_root_form).
+    _newton_stall_exits_4(tmp_path, monkeypatch, command, jac_name, "raw")
+
+
+def test_flat_newton_stall_exits_4_in_root_form(tmp_path, monkeypatch):
+    _newton_stall_exits_4(tmp_path, monkeypatch, "solve-flat",
+                          "flat_jacobian", "root")
+
+
 # Round data with f = C(6,6) 5^6 R / |X|^7, R = 0.8: the exact solution is
-# the sphere of radius 0.8, and f is about 1.6e4 at the start.
+# the sphere of radius 0.8, and f is about 1.6e4 at the start. The tests
+# below pin where the raw residual sigma_k - f meets its roundoff floor.
 ROUND_66_CFG = {
     "n": 6, "k": 6,
     "grid": {"mode": "axisym-1d", "sizes": [128]},
     "f": {"builtin": "power_decay", "c": 15625 * 0.8, "p": 7},
     "r1": 0.5, "r2": 2.0,
+    "newton": {"form": "raw"},
 }
+ROUND_66_ROOT_CFG = {**ROUND_66_CFG, "newton": {"form": "root"}}
+
+
+def _solve_surface(tmp_path, cfg, *overrides):
+    cfgp = tmp_path / "cfg.json"
+    write_cfg(cfgp, cfg)
+    out = tmp_path / "o"
+    args = ["solve-surface", "--config", str(cfgp), "--out", str(out)]
+    for spec in overrides:
+        args += ["--override", spec]
+    return CliRunner().invoke(cli.main, args), out
 
 
 def test_large_round_data_converges(tmp_path):
@@ -406,6 +438,19 @@ def test_large_round_data_converges(tmp_path):
     assert abs(report["monitors"]["rho_min"] - 0.8) < 1e-10
     assert abs(report["monitors"]["rho_max"] - 0.8) < 1e-10
     assert 1e-10 < report["final_max_residual"] <= report["tol"]
+    records = [json.loads(line)
+               for line in (out / "trace.jsonl").read_text().splitlines()]
+    assert records[-1]["tol"] == report["tol"]
+    assert all(rec["max_residual"] <= rec["tol"] for rec in records)
+
+
+def test_large_round_data_converges_in_root_form(tmp_path):
+    r, out = _solve_surface(tmp_path, ROUND_66_ROOT_CFG)
+    assert r.exit_code == 0, (r.output, r.exception)
+    report = json.loads((out / "report.json").read_text())
+    assert abs(report["monitors"]["rho_min"] - 0.8) < 1e-10
+    assert abs(report["monitors"]["rho_max"] - 0.8) < 1e-10
+    assert 1e-10 < report["tol"]
     records = [json.loads(line)
                for line in (out / "trace.jsonl").read_text().splitlines()]
     assert records[-1]["tol"] == report["tol"]
@@ -430,8 +475,21 @@ def test_stall_error_names_the_applied_tol(tmp_path):
     assert min(history) > err["tol"]
 
 
+def test_stall_error_names_the_applied_tol_in_root_form(tmp_path):
+    # newton.tol = 1e-16 times max f^(1/6) = 15625^(1/6) = 5 at the start.
+    r, out = _solve_surface(tmp_path, ROUND_66_ROOT_CFG, "newton.tol=1e-16")
+    assert r.exit_code == 4, (r.output, r.exception)
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "NewtonDiverged"
+    assert err["tol"] == pytest.approx(1e-16 * 15625 ** (1 / 6), rel=1e-12)
+    assert "tol 5.000e-16" in err["message"]
+    history = err["residual_history"]
+    assert len(history) == len(err["step_fractions"]) + 1
+    assert min(history) > err["tol"]
+
+
 def test_step_underflow_error_carries_the_newton_report(tmp_path):
-    # At 1e-14 * max f every homotopy attempt past t = 0.0265625 stalls.
+    # At 1e-14 * max f every homotopy attempt past t = 0.768469 stalls.
     cfgp = tmp_path / "cfg.json"
     write_cfg(cfgp, ROUND_66_CFG)
     out = tmp_path / "o"
@@ -442,12 +500,64 @@ def test_step_underflow_error_carries_the_newton_report(tmp_path):
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "ContinuationStuck"
     assert "homotopy step underflow" in err["message"]
-    assert "at t=0.0265625" in err["message"]
+    assert "at t=0.768469" in err["message"]
     history = err["residual_history"]
     assert len(history) == len(err["step_fractions"]) + 1
     assert min(history) > err["tol"] > 0
     assert err["factorizations"] >= 1
     assert (out / "trace.jsonl").exists()
+
+
+def test_step_underflow_in_root_form(tmp_path):
+    # At tol = 1e-16 every attempt past the round start stalls.
+    r, out = _solve_surface(tmp_path, SURFACE_CFG, "newton.tol=1e-16")
+    assert r.exit_code == 4, (r.output, r.exception)
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ContinuationStuck"
+    assert "homotopy step underflow" in err["message"]
+    history = err["residual_history"]
+    assert len(history) == len(err["step_fractions"]) + 1
+    assert min(history) > err["tol"] > 0
+    assert err["factorizations"] >= 1
+    assert (out / "trace.jsonl").exists()
+
+
+def test_nonpositive_trial_data_is_not_a_precondition_failure(tmp_path):
+    # Round data with R = 0.6. Past r2 = 2 the homotopy's base term
+    # 1.01 / |X|^6 - 0.01 is negative, and raw-form trial iterates reach
+    # there: such a trial is inadmissible, which once ended the run in
+    # exit 3 although the data passes its conditions.
+    cfg = {**ROUND_66_CFG, "f": {"builtin": "power_decay",
+                                 "c": 15625 * 0.6, "p": 7}}
+    r, out = _solve_surface(tmp_path, cfg, "newton.form=raw",
+                            "t_schedule.dt0=0.1")
+    assert r.exit_code == 0, (r.output, r.exception)
+    report = json.loads((out / "report.json").read_text())
+    assert report["conditions"]["passed"]
+    assert abs(report["monitors"]["rho_min"] - 0.6) < 1e-10
+    assert abs(report["monitors"]["rho_max"] - 0.6) < 1e-10
+
+
+def test_nonpositive_data_at_a_solve_start_exits_3(tmp_path, monkeypatch):
+    # Data that is not positive where a homotopy step's solve starts is
+    # a failed precondition, not an inadmissible trial.
+    real = solver.homotopy_f
+
+    def negative_past_t0(data, n, k, epsilon, t):
+        blended = real(data, n, k, epsilon, t)
+        if t == 0.0:
+            return blended
+        return solver.PrescribedData(f=lambda x, nu: -blended.f(x, nu),
+                                     r1=data.r1, r2=data.r2)
+
+    monkeypatch.setattr(solver, "homotopy_f", negative_past_t0)
+    r, out = _solve_surface(tmp_path, SURFACE_CFG)
+    assert r.exit_code == 3, (r.output, r.exception)
+    assert "Traceback" not in r.output
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "PreconditionError"
+    assert "must be positive" in err["message"]
+    assert err["conditions"]["passed"]
 
 
 def test_singular_fd_jacobian_exits_4(tmp_path, monkeypatch):
@@ -485,16 +595,26 @@ class TestSolveFlatCommand:
         csv_lines = (out / "flat.csv").read_text().strip().split("\n")
         assert csv_lines[0].startswith("x0,x1,phi")
 
-    def test_report_states_the_applied_tol(self, tmp_path):
+    def _applied_tol_run(self, tmp_path, form):
         cfgp = tmp_path / "cfg.json"
-        write_cfg(cfgp, {**FLAT_CFG, "f": {"builtin": "constant",
-                                           "value": 4.0}})
+        write_cfg(cfgp, {**FLAT_CFG,
+                         "f": {"builtin": "constant", "value": 4.0},
+                         "newton": {**FLAT_CFG["newton"], "form": form}})
         out = tmp_path / "out"
         r = CliRunner().invoke(cli.main, ["solve-flat", "--config",
                                           str(cfgp), "--out", str(out)])
         assert r.exit_code == 0, r.output
-        report = json.loads((out / "report.json").read_text())
+        return json.loads((out / "report.json").read_text())
+
+    def test_report_states_the_applied_tol(self, tmp_path):
+        report = self._applied_tol_run(tmp_path, "raw")
         assert report["tol"] == 4e-10
+        assert report["final_max_residual"] <= report["tol"]
+
+    def test_report_states_the_applied_root_tol(self, tmp_path):
+        # 1e-10 times f^(1/2) = 2.
+        report = self._applied_tol_run(tmp_path, "root")
+        assert report["tol"] == 2e-10
         assert report["final_max_residual"] <= report["tol"]
 
     @pytest.mark.parametrize("cfg", [

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from etacurv import geometry, newton, solver
@@ -329,6 +329,13 @@ class TestNewtonSolve:
         # One jet per residual plus the two each checked Jacobian built.
         assert calls["jet"] == calls["residual"] + calls["jac"]
 
+    def test_nonpositive_f_at_the_start_raises(self):
+        data = solver.PrescribedData(
+            f=lambda x, nu: np.full(x.shape[:-1], -1.0), r1=0.5, r2=2.0)
+        g = geometry.build_grid(2, "axisym-1d", 32)
+        with pytest.raises(PreconditionError, match="must be positive"):
+            solver.newton_solve(g, np.ones(g.nnodes), data, 2)
+
     def test_fd_jacobian_switch(self, round_data):
         g = geometry.build_grid(2, "axisym-1d", (32,))
         rho, rep = solver.newton_solve(
@@ -400,6 +407,28 @@ class TestDampedNewtonCore:
         assert "no longer changes the iterate" in str(exc.value)
         assert exc.value.report.iterations == 0
         assert exc.value.last_iterate[0] == 1.0
+
+    @staticmethod
+    def _positive_below_3(x):
+        # x^2 - 4 whose "data" is defined only for x <= 3, as a residual
+        # with f <= 0 past some radius raises.
+        if x[0] > 3.0:
+            raise PreconditionError("f must be positive")
+        return np.array([x[0] ** 2 - 4.0])
+
+    def test_nonpositive_data_at_a_candidate_is_inadmissible(self):
+        # From 0.5 the full step lands at 4.25; the half step is taken.
+        x, rep = damped_newton(np.array([0.5]), self._positive_below_3,
+                               lambda x: np.array([[2.0 * x[0]]]),
+                               NewtonConfig(tol=1e-12))
+        assert rep.converged
+        assert rep.step_fractions[0] == 0.5
+        assert x[0] == pytest.approx(2.0, abs=1e-12)
+
+    def test_nonpositive_data_at_the_start_propagates(self):
+        with pytest.raises(PreconditionError):
+            damped_newton(np.array([4.0]), self._positive_below_3,
+                          lambda x: np.array([[2.0 * x[0]]]), NewtonConfig())
 
     def test_singular_dense_jacobian_diverges(self):
         # numpy's solve raises LinAlgError on the "fd" oracle's matrix.
@@ -622,7 +651,8 @@ class TestScaledStop:
         # f = 1.25 / |X|^3 at rho = 0.9: max f = 1.25 / 0.729.
         g = geometry.build_grid(2, "axisym-1d", 32)
         rho0 = np.full(g.nnodes, 0.9)
-        _, raw = solver.newton_solve(g, rho0, round_data, 2)
+        _, raw = solver.newton_solve(g, rho0, round_data, 2,
+                                     config=NewtonConfig(form="raw"))
         _, root = solver.newton_solve(g, rho0, round_data, 2,
                                       config=NewtonConfig(form="root"))
         assert raw.tol == pytest.approx(1e-10 * 1.25 / 0.729, rel=1e-12)
@@ -683,7 +713,8 @@ class TestContinuation:
         # 1e-10 three homotopy attempts stalled at the residual's roundoff
         # floor. Relative to max f, every attempt is accepted. The steps
         # and the answer were recorded from the scaled stop test, with LU
-        # factors kept across Newton iterations.
+        # factors kept across Newton iterations, under the default root
+        # form and dt0 = dt_max = 0.5.
         n, k, radius = 5, 4, 1.2
         const = math.comb(n, k) * (n - 1) ** k * radius
         data = solver.PrescribedData(f=power_decay(const, k + 1),
@@ -711,15 +742,12 @@ class TestContinuation:
                   rec["newton_factorizations"], rec["max_residual"])
                  for rec in run.trace]
         assert trace == [
-            (0.0, 0, 0, 4.547473508864641e-13),
-            (0.1, 9, 3, 6.168647814774886e-10),
-            (0.25, 7, 2, 7.338485374930315e-10),
-            (0.47500000000000003, 5, 2, 4.3496584112290293e-10),
-            (0.8125, 8, 1, 3.570107764971908e-09),
-            (1.0, 6, 1, 2.653450792422518e-10),
+            (0.0, 0, 0, 8.881784197001252e-16),
+            (0.5, 6, 3, 7.176481631177012e-13),
+            (1.0, 6, 1, 6.035172361862351e-12),
         ]
         assert hashlib.sha256(rho.tobytes()).hexdigest() == (
-            "d954f3df45d854e5e1d760d211f5b8fbbab01b100e25b99344de8c7f3e139c97")
+            "f6a27512e90f9ae4c1ff7b208e049a7fdfacc8a7bd37c5ab008be850d59452e0")
         assert len(failed) == 0
         assert np.abs(rho - radius).max() < 1e-10
 
@@ -749,6 +777,37 @@ class TestContinuation:
         for rec in run.trace:
             assert 1e-10 <= rec["tol"] and rec["max_residual"] <= rec["tol"]
 
+    def test_defaults_are_root_form_from_dt_max(self):
+        run = solver.HomotopyRun()
+        assert run.newton.form == NewtonConfig().form == "root"
+        assert run.dt0 == run.dt_max == 0.5
+
+    @pytest.mark.parametrize("radius", [0.6, 0.7])
+    def test_small_round_data_never_fails_an_attempt(self, monkeypatch,
+                                                     radius):
+        # Raw form with dt0 = 0.1 failed 26 (R = 0.6) and 6 (R = 0.7)
+        # newton_solve attempts here, each a cone exit.
+        real_solve, failed = solver.newton_solve, []
+
+        def solve(*args, **kw):
+            try:
+                return real_solve(*args, **kw)
+            except NewtonDiverged as exc:
+                failed.append(str(exc))
+                raise
+
+        monkeypatch.setattr(solver, "newton_solve", solve)
+        for n in range(2, 7):
+            g = geometry.build_grid(n, "axisym-1d", 128)
+            for k in range(1, n + 1):
+                const = math.comb(n, k) * (n - 1) ** k * radius
+                data = solver.PrescribedData(f=power_decay(const, k + 1),
+                                             r1=0.5, r2=2.0)
+                rho, _ = solver.continue_to_target(g, data,
+                                                   solver.HomotopyRun(), k)
+                assert failed == [], (n, k)
+                assert np.abs(rho - radius).max() < 1e-10, (n, k)
+
     def test_stuck_carries_trace(self, round_data):
         g = geometry.build_grid(2, "full-2d", (16, 16))
         run = solver.HomotopyRun(
@@ -758,3 +817,44 @@ class TestContinuation:
             solver.continue_to_target(g, round_data, run, 2)
         assert exc.value.trace is not None
         assert exc.value.last_rho is not None
+
+
+@st.composite
+def round_cases(draw):
+    n = draw(st.integers(2, 6))
+    return n, draw(st.integers(1, n)), draw(st.floats(0.55, 1.95))
+
+
+@pytest.mark.parametrize("form,dt0", [("root", None), ("raw", 0.1)])
+@settings(max_examples=30, deadline=None)
+@given(case=round_cases())
+# Raw-form trials at R = 0.6 reach |X| > r2, where the base term is
+# negative; R = 1.925 ends the farthest from the sphere.
+@example(case=(6, 6, 0.6))
+@example(case=(6, 6, 1.925))
+def test_round_data_converges_to_the_sphere(form, dt0, case):
+    # f = C(n,k) (n-1)^k R / |X|^(k+1) is solved by the sphere rho = R,
+    # exactly on the grid too. Root form runs under the defaults, raw
+    # form with the old dt0 = 0.1.
+    n, k, radius = case
+    const = math.comb(n, k) * (n - 1) ** k
+    data = solver.PrescribedData(f=power_decay(const * radius, k + 1),
+                                 r1=0.5, r2=2.0)
+    assume(solver.validate_conditions(data, n, k).passed)
+    run = (solver.HomotopyRun() if dt0 is None else
+           solver.HomotopyRun(dt0=dt0, newton=NewtonConfig(form=form)))
+    g = geometry.build_grid(n, "axisym-1d", 128)
+    rho, run = solver.continue_to_target(g, data, run, k)
+    final = run.trace[-1]
+    assert final["t"] == 1.0 and final["max_residual"] <= final["tol"]
+    # At the sphere the linearized residual is an elliptic operator plus
+    # b times the identity, b > 0 the derivative along constant rho, so
+    # max|rho - R| <= max|F| / b to first order (maximum principle). The
+    # stop test max|F| <= tol bounds the error by tol / b, which exceeds
+    # 1e-10 for k = 6 and R near 2 (1.4e-9 in root form).
+    if form == "root":
+        b = const ** (1.0 / k) / (k * radius**2)
+    else:
+        b = const / radius ** (k + 1)
+    err = np.abs(rho - radius).max()
+    assert err <= 1.05 * final["max_residual"] / b + 1e-13

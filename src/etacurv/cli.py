@@ -280,7 +280,12 @@ def _run_command(config_path, outdir, overrides, setup):
             raise ConfigError(f"key 'k' must lie in [1, n] = [1, {n}]")
         newton = NewtonConfig(**_given(
             cfg, tol=("newton.tol", float), max_iter=("newton.max_iter", int),
-            jacobian=("newton.jacobian", str), form=("newton.form", str)))
+            form=("newton.form", str)))
+        # Ignored like an unknown key, it would answer a request for a
+        # finite-difference Jacobian with the analytic one.
+        if "jacobian" in cfg.get("newton", {}):
+            raise ConfigError("key 'newton.jacobian' was removed: every "
+                              "solve uses the analytic Jacobian")
         run, solve = setup(cfg, n, k, newton)
         texts, summary = solve()
         code, message = 0, f"{summary}; report in {outdir}/report.json"

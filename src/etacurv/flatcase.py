@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from . import symm
 from .errors import DomainError, PreconditionError
 from .newton import (MAX_NODES, SlotTable, damped_newton, fd_data_derivs,
-                     fd_jacobian, solve_config)
+                     form_residual, solve_config)
 
 __all__ = [
     "DomainGrid", "FlatState", "build_flat_grid", "lattice_dissection",
@@ -288,15 +288,11 @@ def flat_residual(state, f, k, form="raw", *, fields=None):
     """
     if not 1 <= k <= state.grid.dim:
         raise ValueError(f"order k={k} outside [1, {state.grid.dim}]")
-    if form not in ("raw", "root"):
-        raise ValueError(f"unknown residual form {form!r}")
     sig = symm.require_cone_batch(state.eta_spectrum, k)[:, k]
     fv = f(state.grid.pts, state.phi, state.grad)
     if fields is not None:
         fields.update(sigma=sig, f=fv)
-    if form == "root":
-        return sig ** (1.0 / k) - fv ** (1.0 / k)
-    return sig - fv
+    return form_residual(sig, fv, k, form)
 
 
 def flat_jacobian(state, f, k, form="raw", *, fields=None):
@@ -307,9 +303,13 @@ def flat_jacobian(state, f, k, form="raw", *, fields=None):
     sigma_k of the eta spectrum in the i-th Hessian eigenvalue; the f
     dependence on phi and grad phi enters by finite differencing in those
     slots. With form "root" the two parts carry the chain factors of
-    sigma_k^(1/k) and f^(1/k) respectively, taken from ``fields`` (filled
-    by ``flat_residual`` for this state) when given.
+    sigma_k^(1/k) and f^(1/k) respectively, at the sigma_k and f fields of
+    ``fields``, the dict ``flat_residual`` filled for this state; without
+    it, ``flat_residual`` is called to fill one.
     """
+    if not fields:
+        fields = {}
+        flat_residual(state, f, k, fields=fields)
     grid = state.grid
     dim = grid.dim
     eigs, vecs = np.linalg.eigh(state.hess)
@@ -327,19 +327,8 @@ def flat_jacobian(state, f, k, form="raw", *, fields=None):
     # f_phi + sum_a f_(grad_a) d1[a]: the gradient terms are summed first.
     j_f = slots.accumulate([*fgrad.T, fphi],
                            slots=range(nhess, nhess + dim + 1))
-
-    if form == "root":
-        if fields:
-            sig, fv = fields["sigma"], fields["f"]
-        else:
-            sig = symm.elem_sym_all_batch(state.eta_spectrum)[:, k]
-            fv = f(grid.pts, state.phi, state.grad)
-        p = 1.0 / k
-        j_sig = slots.row_scale(p * sig ** (p - 1.0)) * j_sig
-        j_f = slots.row_scale(p * fv ** (p - 1.0)) * j_f
-    elif form != "raw":
-        raise ValueError(f"unknown residual form {form!r}")
-    return slots.matrix(j_sig - j_f)
+    return slots.form_matrix(j_sig, j_f, fields["sigma"], fields["f"], k,
+                             form)
 
 
 def _initial_guess(grid, f, k):
@@ -389,8 +378,6 @@ def dirichlet_solve(grid, f, k, config=None, beta=4.0, *, fields=None):
         return flat_residual(last[1], f, k, form=cfg.form, fields=last[2])
 
     def jac_fn(phi):
-        if cfg.jacobian == "fd":
-            return fd_jacobian(res_fn, phi)
         state, fields = state_of(phi)
         return flat_jacobian(state, f, k, form=cfg.form, fields=fields)
 

@@ -1,5 +1,5 @@
-"""Damped Newton iteration and finite-difference oracles shared by the
-curved and flat pipelines.
+"""Damped Newton iteration and the residual forms shared by the curved
+and flat pipelines.
 
 Convergence is relative to the size of the data: the iteration stops at
 max|F| <= tol * max(1, max|f|), with f the prescribed data of the first
@@ -15,7 +15,10 @@ is accepted, and a candidate where the residual is not defined (a cone
 exit, or data that is not positive there) is inadmissible too. An
 admissible candidate equal to the iterate bit for bit ends the
 iteration: the correction has fallen below roundoff, and every later
-iteration would repeat the same step.
+iteration would repeat the same step. So do STALL_STEPS accepted steps in
+a row that do not decrease the residual: the step test accepts an equal
+residual, and below its roundoff floor the iteration can move among
+iterates of the same residual until ``max_iter``.
 
 The LU of a Jacobian is kept across iterations (simplified Newton with
 Shamanskii's refresh rule; Kelley, Solving Nonlinear Equations with
@@ -31,12 +34,14 @@ restores the margin below tol that exact Newton's last step leaves.
 Factors are freed as soon as no step will use them, so that two LUs are
 never alive at once.
 
-``fd_jacobian`` is the column-by-column Jacobian oracle behind the "fd"
-Jacobian option, and ``fd_data_derivs`` gives the first derivatives of the
-prescribed data that the analytic Jacobians need. ``SlotTable`` is the
-sparsity pattern every analytic Jacobian is assembled on, and ``factor``
-the one sparse LU every Newton step solves with, in the fill-reducing
-order each grid stores when it is built.
+Both pipelines solve sigma_k = f in the raw form sigma_k - f or the root
+form sigma_k^(1/k) - f^(1/k); ``form_residual`` and
+``SlotTable.form_matrix`` give the residual and Jacobian of either form.
+``fd_data_derivs`` gives the first derivatives of the prescribed data
+that the Jacobians need. ``SlotTable`` is the sparsity pattern every
+Jacobian is assembled on, and ``factor`` the one sparse LU every Newton
+step solves with, in the fill-reducing order each grid stores when it is
+built.
 """
 
 import math
@@ -50,9 +55,10 @@ from .errors import (ConeViolationError, ConfigError, DomainError,
                      NewtonDiverged, ConeExit, PreconditionError)
 
 __all__ = ["NewtonConfig", "NewtonReport", "SlotTable", "damped_newton",
-           "factor", "fd_jacobian", "fd_data_derivs", "solve_config"]
+           "factor", "fd_data_derivs", "form_residual", "solve_config"]
 
 MAX_BACKTRACKS = 6      # smallest step fraction tried is 2**-6 = 1/64
+STALL_STEPS = 3         # accepted steps in a row without a decrease: stop
 # Refactor after a step that leaves more than this share of the residual.
 REFACTOR_RATIO = 0.1
 # Largest sphere grid (ntheta * nphi) or flat lattice box a builder allocates.
@@ -70,7 +76,6 @@ class NewtonConfig:
 
     tol: float = 1e-10
     max_iter: int = 40
-    jacobian: str = "analytic"     # "analytic" | "fd"
     # "root" (G - f^(1/k), G = sigma_k^(1/k) concave on Gamma_k) or "raw"
     # (sigma_k - f); root needs fewer Newton steps and homotopy steps.
     form: str = "root"
@@ -86,11 +91,9 @@ class NewtonConfig:
             raise ConfigError(
                 "newton.tol must be positive and newton.max_iter at least 1, "
                 f"got tol={self.tol}, max_iter={self.max_iter}")
-        if (self.jacobian not in ("analytic", "fd")
-                or self.form not in ("raw", "root")):
+        if self.form not in ("raw", "root"):
             raise ConfigError(
-                "newton.jacobian must be 'analytic' or 'fd' and newton.form "
-                f"'raw' or 'root', got {self.jacobian!r}, {self.form!r}")
+                f"newton.form must be 'raw' or 'root', got {self.form!r}")
 
 
 @dataclass
@@ -105,6 +108,16 @@ class NewtonReport:
     @property
     def final_residual(self):
         return self.residual_history[-1] if self.residual_history else np.inf
+
+
+def form_residual(sig, fv, k, form):
+    """sig - fv in "raw" form, sig^(1/k) - fv^(1/k) in "root" form, for the
+    sigma_k field sig and the f field fv."""
+    if form == "root":
+        return sig ** (1.0 / k) - fv ** (1.0 / k)
+    if form != "raw":
+        raise ValueError(f"unknown residual form {form!r}")
+    return sig - fv
 
 
 class SlotTable:
@@ -192,47 +205,38 @@ class SlotTable:
         out.eliminate_zeros()
         return out
 
+    def form_matrix(self, j_sig, j_f, sig, fv, k, form):
+        """Jacobian matrix of ``form_residual`` from the data j_sig and j_f
+        of its sigma_k and f parts, at the fields sig and fv."""
+        if form == "root":
+            p = 1.0 / k
+            j_sig = self.row_scale(p * sig ** (p - 1.0)) * j_sig
+            j_f = self.row_scale(p * fv ** (p - 1.0)) * j_f
+        elif form != "raw":
+            raise ValueError(f"unknown residual form {form!r}")
+        return self.matrix(j_sig - j_f)
+
 
 def factor(jac, perm=None):
     """The solver of jac x = b, factored once: a function of b.
 
-    A dense jac (the "fd" oracle) is solved by ``np.linalg.solve``. A
-    sparse jac with a permutation ``perm`` (new -> old, as stored on the
-    grid) gets SuperLU's LU of jac[perm][:, perm] with no further column
-    reordering; without one, SuperLU's LU in its default COLAMD order
-    (the factors ``spsolve`` would compute for every b). SuperLU raises
-    RuntimeError on an exactly singular matrix; numpy's dense solve raises
-    LinAlgError, at every call.
+    jac, a sparse matrix or a dense array, is converted to CSC. With a
+    permutation ``perm`` (new -> old, as stored on the grid) it gets
+    SuperLU's LU of jac[perm][:, perm] with no further column reordering;
+    without one, SuperLU's LU in its default COLAMD order (the factors
+    ``spsolve`` would compute for every b). SuperLU raises RuntimeError on
+    an exactly singular matrix.
     """
-    if not sp.issparse(jac):
-        return lambda b: np.linalg.solve(jac, b)
     if perm is None:
-        return splu(jac.tocsc()).solve
-    lu = splu(jac.tocsc()[perm][:, perm], permc_spec="NATURAL")
+        return splu(sp.csc_matrix(jac)).solve
+    # Unnamed CSC copies: only the permuted one is alive during splu.
+    lu = splu(sp.csc_matrix(jac)[perm][:, perm], permc_spec="NATURAL")
 
     def solve(b):
         x = np.empty_like(b)
         x[perm] = lu.solve(b[perm])
         return x
     return solve
-
-
-def fd_jacobian(residual_fn, x, step=1e-6):
-    """Column-by-column central-difference Jacobian (correctness oracle).
-
-    Column j steps x_j by step * (1 + |x_j|) both ways.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    jac = np.empty((n, n))
-    for j in range(n):
-        d = step * (1.0 + abs(x[j]))
-        up = x.copy()
-        up[j] += d
-        dn = x.copy()
-        dn[j] -= d
-        jac[:, j] = (residual_fn(up) - residual_fn(dn)) / (2.0 * d)
-    return jac
 
 
 def fd_data_derivs(f, args, slots, cols=None):
@@ -311,9 +315,12 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
     its max-norm residual does not exceed the current one. An admissible
     candidate equal to x bit for bit raises NewtonDiverged at once: with
     deterministic callbacks, accepting it would repeat the same iteration
-    until ``max_iter``. The factors of a Jacobian are kept, and refreshed,
-    as the module docstring describes. ``jacobian_fn(x)`` is called, and x
-    returned, only right after ``residual_fn(x)``.
+    until ``max_iter``. So does an iterate not yet converged after
+    STALL_STEPS accepted steps in a row that did not decrease the
+    residual. The factors of a Jacobian are kept, and refreshed, as the
+    module docstring describes. ``jacobian_fn(x)`` returns a sparse matrix
+    or a dense array, and is called, and x returned, only right after
+    ``residual_fn(x)``.
     """
     x = np.asarray(x0, dtype=float).copy()
     res = residual_fn(x)
@@ -324,6 +331,7 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
     reuse = False       # the last step contracted enough to step on them
     kept = False        # the last step was taken on them
     elsewhere = False   # the last residual was evaluated away from x
+    stalled = 0         # accepted steps in a row that left rnorm as it was
 
     def diverged(why, cls=NewtonDiverged):
         return cls(f"{why} (residual {rnorm:.3e}, tol {tol:.3e})",
@@ -347,23 +355,18 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
         return (cres, cnorm) if np.isfinite(cnorm) else None
 
     def accept(cand, cres, cnorm, frac):
-        nonlocal x, res, rnorm, reuse, elsewhere
+        nonlocal x, res, rnorm, reuse, elsewhere, stalled
         reuse = cnorm <= REFACTOR_RATIO * rnorm
+        stalled = stalled + 1 if cnorm >= rnorm else 0
         x, res, rnorm, elsewhere = cand, cres, cnorm, False
         report.iterations += 1
         report.residual_history.append(rnorm)
         report.step_fractions.append(frac)
 
-    def correction():
-        try:
-            return solve(-res)
-        except np.linalg.LinAlgError as exc:    # numpy: singular dense jac
-            raise diverged(f"Jacobian not factored: {exc}") from exc
-
     def full_step():
         """The full step on the kept factors, (cand, F, max|F|), or None if
         cand is inadmissible or x itself."""
-        cand = x + correction()
+        cand = x + solve(-res)
         if not admissible(cand) or same(cand):
             return None
         step = evaluate(cand)
@@ -372,6 +375,8 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
     while rnorm > tol:
         if report.iterations == cfg.max_iter:
             raise diverged(f"no convergence in {cfg.max_iter} iterations")
+        if stalled == STALL_STEPS:
+            raise diverged(f"residual not decreased in {STALL_STEPS} steps")
         kept = False
         if reuse:
             step = full_step()
@@ -389,7 +394,7 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
         except RuntimeError as exc:     # SuperLU: exactly singular
             raise diverged(f"Jacobian not factored: {exc}") from exc
         del jac         # the steps need only its factors
-        delta = correction()
+        delta = solve(-res)
         report.factorizations += 1
 
         inadmissible_only = True

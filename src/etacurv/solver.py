@@ -19,8 +19,8 @@ import numpy as np
 from . import geometry, symm, verify
 from .errors import (ConfigError, ContinuationStuck, NewtonDiverged,
                      PreconditionError)
-from .newton import (NewtonConfig, damped_newton, fd_data_derivs, fd_jacobian,
-                     solve_config)
+from .newton import (NewtonConfig, damped_newton, fd_data_derivs,
+                     form_residual, solve_config)
 
 __all__ = [
     "PrescribedData", "HomotopyRun", "ConditionsReport",
@@ -196,14 +196,10 @@ def residual(grid, rho, data, k, form="raw", *, jet=None, fields=None):
     ``fields``, a dict, receives the sigma_k and f fields of rho under
     "sigma" and "f", which the root-form Jacobian at rho reuses.
     """
-    if form not in ("raw", "root"):
-        raise ValueError(f"unknown residual form {form!r}")
     _, sig, fv = _eval_state(grid, rho, data, k, jet)
     if fields is not None:
         fields.update(sigma=sig, f=fv)
-    if form == "root":
-        return sig ** (1.0 / k) - fv ** (1.0 / k)
-    return sig - fv
+    return form_residual(sig, fv, k, form)
 
 
 def _jac_f_term(jet, data, dV, dW):
@@ -363,40 +359,23 @@ def _jac_axisym(grid, jet, data, k):
                               [rho / w, rt / w])
 
 
-def _combine_forms(j_sig, j_f, jet, data, k, form, fields):
-    """Jacobian matrix from the data of its sigma_k and f parts."""
-    slots = jet.grid.slots
-    if form == "raw":
-        return slots.matrix(j_sig - j_f)
-    if form != "root":
-        raise ValueError(f"unknown residual form {form!r}")
-    if fields:
-        sig, fv = fields["sigma"], fields["f"]
-    else:
-        sig = symm.elem_sym_all_batch(jet.eta)[:, k]
-        fv = data.f(jet.X, jet.nu)
-    p = 1.0 / k
-    return slots.matrix(slots.row_scale(p * sig ** (p - 1.0)) * j_sig
-                        - slots.row_scale(p * fv ** (p - 1.0)) * j_f)
-
-
-def assemble_jacobian(grid, rho, data, k, form="raw", method="analytic", *,
-                      jet=None, fields=None):
+def assemble_jacobian(grid, rho, data, k, form="raw", *, jet=None,
+                      fields=None):
     """Jacobian of the residual map at rho.
 
     ``jet`` is the SurfaceJet of rho and ``fields`` the dict ``residual``
-    filled at rho, when the caller has them already.
+    filled at rho, when the caller has them already; without fields,
+    ``residual`` is called to fill them.
     """
-    if method == "fd":
-        return fd_jacobian(
-            lambda r: residual(grid, r, data, k, form=form), rho, step=1e-7)
-    if method != "analytic":
-        raise ValueError(f"unknown Jacobian method {method!r}")
     if jet is None:
         jet = geometry.surface_jet(grid, rho)
+    if not fields:
+        fields = {}
+        residual(grid, rho, data, k, jet=jet, fields=fields)
     build = _jac_full if grid.mode == "full-2d" else _jac_axisym
     j_sig, j_f = build(grid, jet, data, k)
-    return _combine_forms(j_sig, j_f, jet, data, k, form, fields)
+    return grid.slots.form_matrix(j_sig, j_f, fields["sigma"], fields["f"],
+                                  k, form)
 
 
 def newton_solve(grid, rho0, data, k, config=None, *, last=None):
@@ -426,8 +405,8 @@ def newton_solve(grid, rho0, data, k, config=None, *, last=None):
 
     def jac_fn(rho):
         jet, fields = last[1:] if rho is last[0] else (None, None)
-        return assemble_jacobian(grid, rho, data, k, form=cfg.form,
-                                 method=cfg.jacobian, jet=jet, fields=fields)
+        return assemble_jacobian(grid, rho, data, k, form=cfg.form, jet=jet,
+                                 fields=fields)
 
     def check(rho):
         if np.any(rho <= 0.0):

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,8 +79,14 @@ CONFIG_PROBES = {
     "tol_negative": ("solve-surface", ["newton.tol=-1"]),
     "surface_form_bogus": ("solve-surface", ["newton.form=bogus"]),
     "flat_form_bogus": ("solve-flat", ["newton.form=bogus"]),
-    "surface_jacobian_bogus": ("solve-surface", ["newton.jacobian=bogus"]),
-    "flat_jacobian_bogus": ("solve-flat", ["newton.jacobian=bogus"]),
+    # The removed Jacobian option is refused whatever its value, so that a
+    # request for a finite-difference Jacobian does not get the analytic one.
+    **{f"{prefix}_jacobian_{value}": (
+        command, [f"newton.jacobian={value}"],
+        "key 'newton.jacobian' was removed")
+       for prefix, command in (("surface", "solve-surface"),
+                               ("flat", "solve-flat"))
+       for value in ("analytic", "fd", "bogus")},
     # Far past the node cap: refused before any allocation.
     "surface_grid_huge": ("solve-surface", ["grid.sizes=[100000,100000]"]),
     "flat_h_tiny": ("solve-flat", ["grid.h=1e-5"]),
@@ -254,6 +261,7 @@ def test_config_error_exits_2(tmp_path, probe):
     assert "config error" in r.output
     for text in message:
         assert text in r.output
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 # Mutated configs for the exit-code property. Valid values keep each run
@@ -267,7 +275,6 @@ COMMON_KEYS = {
     "newton.tol": st.floats(1e-12, 1e-6) | INVALID,
     "newton.max_iter": st.integers(-2, 40) | INVALID,
     "newton.form": st.sampled_from(["raw", "root", "bogus"]),
-    "newton.jacobian": st.sampled_from(["analytic", "fd", "bogus"]),
 }
 MUTATIONS = {
     "solve-surface": {
@@ -488,6 +495,18 @@ def test_stall_error_names_the_applied_tol_in_root_form(tmp_path):
     assert min(history) > err["tol"]
 
 
+def test_root_form_stagnation_exits_4(tmp_path):
+    # Below its roundoff floor the root residual stays at 8.882e-16 while
+    # the steps move rho (fractions 1, 1/4, 1/4, ...): Newton must stop on
+    # the stagnation, not use up max_iter = 40 Jacobians.
+    r, out = _solve_surface(tmp_path, ROUND_66_ROOT_CFG, "newton.tol=1e-16")
+    assert r.exit_code == 4, (r.output, r.exception)
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "NewtonDiverged"
+    assert "residual not decreased in 3 steps" in err["message"]
+    assert err["factorizations"] <= 3
+
+
 def test_step_underflow_error_carries_the_newton_report(tmp_path):
     # At 1e-14 * max f every homotopy attempt past t = 0.768469 stalls.
     cfgp = tmp_path / "cfg.json"
@@ -560,17 +579,17 @@ def test_nonpositive_data_at_a_solve_start_exits_3(tmp_path, monkeypatch):
     assert err["conditions"]["passed"]
 
 
-def test_singular_fd_jacobian_exits_4(tmp_path, monkeypatch):
-    # numpy raises LinAlgError on a singular dense ("fd") Jacobian; it
-    # must end in exit 4, not a traceback.
-    monkeypatch.setattr(flatcase, "fd_jacobian",
-                        lambda res, x: np.zeros((x.size, x.size)))
+def test_singular_jacobian_exits_4(tmp_path, monkeypatch):
+    # SuperLU raises RuntimeError on an exactly singular Jacobian; it must
+    # end in exit 4, not a traceback.
+    monkeypatch.setattr(flatcase, "flat_jacobian",
+                        lambda state, f, k, **kw: sp.csr_matrix(
+                            (state.phi.size, state.phi.size)))
     cfgp = tmp_path / "cfg.json"
     write_cfg(cfgp, FLAT_CFG)
     out = tmp_path / "o"
     r = CliRunner().invoke(cli.main, ["solve-flat", "--config", str(cfgp),
-                                      "--out", str(out),
-                                      "--override", "newton.jacobian=fd"])
+                                      "--out", str(out)])
     assert r.exit_code == 4, (r.output, r.exception)
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "NewtonDiverged"

@@ -133,14 +133,6 @@ def test_factor_solves_like_spsolve(grid, jacobian):
     assert factor(jac)(b).tobytes() == ref.tobytes()
 
 
-def test_dense_jacobian_is_solved_densely():
-    # The "fd" oracle's Jacobian is dense and ignores the order.
-    jac = sphere_jacobian(SPHERES["full16x16"]()).toarray()
-    b = np.random.default_rng(7).standard_normal(jac.shape[0])
-    assert (factor(jac, np.arange(b.size)[::-1])(b).tobytes()
-            == np.linalg.solve(jac, b).tobytes())
-
-
 def test_flat_order_halves_the_fill():
     grid = flatcase.build_flat_grid(3, "ball", h=1 / 12)
     jac = flat_jacobian(grid)

@@ -10,7 +10,8 @@ from scipy.integrate import quad
 from etacurv import flatcase, symm
 from etacurv.errors import (ConeViolationError, DomainError,
                             PreconditionError)
-from etacurv.newton import NewtonConfig, fd_jacobian
+from etacurv.newton import NewtonConfig
+from fd_oracle import fd_jacobian
 
 
 def f_const(value):
@@ -324,12 +325,6 @@ class TestDirichletSolve:
         # The raw residual of the returned state, bit for bit.
         res = flatcase.flat_residual(state, f, 2)
         assert (fields["sigma"] - fields["f"]).tobytes() == res.tobytes()
-
-    def test_fd_jacobian_switch(self):
-        g = flatcase.build_flat_grid(2, "ball", h=1 / 6)
-        state, rep = flatcase.dirichlet_solve(
-            g, f_const(1.0), 2, config=NewtonConfig(jacobian="fd"))
-        assert rep.converged
 
 
 class TestConvergenceOrder:

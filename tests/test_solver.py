@@ -15,6 +15,7 @@ from etacurv import geometry, newton, solver
 from etacurv.errors import (ConeExit, ConfigError, ContinuationStuck,
                             NewtonDiverged, PreconditionError)
 from etacurv.newton import NewtonConfig, damped_newton, fd_data_derivs
+from fd_oracle import fd_jacobian
 
 
 def power_decay(c, p):
@@ -139,20 +140,19 @@ class TestResidual:
                             form="bogus")
 
 
+def _fd_jacobian(g, rho, data, k, form="raw"):
+    return fd_jacobian(lambda r: solver.residual(g, r, data, k, form=form),
+                       rho, step=1e-7)
+
+
 class TestJacobian:
     def test_unknown_form_rejected(self, round_data):
         g = geometry.build_grid(2, "full-2d", (16, 8))
         jet = geometry.surface_jet(g, np.ones(g.nnodes))
         j_sig, j_f = solver._jac_full(g, jet, round_data, 2)
+        ones = np.ones(g.nnodes)
         with pytest.raises(ValueError, match="bogus"):
-            solver._combine_forms(j_sig, j_f, jet, round_data, 2, "bogus",
-                                  None)
-
-    def test_unknown_method_rejected(self, round_data):
-        g = geometry.build_grid(2, "full-2d", (16, 8))
-        with pytest.raises(ValueError, match="bogus"):
-            solver.assemble_jacobian(g, np.ones(g.nnodes), round_data, 2,
-                                     method="bogus")
+            g.slots.form_matrix(j_sig, j_f, ones, ones, 2, "bogus")
 
     @pytest.mark.parametrize("form", ["raw", "root"])
     def test_full_2d_matches_fd(self, round_data, form):
@@ -161,8 +161,7 @@ class TestJacobian:
                + 0.03 * np.cos(g.theta))
         ja = solver.assemble_jacobian(g, rho, round_data, 2, form=form)
         ja = np.asarray(ja.todense())
-        jf = solver.assemble_jacobian(g, rho, round_data, 2, form=form,
-                                      method="fd")
+        jf = _fd_jacobian(g, rho, round_data, 2, form)
         assert np.abs(ja - jf).max() / (1 + np.abs(jf).max()) < 1e-7
 
     @pytest.mark.parametrize("form", ["raw", "root"])
@@ -172,8 +171,7 @@ class TestJacobian:
         rho = 1.2 + 0.05 * np.cos(g.theta)
         ja = solver.assemble_jacobian(g, rho, round_data, 2, form=form)
         ja = np.asarray(ja.todense())
-        jf = solver.assemble_jacobian(g, rho, round_data, 2, form=form,
-                                      method="fd")
+        jf = _fd_jacobian(g, rho, round_data, 2, form)
         assert np.abs(ja - jf).max() / (1 + np.abs(jf).max()) < 1e-7
 
     def test_anisotropic_f_derivatives(self):
@@ -182,7 +180,7 @@ class TestJacobian:
         rho = 1.2 + 0.04 * np.sin(g.theta) * np.sin(g.phi)
         ja = np.asarray(
             solver.assemble_jacobian(g, rho, data, 2).todense())
-        jf = solver.assemble_jacobian(g, rho, data, 2, method="fd")
+        jf = _fd_jacobian(g, rho, data, 2)
         assert np.abs(ja - jf).max() / (1 + np.abs(jf).max()) < 1e-7
 
     @pytest.mark.parametrize("n,mode,sizes",
@@ -336,14 +334,6 @@ class TestNewtonSolve:
         with pytest.raises(PreconditionError, match="must be positive"):
             solver.newton_solve(g, np.ones(g.nnodes), data, 2)
 
-    def test_fd_jacobian_switch(self, round_data):
-        g = geometry.build_grid(2, "axisym-1d", (32,))
-        rho, rep = solver.newton_solve(
-            g, np.full(g.nnodes, 1.1), round_data, 2,
-            config=NewtonConfig(jacobian="fd"))
-        assert rep.converged
-        assert np.abs(rho - 1.25).max() < 1e-6
-
 
 class TestDampedNewtonCore:
     def test_scalar_quadratic(self):
@@ -431,11 +421,33 @@ class TestDampedNewtonCore:
                           lambda x: np.array([[2.0 * x[0]]]), NewtonConfig())
 
     def test_singular_dense_jacobian_diverges(self):
-        # numpy's solve raises LinAlgError on the "fd" oracle's matrix.
+        # factor converts a dense Jacobian for SuperLU, which raises on it.
         with pytest.raises(NewtonDiverged, match="Jacobian not factored"):
             damped_newton(np.zeros(2), lambda x: x - 1,
-                          lambda x: np.zeros((2, 2)),
-                          NewtonConfig(jacobian="fd"))
+                          lambda x: np.zeros((2, 2)), NewtonConfig())
+
+    def test_stall_at_a_residual_floor(self):
+        # x^2 - 4 cut off at a floor of 1e-3: below it every step moves x
+        # and leaves the residual equal, so Newton would run on to max_iter.
+        jacobians = []
+
+        def res(x):
+            return np.array([max(x[0] ** 2 - 4.0, 1e-3)])
+
+        def jac(x):
+            jacobians.append(x.copy())
+            return np.array([[2.0 * x[0]]])
+
+        with pytest.raises(NewtonDiverged) as exc:
+            damped_newton(np.array([3.0]), res, jac, NewtonConfig())
+        assert not isinstance(exc.value, ConeExit)
+        assert "residual not decreased in 3 steps" in str(exc.value)
+        rep = exc.value.report
+        assert rep.residual_history[-4:] == [1e-3] * 4
+        assert rep.residual_history[-5] > 1e-3
+        assert rep.iterations < 10
+        # The stalled steps moved x: the bit-for-bit stop did not fire.
+        assert len({x.tobytes() for x in jacobians[-3:]}) == 3
 
 
 def _failing_newton(kind):

@@ -251,6 +251,12 @@ def build_flat_f(spec):
 # command plumbing
 
 
+# Removed newton keys, refused whatever their value, with what replaced them.
+_REMOVED_KEYS = {
+    "jacobian": "every solve uses the analytic Jacobian",
+    "form": "every solve uses the root form sigma_k^(1/k) - f^(1/k)",
+}
+
 # Bad input as the config stage sees it; the grid builders reject
 # malformed sizes with ValueError and unsupported dimensions with DomainError.
 _CONFIG_ERRORS = (ConfigError, DomainError, ValueError)
@@ -279,13 +285,12 @@ def _run_command(config_path, outdir, overrides, setup):
         if not 1 <= k <= n:
             raise ConfigError(f"key 'k' must lie in [1, n] = [1, {n}]")
         newton = NewtonConfig(**_given(
-            cfg, tol=("newton.tol", float), max_iter=("newton.max_iter", int),
-            form=("newton.form", str)))
-        # Ignored like an unknown key, it would answer a request for a
-        # finite-difference Jacobian with the analytic one.
-        if "jacobian" in cfg.get("newton", {}):
-            raise ConfigError("key 'newton.jacobian' was removed: every "
-                              "solve uses the analytic Jacobian")
+            cfg, tol=("newton.tol", float), max_iter=("newton.max_iter", int)))
+        # Ignored like an unknown key, a removed key would answer a request
+        # for the option it named with what every solve now does.
+        for key, why in _REMOVED_KEYS.items():
+            if key in cfg.get("newton", {}):
+                raise ConfigError(f"key 'newton.{key}' was removed: {why}")
         run, solve = setup(cfg, n, k, newton)
         texts, summary = solve()
         code, message = 0, f"{summary}; report in {outdir}/report.json"
@@ -375,7 +380,7 @@ def _flat_setup(cfg, n, k, newton):
             "interior_negative": bool(state.phi.max() < 0.0),
             "max_hessian_norm": float(np.abs(state.hess).max()),
         }
-        # flat.csv holds the raw residual, whatever form the solve used.
+        # flat.csv holds the raw residual sigma_k - f, an output only.
         res = fields["sigma"] - fields["f"]
         return ({"flat.csv": flatcase.flat_csv_text(state, res),
                  "report.json": json_text(report) + "\n"},
@@ -436,6 +441,11 @@ def _parse_values(tokens):
     return np.asarray(vals)
 
 
+def _in_cone(lam, k):
+    """Gamma_k membership by enumeration; False for NaN values."""
+    return all(symm.sigma_brute(lam, j) > 0.0 for j in range(1, k + 1))
+
+
 @oracle.command("sigma",
                 context_settings={"ignore_unknown_options": True})
 @click.argument("values", nargs=-1, required=True)
@@ -457,8 +467,7 @@ def oracle_cone(values, k):
     lam = _parse_values(values)
     if not 1 <= k <= lam.size:
         raise click.UsageError(f"--k must lie in [1, {lam.size}]")
-    inside = all(symm.sigma_brute(lam, j) > 0.0 for j in range(1, k + 1))
-    click.echo("inside" if inside else "outside")
+    click.echo("inside" if _in_cone(lam, k) else "outside")
 
 
 @oracle.command("coeffs",
@@ -473,11 +482,18 @@ def oracle_coeffs(values, k, step):
     n = lam.size
     if not 1 <= k <= n:
         raise click.UsageError(f"--k must lie in [1, {n}]")
-    inside = all(symm.sigma_brute(lam, j) > 0.0 for j in range(1, k + 1))
-    if not inside:
+    if not _in_cone(lam, k):
         raise click.UsageError("point is outside Gamma_k")
+    if not 0.0 < step < math.inf:
+        raise click.UsageError(f"--step must be finite and positive, "
+                               f"got {step}")
 
     def g(v):
+        # Off Gamma_k, sigma_k ** (1/k) can be complex.
+        if not _in_cone(v, k):
+            raise click.UsageError(
+                f"--step {step} puts a difference point outside Gamma_k; "
+                f"take a smaller --step")
         return symm.sigma_brute(v, k) ** (1.0 / k)
 
     hs = step * (1.0 + np.abs(lam))

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import symm
-from .errors import DomainError, PreconditionError
+from .errors import DomainError
 from .newton import (MAX_NODES, SlotTable, damped_newton, fd_data_derivs,
                      form_residual, solve_config)
 
@@ -279,12 +279,13 @@ def build_flat_state(grid, phi, beta=4.0):
                      pogorelov_beta=beta)
 
 
-def flat_residual(state, f, k, form="raw", *, fields=None):
-    """Per-interior-node sigma_k(eta spectrum) - f(x, phi, grad phi).
+def flat_residual(state, f, k, *, fields=None):
+    """Per-interior-node defect sigma_k(eta spectrum)^(1/k) - f^(1/k), with
+    f = f(x, phi, grad phi).
 
-    With form "root" the defect is sigma_k^(1/k) - f^(1/k) instead.
+    Raises PreconditionError where f is not positive (NaN included).
     ``fields``, a dict, receives the sigma_k and f fields under "sigma"
-    and "f", which the root-form Jacobian of the same state reuses.
+    and "f", which the Jacobian of the same state reuses.
     """
     if not 1 <= k <= state.grid.dim:
         raise ValueError(f"order k={k} outside [1, {state.grid.dim}]")
@@ -292,20 +293,20 @@ def flat_residual(state, f, k, form="raw", *, fields=None):
     fv = f(state.grid.pts, state.phi, state.grad)
     if fields is not None:
         fields.update(sigma=sig, f=fv)
-    return form_residual(sig, fv, k, form)
+    return form_residual(sig, fv, k)
 
 
-def flat_jacobian(state, f, k, form="raw", *, fields=None):
+def flat_jacobian(state, f, k, *, fields=None):
     """Analytic Jacobian of the flat residual map.
 
     The sigma_k sensitivity to the Hessian entries is the spectral
     coefficient matrix V diag(ctilde) V^T with ctilde_i the derivative of
     sigma_k of the eta spectrum in the i-th Hessian eigenvalue; the f
     dependence on phi and grad phi enters by finite differencing in those
-    slots. With form "root" the two parts carry the chain factors of
-    sigma_k^(1/k) and f^(1/k) respectively, at the sigma_k and f fields of
-    ``fields``, the dict ``flat_residual`` filled for this state; without
-    it, ``flat_residual`` is called to fill one.
+    slots. The two parts carry the chain factors of sigma_k^(1/k) and
+    f^(1/k) respectively, at the sigma_k and f fields of ``fields``, the
+    dict ``flat_residual`` filled for this state; without it,
+    ``flat_residual`` is called to fill one.
     """
     if not fields:
         fields = {}
@@ -327,8 +328,7 @@ def flat_jacobian(state, f, k, form="raw", *, fields=None):
     # f_phi + sum_a f_(grad_a) d1[a]: the gradient terms are summed first.
     j_f = slots.accumulate([*fgrad.T, fphi],
                            slots=range(nhess, nhess + dim + 1))
-    return slots.form_matrix(j_sig, j_f, fields["sigma"], fields["f"], k,
-                             form)
+    return slots.form_matrix(j_sig, j_f, fields["sigma"], fields["f"], k)
 
 
 def _initial_guess(grid, f, k):
@@ -351,17 +351,13 @@ def dirichlet_solve(grid, f, k, config=None, beta=4.0, *, fields=None):
     """Damped Newton with cone safeguarding under homogeneous Dirichlet data.
 
     The linear solves use the grid's LU order, and the tolerance is
-    relative to max f at the initial guess (max f^(1/k) in root form).
-    ``fields``, a dict, receives the sigma_k and f fields of the returned
-    state under "sigma" and "f", from its last residual evaluation.
+    relative to max f^(1/k) at the initial guess, where f not positive
+    raises PreconditionError. ``fields``, a dict, receives the sigma_k and
+    f fields of the returned state under "sigma" and "f", from its last
+    residual evaluation.
     """
     cfg = solve_config(config, grid.perm, k, lambda: last[2]["f"])
     phi0 = _initial_guess(grid, f, k)
-
-    fv0 = f(grid.pts, phi0, np.zeros((grid.ninterior, grid.dim)))
-    if np.any(fv0 <= 0.0):
-        raise PreconditionError(
-            f"f must be positive; min sampled value {float(fv0.min()):.6g}")
 
     # damped_newton asks for the Jacobian only at the iterate whose
     # residual it computed last, and returns that iterate, so the state
@@ -375,11 +371,11 @@ def dirichlet_solve(grid, f, k, config=None, beta=4.0, *, fields=None):
 
     def res_fn(phi):
         last[:] = phi, build_flat_state(grid, phi, beta=beta), {}
-        return flat_residual(last[1], f, k, form=cfg.form, fields=last[2])
+        return flat_residual(last[1], f, k, fields=last[2])
 
     def jac_fn(phi):
         state, fields = state_of(phi)
-        return flat_jacobian(state, f, k, form=cfg.form, fields=fields)
+        return flat_jacobian(state, f, k, fields=fields)
 
     phi, report = damped_newton(phi0, res_fn, jac_fn, cfg)
     state, last_fields = state_of(phi)
@@ -388,14 +384,21 @@ def dirichlet_solve(grid, f, k, config=None, beta=4.0, *, fields=None):
     return state, report
 
 
+def _pogorelov_field(state):
+    """(-phi)^beta * (lap phi) per interior node; inf where it overflows."""
+    neg = np.maximum(-state.phi, 0.0)
+    with np.errstate(over="ignore"):
+        return neg**state.pogorelov_beta * state.lap_phi
+
+
 def pogorelov_monitor(state):
-    """Max over interior nodes of (-phi)^beta * (lap phi).
+    """Max over interior nodes of (-phi)^beta * (lap phi), inf beyond the
+    float range.
 
     Nodes where phi > 0 (a maximum-principle violation on converged
     states) contribute zero; callers treat positivity as a diagnostic.
     """
-    neg = np.maximum(-state.phi, 0.0)
-    return float(np.max(neg**state.pogorelov_beta * state.lap_phi))
+    return float(np.max(_pogorelov_field(state)))
 
 
 def flat_csv_text(state, residual_field):
@@ -407,9 +410,7 @@ def flat_csv_text(state, residual_field):
     cols += [f"eta_lambda{i + 1}" for i in range(dim)]
     cols += ["residual", "pogorelov"]
     fmt = "{:.17g}".format
-    neg = np.maximum(-state.phi, 0.0)
-    pog = neg**state.pogorelov_beta * state.lap_phi
     fields = [*grid.pts.T, state.phi, state.lap_phi, *state.eta_spectrum.T,
-              np.asarray(residual_field), pog]
+              np.asarray(residual_field), _pogorelov_field(state)]
     rows = zip(*(map(fmt, f.tolist()) for f in fields))
     return "\n".join([",".join(cols), *map(",".join, rows)]) + "\n"

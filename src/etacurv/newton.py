@@ -2,8 +2,8 @@
 and flat pipelines.
 
 Convergence is relative to the size of the data: the iteration stops at
-max|F| <= tol * max(1, max|f|), with f the prescribed data of the first
-residual, at the solve's start (f^(1/k) in root form). The residual's
+max|F| <= tol * max(1, max f^(1/k)), with f the prescribed data of the
+first residual, at the solve's start. The residual's
 roundoff floor grows with f, so an absolute test can sit below what
 large data can attain (Deuflhard, Newton Methods for Nonlinear Problems,
 2004, sec. 2.1).
@@ -34,9 +34,10 @@ restores the margin below tol that exact Newton's last step leaves.
 Factors are freed as soon as no step will use them, so that two LUs are
 never alive at once.
 
-Both pipelines solve sigma_k = f in the raw form sigma_k - f or the root
-form sigma_k^(1/k) - f^(1/k); ``form_residual`` and
-``SlotTable.form_matrix`` give the residual and Jacobian of either form.
+Both pipelines solve sigma_k = f in the root form G - f^(1/k), with
+G = sigma_k^(1/k) concave on Gamma_k; ``form_residual`` and
+``SlotTable.form_matrix`` give its residual and Jacobian from the sigma_k
+and f fields and the Jacobian data of each.
 ``fd_data_derivs`` gives the first derivatives of the prescribed data
 that the Jacobians need. ``SlotTable`` is the sparsity pattern every
 Jacobian is assembled on, and ``factor`` the one sparse LU every Newton
@@ -70,15 +71,12 @@ class NewtonConfig:
     """Newton settings. ``tol`` is relative to the data's scale: the stop
     test is max|F| <= tol * max(1, scale()), with ``scale`` a zero-argument
     callable evaluated once, after the first residual. The pipelines set
-    it to max|f| of that residual (max f^(1/k) in root form) with
-    ``solve_config``; without one the test is absolute.
+    it to max f^(1/k) of that residual with ``solve_config``; without one
+    the test is absolute.
     """
 
     tol: float = 1e-10
     max_iter: int = 40
-    # "root" (G - f^(1/k), G = sigma_k^(1/k) concave on Gamma_k) or "raw"
-    # (sigma_k - f); root needs fewer Newton steps and homotopy steps.
-    form: str = "root"
     # Fill-reducing order of the unknowns for the sparse LU (see factor);
     # the pipelines set it to their grid's, no config key reads it.
     perm: np.ndarray = field(default=None, repr=False, compare=False)
@@ -91,9 +89,6 @@ class NewtonConfig:
             raise ConfigError(
                 "newton.tol must be positive and newton.max_iter at least 1, "
                 f"got tol={self.tol}, max_iter={self.max_iter}")
-        if self.form not in ("raw", "root"):
-            raise ConfigError(
-                f"newton.form must be 'raw' or 'root', got {self.form!r}")
 
 
 @dataclass
@@ -110,14 +105,13 @@ class NewtonReport:
         return self.residual_history[-1] if self.residual_history else np.inf
 
 
-def form_residual(sig, fv, k, form):
-    """sig - fv in "raw" form, sig^(1/k) - fv^(1/k) in "root" form, for the
-    sigma_k field sig and the f field fv."""
-    if form == "root":
-        return sig ** (1.0 / k) - fv ** (1.0 / k)
-    if form != "raw":
-        raise ValueError(f"unknown residual form {form!r}")
-    return sig - fv
+def form_residual(sig, fv, k):
+    """sig^(1/k) - fv^(1/k), for the sigma_k field sig and the f field fv;
+    raises PreconditionError where fv is not positive, NaN included."""
+    if not np.all(fv > 0.0):
+        raise PreconditionError(f"prescribed f must be positive; min sampled "
+                                f"value {float(fv.min()):.6g}")
+    return sig ** (1.0 / k) - fv ** (1.0 / k)
 
 
 class SlotTable:
@@ -205,15 +199,12 @@ class SlotTable:
         out.eliminate_zeros()
         return out
 
-    def form_matrix(self, j_sig, j_f, sig, fv, k, form):
+    def form_matrix(self, j_sig, j_f, sig, fv, k):
         """Jacobian matrix of ``form_residual`` from the data j_sig and j_f
-        of its sigma_k and f parts, at the fields sig and fv."""
-        if form == "root":
-            p = 1.0 / k
-            j_sig = self.row_scale(p * sig ** (p - 1.0)) * j_sig
-            j_f = self.row_scale(p * fv ** (p - 1.0)) * j_f
-        elif form != "raw":
-            raise ValueError(f"unknown residual form {form!r}")
+        of the Jacobians of sigma_k and f, at the fields sig and fv."""
+        p = 1.0 / k
+        j_sig = self.row_scale(p * sig ** (p - 1.0)) * j_sig
+        j_f = self.row_scale(p * fv ** (p - 1.0)) * j_f
         return self.matrix(j_sig - j_f)
 
 
@@ -278,21 +269,15 @@ def fd_data_derivs(f, args, slots, cols=None):
 def solve_config(config, perm, k, f_field):
     """The settings of one pipeline solve: ``config`` (default
     NewtonConfig()) with the grid's LU order ``perm`` and, as the scale,
-    max f or, in root form, max f^(1/k), for the f field that
-    ``f_field()`` returns once the first residual has filled it.
+    max f^(1/k), for the f field that ``f_field()`` returns once the first
+    residual has filled it.
     """
-    cfg = config or NewtonConfig()
-    root = cfg.form == "root"
+    def scale():    # f > 0, or the first residual would have raised
+        return float(np.max(f_field())) ** (1.0 / k)
 
-    def scale():
-        top = float(np.max(f_field()))
-        if root:
-            return top ** (1.0 / k) if top > 0.0 else 0.0
-        return top
-
-    # scale must not refer to cfg: that cycle would keep the solve's last
-    # fields alive after it returns, until the next garbage collection.
-    return replace(cfg, perm=perm, scale=scale)
+    # scale must not refer to the config: that cycle would keep the solve's
+    # last fields alive after it returns, until the next garbage collection.
+    return replace(config or NewtonConfig(), perm=perm, scale=scale)
 
 
 def _applied_tol(cfg):
@@ -372,7 +357,7 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
         step = evaluate(cand)
         return None if step is None else (cand, *step)
 
-    while rnorm > tol:
+    while not rnorm <= tol:     # a NaN residual has not converged
         if report.iterations == cfg.max_iter:
             raise diverged(f"no convergence in {cfg.max_iter} iterations")
         if stalled == STALL_STEPS:

@@ -175,31 +175,21 @@ def homotopy_f(data, n, k, epsilon, t):
     return replace(data, f=blended)
 
 
-def _eval_state(grid, rho, data, k, jet=None):
-    """(jet, sigma_k field, f field); raises on cone exit or f <= 0."""
+def residual(grid, rho, data, k, *, jet=None, fields=None):
+    """Per-node defect sigma_k(lambda(eta))^(1/k) - f(X, nu)^(1/k); raises
+    on a cone exit and where f is not positive (NaN included).
+
+    ``jet`` is the SurfaceJet of rho when the caller has already built it.
+    ``fields``, a dict, receives the sigma_k and f fields of rho under
+    "sigma" and "f", which the Jacobian at rho reuses.
+    """
     if jet is None:
         jet = geometry.surface_jet(grid, rho)
     sig = geometry.sigma_k_of_eta(jet, k)
     fv = data.f(jet.X, jet.nu)
-    if np.any(fv <= 0.0):
-        raise PreconditionError(
-            f"prescribed f must be positive; min sampled value "
-            f"{float(fv.min()):.6g}"
-        )
-    return jet, sig, fv
-
-
-def residual(grid, rho, data, k, form="raw", *, jet=None, fields=None):
-    """Per-node defect sigma_k(lambda(eta)) - f(X, nu) (or its k-th-root form).
-
-    ``jet`` is the SurfaceJet of rho when the caller has already built it.
-    ``fields``, a dict, receives the sigma_k and f fields of rho under
-    "sigma" and "f", which the root-form Jacobian at rho reuses.
-    """
-    _, sig, fv = _eval_state(grid, rho, data, k, jet)
     if fields is not None:
         fields.update(sigma=sig, f=fv)
-    return form_residual(sig, fv, k, form)
+    return form_residual(sig, fv, k)
 
 
 def _jac_f_term(jet, data, dV, dW):
@@ -359,8 +349,7 @@ def _jac_axisym(grid, jet, data, k):
                               [rho / w, rt / w])
 
 
-def assemble_jacobian(grid, rho, data, k, form="raw", *, jet=None,
-                      fields=None):
+def assemble_jacobian(grid, rho, data, k, *, jet=None, fields=None):
     """Jacobian of the residual map at rho.
 
     ``jet`` is the SurfaceJet of rho and ``fields`` the dict ``residual``
@@ -374,8 +363,7 @@ def assemble_jacobian(grid, rho, data, k, form="raw", *, jet=None,
         residual(grid, rho, data, k, jet=jet, fields=fields)
     build = _jac_full if grid.mode == "full-2d" else _jac_axisym
     j_sig, j_f = build(grid, jet, data, k)
-    return grid.slots.form_matrix(j_sig, j_f, fields["sigma"], fields["f"],
-                                  k, form)
+    return grid.slots.form_matrix(j_sig, j_f, fields["sigma"], fields["f"], k)
 
 
 def newton_solve(grid, rho0, data, k, config=None, *, last=None):
@@ -384,7 +372,7 @@ def newton_solve(grid, rho0, data, k, config=None, *, last=None):
     ``last``, a list, ends up holding [rho, jet, fields] of the last
     residual evaluated; after a converged solve that rho is the returned
     array itself. The linear solves use the grid's LU order, and the
-    tolerance is relative to max f at rho0 (max f^(1/k) in root form).
+    tolerance is relative to max f^(1/k) at rho0.
     Raises PreconditionError if f is not positive at rho0; a trial iterate
     where it is not positive is inadmissible.
     """
@@ -400,13 +388,11 @@ def newton_solve(grid, rho0, data, k, config=None, *, last=None):
 
     def res_fn(rho):
         last[:] = rho, geometry.surface_jet(grid, rho), {}
-        return residual(grid, rho, data, k, form=cfg.form, jet=last[1],
-                        fields=last[2])
+        return residual(grid, rho, data, k, jet=last[1], fields=last[2])
 
     def jac_fn(rho):
         jet, fields = last[1:] if rho is last[0] else (None, None)
-        return assemble_jacobian(grid, rho, data, k, form=cfg.form, jet=jet,
-                                 fields=fields)
+        return assemble_jacobian(grid, rho, data, k, jet=jet, fields=fields)
 
     def check(rho):
         if np.any(rho <= 0.0):

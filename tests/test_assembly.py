@@ -123,11 +123,9 @@ def test_round_sphere_jacobian_has_no_explicit_zeros():
     data = solver.homotopy_f(solver.PrescribedData(
         f=lambda x, nu: 1.25 * np.linalg.norm(x, axis=-1) ** -3,
         r1=0.5, r2=2.0), 2, 2, 0.01, 0.0)
-    for form in ("raw", "root"):
-        jac = solver.assemble_jacobian(g, np.ones(g.nnodes), data, 2,
-                                       form=form)
-        assert jac.nnz < g.slots.indices.size
-        assert np.all(jac.data != 0.0)
+    jac = solver.assemble_jacobian(g, np.ones(g.nnodes), data, 2)
+    assert jac.nnz < g.slots.indices.size
+    assert np.all(jac.data != 0.0)
 
 
 @pytest.mark.parametrize("mode,sizes,n", [("full-2d", (16, 16), 2),
@@ -145,8 +143,7 @@ def test_operators_untouched(mode, sizes, n):
         f=lambda x, nu: 3.0 * np.linalg.norm(x, axis=-1) ** -3,
         r1=0.5, r2=2.0)
     rho = 1.0 + 0.05 * np.cos(g.theta) ** 2
-    for form in ("raw", "root"):
-        solver.assemble_jacobian(g, rho, data, 2, form=form)
+    solver.assemble_jacobian(g, rho, data, 2)
     assert fresh.keys() == g.ops.keys()
     for key, op in fresh.items():
         for attr in ("data", "indices", "indptr"):

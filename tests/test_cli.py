@@ -3,9 +3,11 @@
 import json
 import math
 import os
+import re
 import signal
 import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,16 +79,16 @@ CONFIG_PROBES = {
     "dt_min_zero": ("solve-surface", ["t_schedule.dt_min=0"]),
     "max_iter_zero": ("solve-surface", ["newton.max_iter=0"]),
     "tol_negative": ("solve-surface", ["newton.tol=-1"]),
-    "surface_form_bogus": ("solve-surface", ["newton.form=bogus"]),
-    "flat_form_bogus": ("solve-flat", ["newton.form=bogus"]),
-    # The removed Jacobian option is refused whatever its value, so that a
-    # request for a finite-difference Jacobian does not get the analytic one.
-    **{f"{prefix}_jacobian_{value}": (
-        command, [f"newton.jacobian={value}"],
-        "key 'newton.jacobian' was removed")
+    # A removed option is refused whatever its value, so that a request for
+    # a finite-difference Jacobian or the raw form sigma_k - f does not get
+    # the analytic Jacobian or the root form.
+    **{f"{prefix}_{key}_{value}": (
+        command, [f"newton.{key}={value}"], f"key 'newton.{key}' was removed")
        for prefix, command in (("surface", "solve-surface"),
                                ("flat", "solve-flat"))
-       for value in ("analytic", "fd", "bogus")},
+       for key, values in (("jacobian", ("analytic", "fd", "bogus")),
+                           ("form", ("raw", "root", "bogus")))
+       for value in values},
     # Far past the node cap: refused before any allocation.
     "surface_grid_huge": ("solve-surface", ["grid.sizes=[100000,100000]"]),
     "flat_h_tiny": ("solve-flat", ["grid.h=1e-5"]),
@@ -245,6 +247,19 @@ class TestOracleCommands:
                                           "1", "--k", "2"])
         assert r.exit_code != 0
 
+    @pytest.mark.parametrize("args", [
+        ["1", "1e-7", "--k", "2"],
+        ["1", "2", "3", "--k", "2", "--step", "-1"],
+        ["1", "2", "3", "--k", "2", "--step", "0"],
+    ], ids=["stencil_leaves_the_cone", "step_negative", "step_zero"])
+    def test_coeffs_bad_step_is_a_usage_error(self, args):
+        # Off Gamma_k, sigma_k ** (1/k) can be complex; a zero step
+        # divides by zero.
+        r = CliRunner().invoke(cli.main, ["oracle", "coeffs", *args])
+        assert r.exit_code == 2, (r.output, r.exception)
+        assert "Traceback" not in r.output
+        assert "--step" in r.output
+
 
 @pytest.mark.parametrize("probe", sorted(CONFIG_PROBES))
 def test_config_error_exits_2(tmp_path, probe):
@@ -274,7 +289,6 @@ COMMON_KEYS = {
     "k": st.integers(-1, 4) | INVALID,
     "newton.tol": st.floats(1e-12, 1e-6) | INVALID,
     "newton.max_iter": st.integers(-2, 40) | INVALID,
-    "newton.form": st.sampled_from(["raw", "root", "bogus"]),
 }
 MUTATIONS = {
     "solve-surface": {
@@ -369,25 +383,24 @@ def test_mutated_config_exit_codes(run):
     assert elapsed < WALL_S
 
 
-def _newton_stall_exits_4(tmp_path, monkeypatch, command, jac_name, form):
-    # tol = 1e-16 lies below the roundoff floor of both residuals: Newton
-    # must stop once its step no longer changes the iterate, well before
-    # max_iter = 40 Jacobians.
-    owner = solver if command == "solve-surface" else flatcase
-    real, jacobians = getattr(owner, jac_name), []
+def test_flat_newton_stall_exits_4_in_root_form(tmp_path, monkeypatch):
+    # tol = 1e-16 lies below the residual's roundoff floor: Newton must
+    # stop once its step no longer changes the iterate, well before
+    # max_iter = 40 Jacobians. The surface stalls on its round data instead
+    # (test_root_form_stagnation_exits_4).
+    real, jacobians = flatcase.flat_jacobian, []
 
     def counted(*args, **kw):
         jacobians.append(1)
         return real(*args, **kw)
 
-    monkeypatch.setattr(owner, jac_name, counted)
+    monkeypatch.setattr(flatcase, "flat_jacobian", counted)
     cfgp = tmp_path / "cfg.json"
-    write_cfg(cfgp, SURFACE_CFG if command == "solve-surface" else FLAT_CFG)
+    write_cfg(cfgp, FLAT_CFG)
     out = tmp_path / "o"
-    r = CliRunner().invoke(cli.main, [command, "--config", str(cfgp),
+    r = CliRunner().invoke(cli.main, ["solve-flat", "--config", str(cfgp),
                                       "--out", str(out),
-                                      "--override", "newton.tol=1e-16",
-                                      "--override", f"newton.form={form}"])
+                                      "--override", "newton.tol=1e-16"])
     assert r.exit_code == 4, (r.output, r.exception)
     err = json.loads((out / "error.json").read_text())
     assert err["exit_code"] == 4
@@ -396,30 +409,15 @@ def _newton_stall_exits_4(tmp_path, monkeypatch, command, jac_name, form):
     assert 0 < len(jacobians) < 10
 
 
-@pytest.mark.parametrize("command,jac_name", [
-    ("solve-surface", "assemble_jacobian"), ("solve-flat", "flat_jacobian")])
-def test_newton_stall_exits_4(tmp_path, monkeypatch, command, jac_name):
-    # In root form the surface stalls in a later homotopy step, which ends
-    # in a step underflow (test_step_underflow_in_root_form).
-    _newton_stall_exits_4(tmp_path, monkeypatch, command, jac_name, "raw")
-
-
-def test_flat_newton_stall_exits_4_in_root_form(tmp_path, monkeypatch):
-    _newton_stall_exits_4(tmp_path, monkeypatch, "solve-flat",
-                          "flat_jacobian", "root")
-
-
 # Round data with f = C(6,6) 5^6 R / |X|^7, R = 0.8: the exact solution is
-# the sphere of radius 0.8, and f is about 1.6e4 at the start. The tests
-# below pin where the raw residual sigma_k - f meets its roundoff floor.
+# the sphere of radius 0.8, f is about 1.6e4 and f^(1/6) about 5 at the
+# start. The tests below pin where the residual meets its roundoff floor.
 ROUND_66_CFG = {
     "n": 6, "k": 6,
     "grid": {"mode": "axisym-1d", "sizes": [128]},
     "f": {"builtin": "power_decay", "c": 15625 * 0.8, "p": 7},
     "r1": 0.5, "r2": 2.0,
-    "newton": {"form": "raw"},
 }
-ROUND_66_ROOT_CFG = {**ROUND_66_CFG, "newton": {"form": "root"}}
 
 
 def _solve_surface(tmp_path, cfg, *overrides):
@@ -433,31 +431,15 @@ def _solve_surface(tmp_path, cfg, *overrides):
 
 
 def test_large_round_data_converges(tmp_path):
-    # An absolute tolerance of 1e-10 lies below this residual's roundoff
-    # floor, which ended the homotopy in a step underflow (exit 4).
-    cfgp = tmp_path / "cfg.json"
-    write_cfg(cfgp, ROUND_66_CFG)
-    out = tmp_path / "o"
-    r = CliRunner().invoke(cli.main, ["solve-surface", "--config", str(cfgp),
-                                      "--out", str(out)])
-    assert r.exit_code == 0, (r.output, r.exception)
-    report = json.loads((out / "report.json").read_text())
-    assert abs(report["monitors"]["rho_min"] - 0.8) < 1e-10
-    assert abs(report["monitors"]["rho_max"] - 0.8) < 1e-10
-    assert 1e-10 < report["final_max_residual"] <= report["tol"]
-    records = [json.loads(line)
-               for line in (out / "trace.jsonl").read_text().splitlines()]
-    assert records[-1]["tol"] == report["tol"]
-    assert all(rec["max_residual"] <= rec["tol"] for rec in records)
-
-
-def test_large_round_data_converges_in_root_form(tmp_path):
-    r, out = _solve_surface(tmp_path, ROUND_66_ROOT_CFG)
+    # The stop test is relative to max f^(1/6) = 5 at the start, so the
+    # applied tolerance lies above 1e-10.
+    r, out = _solve_surface(tmp_path, ROUND_66_CFG)
     assert r.exit_code == 0, (r.output, r.exception)
     report = json.loads((out / "report.json").read_text())
     assert abs(report["monitors"]["rho_min"] - 0.8) < 1e-10
     assert abs(report["monitors"]["rho_max"] - 0.8) < 1e-10
     assert 1e-10 < report["tol"]
+    assert report["final_max_residual"] <= report["tol"]
     records = [json.loads(line)
                for line in (out / "trace.jsonl").read_text().splitlines()]
     assert records[-1]["tol"] == report["tol"]
@@ -465,26 +447,8 @@ def test_large_round_data_converges_in_root_form(tmp_path):
 
 
 def test_stall_error_names_the_applied_tol(tmp_path):
-    # newton.tol = 1e-16 times max f = 15625 at the round start.
-    cfgp = tmp_path / "cfg.json"
-    write_cfg(cfgp, ROUND_66_CFG)
-    out = tmp_path / "o"
-    r = CliRunner().invoke(cli.main, ["solve-surface", "--config", str(cfgp),
-                                      "--out", str(out),
-                                      "--override", "newton.tol=1e-16"])
-    assert r.exit_code == 4, (r.output, r.exception)
-    err = json.loads((out / "error.json").read_text())
-    assert err["error"] == "NewtonDiverged"
-    assert err["tol"] == pytest.approx(1e-16 * 15625, rel=1e-12)
-    assert "tol 1.563e-12" in err["message"]
-    history = err["residual_history"]
-    assert len(history) == len(err["step_fractions"]) + 1
-    assert min(history) > err["tol"]
-
-
-def test_stall_error_names_the_applied_tol_in_root_form(tmp_path):
     # newton.tol = 1e-16 times max f^(1/6) = 15625^(1/6) = 5 at the start.
-    r, out = _solve_surface(tmp_path, ROUND_66_ROOT_CFG, "newton.tol=1e-16")
+    r, out = _solve_surface(tmp_path, ROUND_66_CFG, "newton.tol=1e-16")
     assert r.exit_code == 4, (r.output, r.exception)
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "NewtonDiverged"
@@ -499,7 +463,7 @@ def test_root_form_stagnation_exits_4(tmp_path):
     # Below its roundoff floor the root residual stays at 8.882e-16 while
     # the steps move rho (fractions 1, 1/4, 1/4, ...): Newton must stop on
     # the stagnation, not use up max_iter = 40 Jacobians.
-    r, out = _solve_surface(tmp_path, ROUND_66_ROOT_CFG, "newton.tol=1e-16")
+    r, out = _solve_surface(tmp_path, ROUND_66_CFG, "newton.tol=1e-16")
     assert r.exit_code == 4, (r.output, r.exception)
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "NewtonDiverged"
@@ -508,53 +472,18 @@ def test_root_form_stagnation_exits_4(tmp_path):
 
 
 def test_step_underflow_error_carries_the_newton_report(tmp_path):
-    # At 1e-14 * max f every homotopy attempt past t = 0.768469 stalls.
-    cfgp = tmp_path / "cfg.json"
-    write_cfg(cfgp, ROUND_66_CFG)
-    out = tmp_path / "o"
-    r = CliRunner().invoke(cli.main, ["solve-surface", "--config", str(cfgp),
-                                      "--out", str(out),
-                                      "--override", "newton.tol=1e-14"])
-    assert r.exit_code == 4, (r.output, r.exception)
-    err = json.loads((out / "error.json").read_text())
-    assert err["error"] == "ContinuationStuck"
-    assert "homotopy step underflow" in err["message"]
-    assert "at t=0.768469" in err["message"]
-    history = err["residual_history"]
-    assert len(history) == len(err["step_fractions"]) + 1
-    assert min(history) > err["tol"] > 0
-    assert err["factorizations"] >= 1
-    assert (out / "trace.jsonl").exists()
-
-
-def test_step_underflow_in_root_form(tmp_path):
     # At tol = 1e-16 every attempt past the round start stalls.
     r, out = _solve_surface(tmp_path, SURFACE_CFG, "newton.tol=1e-16")
     assert r.exit_code == 4, (r.output, r.exception)
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "ContinuationStuck"
     assert "homotopy step underflow" in err["message"]
+    assert "at t=0" in err["message"]
     history = err["residual_history"]
     assert len(history) == len(err["step_fractions"]) + 1
     assert min(history) > err["tol"] > 0
     assert err["factorizations"] >= 1
     assert (out / "trace.jsonl").exists()
-
-
-def test_nonpositive_trial_data_is_not_a_precondition_failure(tmp_path):
-    # Round data with R = 0.6. Past r2 = 2 the homotopy's base term
-    # 1.01 / |X|^6 - 0.01 is negative, and raw-form trial iterates reach
-    # there: such a trial is inadmissible, which once ended the run in
-    # exit 3 although the data passes its conditions.
-    cfg = {**ROUND_66_CFG, "f": {"builtin": "power_decay",
-                                 "c": 15625 * 0.6, "p": 7}}
-    r, out = _solve_surface(tmp_path, cfg, "newton.form=raw",
-                            "t_schedule.dt0=0.1")
-    assert r.exit_code == 0, (r.output, r.exception)
-    report = json.loads((out / "report.json").read_text())
-    assert report["conditions"]["passed"]
-    assert abs(report["monitors"]["rho_min"] - 0.6) < 1e-10
-    assert abs(report["monitors"]["rho_max"] - 0.6) < 1e-10
 
 
 def test_nonpositive_data_at_a_solve_start_exits_3(tmp_path, monkeypatch):
@@ -614,37 +543,28 @@ class TestSolveFlatCommand:
         csv_lines = (out / "flat.csv").read_text().strip().split("\n")
         assert csv_lines[0].startswith("x0,x1,phi")
 
-    def _applied_tol_run(self, tmp_path, form):
+    def test_report_states_the_applied_tol(self, tmp_path):
+        # 1e-10 times f^(1/2) = 2.
         cfgp = tmp_path / "cfg.json"
         write_cfg(cfgp, {**FLAT_CFG,
-                         "f": {"builtin": "constant", "value": 4.0},
-                         "newton": {**FLAT_CFG["newton"], "form": form}})
+                         "f": {"builtin": "constant", "value": 4.0}})
         out = tmp_path / "out"
         r = CliRunner().invoke(cli.main, ["solve-flat", "--config",
                                           str(cfgp), "--out", str(out)])
         assert r.exit_code == 0, r.output
-        return json.loads((out / "report.json").read_text())
-
-    def test_report_states_the_applied_tol(self, tmp_path):
-        report = self._applied_tol_run(tmp_path, "raw")
-        assert report["tol"] == 4e-10
-        assert report["final_max_residual"] <= report["tol"]
-
-    def test_report_states_the_applied_root_tol(self, tmp_path):
-        # 1e-10 times f^(1/2) = 2.
-        report = self._applied_tol_run(tmp_path, "root")
+        report = json.loads((out / "report.json").read_text())
         assert report["tol"] == 2e-10
         assert report["final_max_residual"] <= report["tol"]
 
     @pytest.mark.parametrize("cfg", [
         FLAT_CFG,
-        {**FLAT_CFG, "newton": {"form": "root"}},
         {**FLAT_CFG, "n": 3, "grid": {"shape": "ball", "h": 0.25},
          "f": {"builtin": "grad_sq", "c0": 1.0, "c1": 0.5}},
-    ], ids=["flat_cfg", "root_form", "grad_sq_3d"])
+    ], ids=["flat_cfg", "grad_sq_3d"])
     def test_csv_holds_the_raw_residual(self, tmp_path, cfg):
         # flat.csv takes the solve's last residual fields; it must equal
-        # the file written from the raw residual recomputed at the answer.
+        # the file written from the raw residual sigma_k - f recomputed at
+        # the answer.
         cfgp = tmp_path / "cfg.json"
         write_cfg(cfgp, cfg)
         out = tmp_path / "out"
@@ -655,9 +575,34 @@ class TestSolveFlatCommand:
         grid = flatcase.build_flat_grid(cfg["n"], h=cfg["grid"]["h"])
         state, _ = flatcase.dirichlet_solve(
             grid, fcall, cfg["k"], config=NewtonConfig(**cfg["newton"]))
-        res = flatcase.flat_residual(state, fcall, cfg["k"])
+        fields = {}
+        flatcase.flat_residual(state, fcall, cfg["k"], fields=fields)
+        res = fields["sigma"] - fields["f"]
         assert ((out / "flat.csv").read_text()
                 == flatcase.flat_csv_text(state, res))
+
+    @pytest.mark.parametrize("overrides", [
+        ['f={"builtin": "tabulated", "r": [0, 2], '
+         '"values": [1e300, 1e300]}'],
+        ["beta=-1000"],
+    ], ids=["huge_data", "negative_beta"])
+    def test_monitor_beyond_the_float_range(self, tmp_path, overrides):
+        # The suite turns a RuntimeWarning into an error: the monitor's
+        # overflow must be silent, null in report.json and inf in flat.csv.
+        cfgp = tmp_path / "cfg.json"
+        write_cfg(cfgp, FLAT_CFG)
+        out = tmp_path / "out"
+        args = ["solve-flat", "--config", str(cfgp), "--out", str(out)]
+        for spec in overrides:
+            args += ["--override", spec]
+        r = CliRunner().invoke(cli.main, args)
+        assert r.exit_code == 0, (r.output, r.exception)
+        report = json.loads((out / "report.json").read_text())
+        assert report["pogorelov"] is None
+        rows = [line.split(",")
+                for line in (out / "flat.csv").read_text().splitlines()]
+        assert rows[0][-1] == "pogorelov"
+        assert "inf" in [row[-1] for row in rows[1:]]
 
     def test_k_greater_than_n(self, tmp_path):
         cfgp = tmp_path / "cfg.json"
@@ -699,6 +644,17 @@ class TestSolveSurfaceCommand:
                    <= rec["newton_iterations"] for rec in trace)
         surface = (out / "surface.csv").read_text()
         assert surface.startswith("node,theta,phi,rho")
+
+    def test_readme_example_runs(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block, = re.findall(r"```json\n(.*?)```", readme.read_text(), re.S)
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(block)
+        out = tmp_path / "out"
+        r = CliRunner().invoke(cli.main, ["solve-surface", "--config",
+                                          str(cfgp), "--out", str(out)])
+        assert r.exit_code == 0, (r.output, r.exception)
+        assert json.loads((out / "report.json").read_text())["converged"]
 
     def test_constant_f_exits_3(self, tmp_path):
         cfgp = tmp_path / "cfg.json"

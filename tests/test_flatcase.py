@@ -10,7 +10,6 @@ from scipy.integrate import quad
 from etacurv import flatcase, symm
 from etacurv.errors import (ConeViolationError, DomainError,
                             PreconditionError)
-from etacurv.newton import NewtonConfig
 from fd_oracle import fd_jacobian
 
 
@@ -140,13 +139,14 @@ class TestFlatState:
 
 class TestFlatResidual:
     def test_constant_hessian_shift(self):
-        # D^2 phi = I, eta = I*(n-1): residual = C(n,k)(n-1)^k - f
+        # D^2 phi = I, eta = I*(n-1): residual = (C(n,k)(n-1)^k)^(1/k)
+        # - f^(1/k) = 1 - 0.25^(1/2)
         g = flatcase.build_flat_grid(2, "ball", h=1 / 16)
         state = flatcase.build_flat_state(g, bowl(g))
         res = flatcase.flat_residual(state, f_const(0.25), 2)
         r = np.linalg.norm(g.pts, axis=1)
         interior = r < 1.0 - 2 * g.h
-        assert np.abs(res[interior] - 0.75).max() < 1e-10
+        assert np.abs(res[interior] - 0.5).max() < 1e-10
 
     def test_exact_quadratic_zero(self):
         g = flatcase.build_flat_grid(2, "ball", h=1 / 16)
@@ -168,29 +168,18 @@ class TestFlatResidual:
         with pytest.raises(ValueError):
             flatcase.flat_residual(state, f_const(1.0), 3)
 
-    def test_unknown_form_rejected(self):
-        g = flatcase.build_flat_grid(2, "ball", h=1 / 8)
-        state = flatcase.build_flat_state(g, bowl(g))
-        with pytest.raises(ValueError, match="bogus"):
-            flatcase.flat_residual(state, f_const(1.0), 2, form="bogus")
-
 
 class TestFlatJacobian:
-    @pytest.mark.parametrize("form", ["raw", "root"])
-    def test_matches_fd(self, form):
+    def test_matches_fd(self):
         g = flatcase.build_flat_grid(2, "ball", h=1 / 8)
         phi = bowl(g) * (1 + 0.05 * np.sin(3 * g.pts[:, 0])
                          * np.cos(2 * g.pts[:, 1]))
         state = flatcase.build_flat_state(g, phi)
-        ja = flatcase.flat_jacobian(state, f_grad_sq, 2, form=form).toarray()
+        ja = flatcase.flat_jacobian(state, f_grad_sq, 2).toarray()
 
         def res_fn(p):
-            s = flatcase.build_flat_state(g, p)
-            r = flatcase.flat_residual(s, f_grad_sq, 2)
-            if form == "root":
-                fv = f_grad_sq(g.pts, s.phi, s.grad)
-                return (r + fv) ** 0.5 - fv**0.5
-            return r
+            return flatcase.flat_residual(flatcase.build_flat_state(g, p),
+                                          f_grad_sq, 2)
 
         jf = fd_jacobian(res_fn, phi)
         assert np.abs(ja - jf).max() / (1 + np.abs(jf).max()) < 1e-6
@@ -233,13 +222,16 @@ class TestDirichletSolve:
         with pytest.raises(PreconditionError):
             flatcase.dirichlet_solve(g, f_const(-1.0), 2)
 
-    def test_forms_agree(self):
+    def test_f_nonpositive_at_the_initial_guess_rejected(self):
+        # Positive at zero gradient but not at the initial bowl's steep
+        # rim, where the residual f^(1/2) would be NaN.
         g = flatcase.build_flat_grid(2, "ball", h=1 / 8)
-        s_raw, _ = flatcase.dirichlet_solve(
-            g, f_const(1.0), 2, config=NewtonConfig(form="raw"))
-        s_root, _ = flatcase.dirichlet_solve(
-            g, f_const(1.0), 2, config=NewtonConfig(form="root"))
-        assert np.abs(s_raw.phi - s_root.phi).max() < 1e-8
+
+        def f(x, phi, grad):
+            return 1.0 - 3.0 * np.einsum("ni,ni->n", grad, grad)
+
+        with pytest.raises(PreconditionError, match="must be positive"):
+            flatcase.dirichlet_solve(g, f, 2)
 
     def test_root_residual_evaluates_f_once(self, monkeypatch):
         f_calls = []
@@ -262,22 +254,18 @@ class TestDirichletSolve:
 
         monkeypatch.setattr(flatcase, "damped_newton", spy)
         g = flatcase.build_flat_grid(2, "ball", h=1 / 8)
-        _, rep = flatcase.dirichlet_solve(g, f, 2,
-                                          config=NewtonConfig(form="root"))
+        _, rep = flatcase.dirichlet_solve(g, f, 2)
         assert rep.converged
         assert per_residual and set(per_residual) == {1}
 
-    @pytest.mark.parametrize("form,scale", [("raw", 9.0), ("root", 3.0)])
-    def test_tolerance_relative_to_f(self, form, scale):
-        # f = 9: tol * max f in raw form, tol * max f^(1/2) in root form.
+    def test_tolerance_relative_to_f(self):
+        # f = 9: tol * max f^(1/2).
         g = flatcase.build_flat_grid(2, "ball", h=1 / 8)
-        _, rep = flatcase.dirichlet_solve(g, f_const(9.0), 2,
-                                          config=NewtonConfig(form=form))
+        _, rep = flatcase.dirichlet_solve(g, f_const(9.0), 2)
         assert rep.converged
-        assert rep.tol == 1e-10 * scale
+        assert rep.tol == 1e-10 * 3.0
 
-    @pytest.mark.parametrize("form", ["raw", "root"])
-    def test_newton_reuses_residual_state(self, monkeypatch, form):
+    def test_newton_reuses_residual_state(self, monkeypatch):
         calls = {"f": 0, "state": 0, "residual": 0, "jacobian": 0}
         real = {name: getattr(flatcase, name) for name in
                 ("build_flat_state", "flat_residual", "flat_jacobian")}
@@ -299,32 +287,30 @@ class TestDirichletSolve:
         monkeypatch.setattr(flatcase, "flat_jacobian",
                             counted("jacobian", "flat_jacobian"))
         g = flatcase.build_flat_grid(2, "ball", h=1 / 8)
-        state, rep = flatcase.dirichlet_solve(g, f, 2,
-                                              config=NewtonConfig(form=form))
+        state, rep = flatcase.dirichlet_solve(g, f, 2)
         assert rep.converged and calls["jacobian"] == rep.factorizations > 0
         # One state per residual: the Jacobians and the returned state are
         # those the residual of the same phi built.
         assert calls["state"] == calls["residual"]
-        # f: two calls before Newton (initial guess, positivity check), one
-        # per residual, 2 + 2 dim per Jacobian (differences in phi and in
-        # each gradient component) and none to rebuild f in root form.
-        assert calls["f"] == 2 + calls["residual"] + 6 * calls["jacobian"]
+        # f: one call before Newton (initial guess), one per residual,
+        # 2 + 2 dim per Jacobian (differences in phi and in each gradient
+        # component) and none to rebuild f.
+        assert calls["f"] == 1 + calls["residual"] + 6 * calls["jacobian"]
         fresh = real["build_flat_state"](g, state.phi)
         for name in ("grad", "hess", "lap_phi", "eta_spectrum"):
             assert getattr(state, name).tobytes() == \
                 getattr(fresh, name).tobytes()
 
-    @pytest.mark.parametrize("form", ["raw", "root"])
     @pytest.mark.parametrize("dim,h,f", [(2, 1 / 8, f_const(1.0)),
                                          (3, 1 / 4, f_grad_sq)])
-    def test_fields_of_the_returned_state(self, form, dim, h, f):
+    def test_fields_of_the_returned_state(self, dim, h, f):
         g = flatcase.build_flat_grid(dim, "ball", h=h)
         fields = {}
-        state, _ = flatcase.dirichlet_solve(g, f, 2, fields=fields,
-                                            config=NewtonConfig(form=form))
-        # The raw residual of the returned state, bit for bit.
+        state, _ = flatcase.dirichlet_solve(g, f, 2, fields=fields)
+        # The residual of the returned state, bit for bit.
         res = flatcase.flat_residual(state, f, 2)
-        assert (fields["sigma"] - fields["f"]).tobytes() == res.tobytes()
+        assert (fields["sigma"] ** 0.5 - fields["f"] ** 0.5).tobytes() \
+            == res.tobytes()
 
 
 class TestConvergenceOrder:

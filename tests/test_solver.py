@@ -118,7 +118,9 @@ class TestResidual:
             r1=0.5, r2=2.0)
         g = geometry.build_grid(2, "full-2d", (16, 16))
         res = solver.residual(g, np.ones(g.nnodes), data, 2)
-        assert np.abs(res + const).max() < 1e-12
+        # sigma_2 = const at rho = 1, so F = const^(1/2) - (2 const)^(1/2).
+        want = (1.0 - math.sqrt(2.0)) * math.sqrt(const)
+        assert np.abs(res - want).max() < 1e-12
 
     def test_f_nonpositive_rejected(self):
         data = solver.PrescribedData(
@@ -127,51 +129,29 @@ class TestResidual:
         with pytest.raises(PreconditionError):
             solver.residual(g, np.ones(g.nnodes), data, 2)
 
-    def test_root_form_same_zeros(self, round_data):
-        g = geometry.build_grid(2, "full-2d", (16, 16))
-        res = solver.residual(g, np.full(g.nnodes, 1.25), round_data, 2,
-                              form="root")
-        assert np.abs(res).max() < 1e-12
 
-    def test_unknown_form_rejected(self, round_data):
-        g = geometry.build_grid(2, "full-2d", (16, 16))
-        with pytest.raises(ValueError, match="bogus"):
-            solver.residual(g, np.ones(g.nnodes), round_data, 2,
-                            form="bogus")
-
-
-def _fd_jacobian(g, rho, data, k, form="raw"):
-    return fd_jacobian(lambda r: solver.residual(g, r, data, k, form=form),
-                       rho, step=1e-7)
+def _fd_jacobian(g, rho, data, k):
+    return fd_jacobian(lambda r: solver.residual(g, r, data, k), rho,
+                       step=1e-7)
 
 
 class TestJacobian:
-    def test_unknown_form_rejected(self, round_data):
-        g = geometry.build_grid(2, "full-2d", (16, 8))
-        jet = geometry.surface_jet(g, np.ones(g.nnodes))
-        j_sig, j_f = solver._jac_full(g, jet, round_data, 2)
-        ones = np.ones(g.nnodes)
-        with pytest.raises(ValueError, match="bogus"):
-            g.slots.form_matrix(j_sig, j_f, ones, ones, 2, "bogus")
-
-    @pytest.mark.parametrize("form", ["raw", "root"])
-    def test_full_2d_matches_fd(self, round_data, form):
+    def test_full_2d_matches_fd(self, round_data):
         g = geometry.build_grid(2, "full-2d", (16, 8))
         rho = (1.2 + 0.05 * np.sin(g.theta) * np.cos(g.phi)
                + 0.03 * np.cos(g.theta))
-        ja = solver.assemble_jacobian(g, rho, round_data, 2, form=form)
+        ja = solver.assemble_jacobian(g, rho, round_data, 2)
         ja = np.asarray(ja.todense())
-        jf = _fd_jacobian(g, rho, round_data, 2, form)
+        jf = _fd_jacobian(g, rho, round_data, 2)
         assert np.abs(ja - jf).max() / (1 + np.abs(jf).max()) < 1e-7
 
-    @pytest.mark.parametrize("form", ["raw", "root"])
     @pytest.mark.parametrize("n", [2, 3])
-    def test_axisym_matches_fd(self, round_data, form, n):
+    def test_axisym_matches_fd(self, round_data, n):
         g = geometry.build_grid(n, "axisym-1d", (48,))
         rho = 1.2 + 0.05 * np.cos(g.theta)
-        ja = solver.assemble_jacobian(g, rho, round_data, 2, form=form)
+        ja = solver.assemble_jacobian(g, rho, round_data, 2)
         ja = np.asarray(ja.todense())
-        jf = _fd_jacobian(g, rho, round_data, 2, form)
+        jf = _fd_jacobian(g, rho, round_data, 2)
         assert np.abs(ja - jf).max() / (1 + np.abs(jf).max()) < 1e-7
 
     def test_anisotropic_f_derivatives(self):
@@ -254,22 +234,25 @@ class TestNewtonSolve:
         assert rep.converged
         assert rep.iterations == 0
 
+    def test_nan_data_at_the_start_raises(self, round_data):
+        # NaN at one node is data that is not positive (NaN <= 0 is
+        # false), and its NaN residual must not pass the stop test.
+        def f(x, nu):
+            out = round_data.f(x, nu)
+            out[0] = np.nan
+            return out
+
+        data = solver.PrescribedData(f=f, r1=0.5, r2=2.0)
+        g = geometry.build_grid(2, "full-2d", (16, 16))
+        with pytest.raises(PreconditionError, match="must be positive"):
+            solver.newton_solve(g, np.full(g.nnodes, 1.2), data, 2)
+
     def test_residual_never_increases(self, round_data):
         g = geometry.build_grid(2, "full-2d", (16, 16))
         _, rep = solver.newton_solve(
             g, np.full(g.nnodes, 1.1), round_data, 2)
         hist = rep.residual_history
         assert all(b <= a * (1 + 1e-14) for a, b in zip(hist, hist[1:]))
-
-    def test_forms_agree(self, round_data):
-        g = geometry.build_grid(2, "full-2d", (16, 16))
-        rho_raw, _ = solver.newton_solve(
-            g, np.full(g.nnodes, 1.1), round_data, 2,
-            config=NewtonConfig(form="raw"))
-        rho_root, _ = solver.newton_solve(
-            g, np.full(g.nnodes, 1.1), round_data, 2,
-            config=NewtonConfig(form="root"))
-        assert np.abs(rho_raw - rho_root).max() < 1e-8
 
     def test_root_jacobian_reuses_residual_fields(self):
         calls = []
@@ -280,8 +263,7 @@ class TestNewtonSolve:
 
         data = solver.PrescribedData(f=f, r1=0.5, r2=2.0)
         g = geometry.build_grid(2, "axisym-1d", 32)
-        rho, rep = solver.newton_solve(g, np.full(g.nnodes, 1.1), data, 2,
-                                       config=NewtonConfig(form="root"))
+        rho, rep = solver.newton_solve(g, np.full(g.nnodes, 1.1), data, 2)
         assert rep.converged and rep.iterations == 9
         # One f call per residual and 8 per Jacobian (central differences
         # along components 0 and n of X and nu); none to rebuild f.
@@ -359,6 +341,13 @@ class TestDampedNewtonCore:
         with pytest.raises(NewtonDiverged):
             damped_newton(np.array([0.0]), res, jac,
                           NewtonConfig(max_iter=5))
+
+    def test_nan_residual_at_the_start_does_not_converge(self):
+        # NaN > tol is false: the stop test must not read a NaN residual
+        # as converged.
+        with pytest.raises(NewtonDiverged):
+            damped_newton(np.array([1.0]), lambda x: np.array([np.nan]),
+                          lambda x: np.array([[1.0]]), NewtonConfig())
 
     def test_candidate_check_blocks(self):
         calls = []
@@ -662,14 +651,9 @@ class TestScaledStop:
     def test_pipelines_scale_by_f(self, round_data):
         # f = 1.25 / |X|^3 at rho = 0.9: max f = 1.25 / 0.729.
         g = geometry.build_grid(2, "axisym-1d", 32)
-        rho0 = np.full(g.nnodes, 0.9)
-        _, raw = solver.newton_solve(g, rho0, round_data, 2,
-                                     config=NewtonConfig(form="raw"))
-        _, root = solver.newton_solve(g, rho0, round_data, 2,
-                                      config=NewtonConfig(form="root"))
-        assert raw.tol == pytest.approx(1e-10 * 1.25 / 0.729, rel=1e-12)
-        assert root.tol == pytest.approx(1e-10 * (1.25 / 0.729) ** 0.5,
-                                         rel=1e-12)
+        _, rep = solver.newton_solve(g, np.full(g.nnodes, 0.9), round_data, 2)
+        assert rep.tol == pytest.approx(1e-10 * (1.25 / 0.729) ** 0.5,
+                                        rel=1e-12)
 
 
 class TestContinuation:
@@ -790,15 +774,16 @@ class TestContinuation:
             assert 1e-10 <= rec["tol"] and rec["max_residual"] <= rec["tol"]
 
     def test_defaults_are_root_form_from_dt_max(self):
+        # The root form is the only one: no setting selects another.
+        assert not hasattr(NewtonConfig(), "form")
         run = solver.HomotopyRun()
-        assert run.newton.form == NewtonConfig().form == "root"
         assert run.dt0 == run.dt_max == 0.5
 
     @pytest.mark.parametrize("radius", [0.6, 0.7])
     def test_small_round_data_never_fails_an_attempt(self, monkeypatch,
                                                      radius):
-        # Raw form with dt0 = 0.1 failed 26 (R = 0.6) and 6 (R = 0.7)
-        # newton_solve attempts here, each a cone exit.
+        # The raw form sigma_k - f, from dt0 = 0.1, failed 26 (R = 0.6) and
+        # 6 (R = 0.7) newton_solve attempts here, each a cone exit.
         real_solve, failed = solver.newton_solve, []
 
         def solve(*args, **kw):
@@ -837,36 +822,29 @@ def round_cases(draw):
     return n, draw(st.integers(1, n)), draw(st.floats(0.55, 1.95))
 
 
-@pytest.mark.parametrize("form,dt0", [("root", None), ("raw", 0.1)])
 @settings(max_examples=30, deadline=None)
 @given(case=round_cases())
-# Raw-form trials at R = 0.6 reach |X| > r2, where the base term is
-# negative; R = 1.925 ends the farthest from the sphere.
+# R = 0.6 is the smallest radius in the round sweeps; R = 1.925 ends the
+# farthest from the sphere.
 @example(case=(6, 6, 0.6))
 @example(case=(6, 6, 1.925))
-def test_round_data_converges_to_the_sphere(form, dt0, case):
+def test_round_data_converges_to_the_sphere(case):
     # f = C(n,k) (n-1)^k R / |X|^(k+1) is solved by the sphere rho = R,
-    # exactly on the grid too. Root form runs under the defaults, raw
-    # form with the old dt0 = 0.1.
+    # exactly on the grid too.
     n, k, radius = case
     const = math.comb(n, k) * (n - 1) ** k
     data = solver.PrescribedData(f=power_decay(const * radius, k + 1),
                                  r1=0.5, r2=2.0)
     assume(solver.validate_conditions(data, n, k).passed)
-    run = (solver.HomotopyRun() if dt0 is None else
-           solver.HomotopyRun(dt0=dt0, newton=NewtonConfig(form=form)))
     g = geometry.build_grid(n, "axisym-1d", 128)
-    rho, run = solver.continue_to_target(g, data, run, k)
+    rho, run = solver.continue_to_target(g, data, solver.HomotopyRun(), k)
     final = run.trace[-1]
     assert final["t"] == 1.0 and final["max_residual"] <= final["tol"]
     # At the sphere the linearized residual is an elliptic operator plus
     # b times the identity, b > 0 the derivative along constant rho, so
     # max|rho - R| <= max|F| / b to first order (maximum principle). The
     # stop test max|F| <= tol bounds the error by tol / b, which exceeds
-    # 1e-10 for k = 6 and R near 2 (1.4e-9 in root form).
-    if form == "root":
-        b = const ** (1.0 / k) / (k * radius**2)
-    else:
-        b = const / radius ** (k + 1)
+    # 1e-10 for k = 6 and R near 2 (1.4e-9).
+    b = const ** (1.0 / k) / (k * radius**2)
     err = np.abs(rho - radius).max()
     assert err <= 1.05 * final["max_residual"] / b + 1e-13

@@ -205,9 +205,19 @@ def _constant(cfg):
     return lambda x: np.full(x.shape[:-1], value)
 
 
+def _table(cfg, path):
+    """The list at ``path`` as a 1-d array of finite floats."""
+    try:
+        table = np.asarray(_get(cfg, path, list), dtype=float)
+    except (TypeError, ValueError, OverflowError):     # ragged or not numbers
+        table = np.empty((0, 0))
+    if table.ndim != 1 or not np.all(np.isfinite(table)):
+        raise ConfigError(f"key '{path}' must be a list of finite numbers")
+    return table
+
+
 def _tabulated(cfg):
-    radii = np.asarray(_get(cfg, "f.r", list), dtype=float)
-    values = np.asarray(_get(cfg, "f.values", list), dtype=float)
+    radii, values = _table(cfg, "f.r"), _table(cfg, "f.values")
     if radii.size != values.size or radii.size < 2:
         raise ConfigError("key 'f.r' and 'f.values' must be equal-length "
                           "tables with at least two entries")

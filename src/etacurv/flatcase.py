@@ -350,37 +350,26 @@ def _initial_guess(grid, f, k):
 def dirichlet_solve(grid, f, k, config=None, beta=4.0, *, fields=None):
     """Damped Newton with cone safeguarding under homogeneous Dirichlet data.
 
-    The linear solves use the grid's LU order, and the tolerance is
-    relative to max f^(1/k) at the initial guess, where f not positive
-    raises PreconditionError. ``fields``, a dict, receives the sigma_k and
-    f fields of the returned state under "sigma" and "f", from its last
-    residual evaluation.
+    The residual's state is the (FlatState, fields) pair it builds, from
+    which the Jacobian of the same phi is assembled. The linear solves use
+    the grid's LU order, and the tolerance is relative to max f^(1/k) at
+    the initial guess, where f not positive raises PreconditionError.
+    Returns the converged FlatState and the NewtonReport; ``fields``, a
+    dict, receives its sigma_k and f fields under "sigma" and "f".
     """
-    cfg = solve_config(config, grid.perm, k, lambda: last[2]["f"])
-    phi0 = _initial_guess(grid, f, k)
-
-    # damped_newton asks for the Jacobian only at the iterate whose
-    # residual it computed last, and returns that iterate, so the state
-    # and fields built there are reused.
-    last = [None, None, None]
-
-    def state_of(phi):
-        if phi is last[0]:
-            return last[1:]
-        return build_flat_state(grid, phi, beta=beta), None
+    cfg = solve_config(config, grid.perm, k)
 
     def res_fn(phi):
-        last[:] = phi, build_flat_state(grid, phi, beta=beta), {}
-        return flat_residual(last[1], f, k, fields=last[2])
+        state = build_flat_state(grid, phi, beta=beta), {}
+        return flat_residual(state[0], f, k, fields=state[1]), state
 
-    def jac_fn(phi):
-        state, fields = state_of(phi)
-        return flat_jacobian(state, f, k, fields=fields)
+    def jac_fn(state):
+        return flat_jacobian(state[0], f, k, fields=state[1])
 
-    phi, report = damped_newton(phi0, res_fn, jac_fn, cfg)
-    state, last_fields = state_of(phi)
+    (state, state_fields), report = damped_newton(
+        _initial_guess(grid, f, k), res_fn, jac_fn, cfg)
     if fields is not None:
-        fields.update(last_fields)
+        fields.update(state_fields)
     return state, report
 
 

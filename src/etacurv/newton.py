@@ -1,6 +1,11 @@
 """Damped Newton iteration and the residual forms shared by the curved
 and flat pipelines.
 
+The residual callback returns (F, state), the state being what the
+caller built at x on the way to F; the Jacobian callback and the scale
+take a state. The iteration holds the state of its iterate, so it
+evaluates no residual twice at one x, and returns the converged state.
+
 Convergence is relative to the size of the data: the iteration stops at
 max|F| <= tol * max(1, max f^(1/k)), with f the prescribed data of the
 first residual, at the solve's start. The residual's
@@ -37,12 +42,11 @@ never alive at once.
 Both pipelines solve sigma_k = f in the root form G - f^(1/k), with
 G = sigma_k^(1/k) concave on Gamma_k; ``form_residual`` and
 ``SlotTable.form_matrix`` give its residual and Jacobian from the sigma_k
-and f fields and the Jacobian data of each.
-``fd_data_derivs`` gives the first derivatives of the prescribed data
-that the Jacobians need. ``SlotTable`` is the sparsity pattern every
-Jacobian is assembled on, and ``factor`` the one sparse LU every Newton
-step solves with, in the fill-reducing order each grid stores when it is
-built.
+and f fields and the Jacobian data of each. ``fd_data_derivs`` gives the
+first derivatives of the prescribed data that the Jacobians need.
+``SlotTable`` is the sparsity pattern every Jacobian is assembled on, and
+``factor`` the one sparse LU every Newton step solves with, in the
+fill-reducing order each grid stores when it is built.
 """
 
 import math
@@ -69,10 +73,10 @@ MAX_NODES = 2**22
 @dataclass
 class NewtonConfig:
     """Newton settings. ``tol`` is relative to the data's scale: the stop
-    test is max|F| <= tol * max(1, scale()), with ``scale`` a zero-argument
-    callable evaluated once, after the first residual. The pipelines set
-    it to max f^(1/k) of that residual with ``solve_config``; without one
-    the test is absolute.
+    test is max|F| <= tol * max(1, scale(state)), with ``scale`` evaluated
+    once, on the state of the first residual. The pipelines set it to
+    max f^(1/k) of that residual with ``solve_config``; without one the
+    test is absolute.
     """
 
     tol: float = 1e-10
@@ -80,8 +84,8 @@ class NewtonConfig:
     # Fill-reducing order of the unknowns for the sparse LU (see factor);
     # the pipelines set it to their grid's, no config key reads it.
     perm: np.ndarray = field(default=None, repr=False, compare=False)
-    # Size of the data the tolerance is relative to, a zero-argument
-    # callable; the pipelines set it with solve_config, no config key does.
+    # Size of the data the tolerance is relative to, a callable of the
+    # first state; the pipelines set it with solve_config, no config key does.
     scale: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -266,56 +270,49 @@ def fd_data_derivs(f, args, slots, cols=None):
     return out
 
 
-def solve_config(config, perm, k, f_field):
+def solve_config(config, perm, k):
     """The settings of one pipeline solve: ``config`` (default
     NewtonConfig()) with the grid's LU order ``perm`` and, as the scale,
-    max f^(1/k), for the f field that ``f_field()`` returns once the first
-    residual has filled it.
+    max f^(1/k) over the f > 0 of the first state, a (jet or FlatState,
+    fields) pair with the f field in fields["f"].
     """
-    def scale():    # f > 0, or the first residual would have raised
-        return float(np.max(f_field())) ** (1.0 / k)
+    def scale(state):
+        return float(np.max(state[1]["f"])) ** (1.0 / k)
 
-    # scale must not refer to the config: that cycle would keep the solve's
-    # last fields alive after it returns, until the next garbage collection.
     return replace(config or NewtonConfig(), perm=perm, scale=scale)
 
 
-def _applied_tol(cfg):
-    """tol * max(1, scale()), or tol itself if that is not finite."""
-    scale = 1.0 if cfg.scale is None else float(cfg.scale())
-    tol = cfg.tol * scale
-    return tol if scale > 1.0 and math.isfinite(tol) else cfg.tol
-
-
 def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
-    """Drive x to max|residual(x)| <= cfg.tol * max(1, cfg.scale()).
+    """Drive x to max|F(x)| <= cfg.tol * max(1, cfg.scale(state)).
 
-    The scale is read once, after the first residual; the tolerance it
-    gives is kept in the report and named in every failure message.
-    ``candidate_check(x)`` returns None if x is admissible, else a short
-    reason string; cone, domain and data-positivity violations
-    (ConeViolationError, DomainError, PreconditionError) raised by
-    ``residual_fn`` at a candidate count as admissibility failures too,
-    while at x0 they propagate. A candidate is accepted only if
-    its max-norm residual does not exceed the current one. An admissible
-    candidate equal to x bit for bit raises NewtonDiverged at once: with
-    deterministic callbacks, accepting it would repeat the same iteration
-    until ``max_iter``. So does an iterate not yet converged after
-    STALL_STEPS accepted steps in a row that did not decrease the
-    residual. The factors of a Jacobian are kept, and refreshed, as the
-    module docstring describes. ``jacobian_fn(x)`` returns a sparse matrix
-    or a dense array, and is called, and x returned, only right after
-    ``residual_fn(x)``.
+    ``residual_fn(x)`` returns (F, state), and ``jacobian_fn(state)`` the
+    Jacobian at that state's x, a sparse matrix or a dense array. The
+    scale is read once, on the first state; the tolerance it gives is kept
+    in the report and named in every failure message. A residual not
+    finite at x0 raises NewtonDiverged. ``candidate_check(x)`` returns
+    None if x is admissible, else a short reason string; cone, domain and
+    data-positivity violations (ConeViolationError, DomainError,
+    PreconditionError) raised by ``residual_fn`` at a candidate count as
+    admissibility failures too, while at x0 they propagate. A candidate is
+    accepted only if its max-norm residual does not exceed the current
+    one. An admissible candidate equal to x bit for bit raises
+    NewtonDiverged at once: with deterministic callbacks, accepting it
+    would repeat the same iteration until ``max_iter``. So does an iterate
+    not yet converged after STALL_STEPS accepted steps in a row that did
+    not decrease the residual. The factors of a Jacobian are kept, and
+    refreshed, as the module docstring describes. Returns the state of the
+    converged iterate and the NewtonReport.
     """
     x = np.asarray(x0, dtype=float).copy()
-    res = residual_fn(x)
+    res, state = residual_fn(x)
     rnorm = float(np.max(np.abs(res)))
-    tol = _applied_tol(cfg)
+    scale = 1.0 if cfg.scale is None else float(cfg.scale(state))
+    tol = cfg.tol * scale       # tol * max(1, scale) where that is finite
+    tol = tol if scale > 1.0 and math.isfinite(tol) else cfg.tol
     report = NewtonReport(tol=tol, residual_history=[rnorm])
     solve = None        # the kept factors, a function of the right-hand side
     reuse = False       # the last step contracted enough to step on them
     kept = False        # the last step was taken on them
-    elsewhere = False   # the last residual was evaluated away from x
     stalled = 0         # accepted steps in a row that left rnorm as it was
 
     def diverged(why, cls=NewtonDiverged):
@@ -329,35 +326,35 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
         return candidate_check is None or not candidate_check(cand)
 
     def evaluate(cand):
-        """(F, max|F|) at cand, or None if F is not defined and finite."""
-        nonlocal elsewhere
-        elsewhere = True
+        """(cand, F, state, max|F|), or None if F is undefined or not
+        finite at cand."""
         try:
-            cres = residual_fn(cand)
+            cres, cstate = residual_fn(cand)
         except (ConeViolationError, DomainError, PreconditionError):
             return None
         cnorm = float(np.max(np.abs(cres)))
-        return (cres, cnorm) if np.isfinite(cnorm) else None
+        return (cand, cres, cstate, cnorm) if np.isfinite(cnorm) else None
 
-    def accept(cand, cres, cnorm, frac):
-        nonlocal x, res, rnorm, reuse, elsewhere, stalled
-        reuse = cnorm <= REFACTOR_RATIO * rnorm
-        stalled = stalled + 1 if cnorm >= rnorm else 0
-        x, res, rnorm, elsewhere = cand, cres, cnorm, False
+    def accept(step, frac):
+        nonlocal x, res, state, rnorm, reuse, stalled
+        reuse = step[3] <= REFACTOR_RATIO * rnorm
+        stalled = stalled + 1 if step[3] >= rnorm else 0
+        x, res, state, rnorm = step
         report.iterations += 1
         report.residual_history.append(rnorm)
         report.step_fractions.append(frac)
 
     def full_step():
-        """The full step on the kept factors, (cand, F, max|F|), or None if
-        cand is inadmissible or x itself."""
+        """The evaluated full step on the kept factors, or None if its
+        candidate is inadmissible or x itself."""
         cand = x + solve(-res)
         if not admissible(cand) or same(cand):
             return None
-        step = evaluate(cand)
-        return None if step is None else (cand, *step)
+        return evaluate(cand)
 
-    while not rnorm <= tol:     # a NaN residual has not converged
+    if not np.isfinite(rnorm):
+        raise diverged("residual not finite at the first iterate")
+    while rnorm > tol:
         if report.iterations == cfg.max_iter:
             raise diverged(f"no convergence in {cfg.max_iter} iterations")
         if stalled == STALL_STEPS:
@@ -365,15 +362,13 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
         kept = False
         if reuse:
             step = full_step()
-            if step is not None and step[2] < rnorm:
-                accept(*step, 1.0)
+            if step is not None and step[3] < rnorm:
+                accept(step, 1.0)
                 kept = True
                 continue
 
         solve = None    # two LUs are never alive at once
-        if elsewhere:
-            residual_fn(x)
-        jac = jacobian_fn(x)
+        jac = jacobian_fn(state)
         try:
             solve = factor(jac, cfg.perm)
         except RuntimeError as exc:     # SuperLU: exactly singular
@@ -388,17 +383,14 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
             cand = x + frac * delta
             if not admissible(cand):
                 continue
-            # Equal to x, the candidate has x's residual, which the step
-            # test below accepts (and every later iteration repeats) only
-            # when it is finite.
-            if np.isfinite(rnorm) and same(cand):
+            if same(cand):
                 raise diverged("step no longer changes the iterate")
             step = evaluate(cand)
             if step is None:
                 continue
             inadmissible_only = False
-            if step[1] <= rnorm:
-                accept(cand, *step, frac)
+            if step[3] <= rnorm:
+                accept(step, frac)
                 break
         else:
             if inadmissible_only:
@@ -411,9 +403,7 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
 
     if kept:
         step = full_step()
-        if step is not None and step[2] <= rnorm:
-            accept(*step, 1.0)
-    if elsewhere:
-        residual_fn(x)
+        if step is not None and step[3] <= rnorm:
+            accept(step, 1.0)
     report.converged = True
-    return x, report
+    return state, report

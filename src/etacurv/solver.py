@@ -12,7 +12,7 @@ inequalities on |X| = r1, r2 and the radial monotonicity of rho^k f.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -94,14 +94,7 @@ class ConditionsReport:
     samples: int
 
     def as_dict(self):
-        return {
-            "passed": self.passed,
-            "inner_margin": self.inner_margin,
-            "outer_margin": self.outer_margin,
-            "monotonicity_margin": self.monotonicity_margin,
-            "zero_margin": self.zero_margin,
-            "samples": self.samples,
-        }
+        return asdict(self)
 
 
 def _sample_directions(n, samples):
@@ -113,9 +106,18 @@ def _sample_directions(n, samples):
     return np.vstack([axes, dirs])
 
 
+def _sphere_sigma_k(n, k):
+    """sigma_k of the unit sphere's eta spectrum, C(n,k) (n-1)^k, a float."""
+    try:
+        return float(math.comb(n, k) * (n - 1) ** k)
+    except OverflowError:
+        raise ConfigError(f"n={n}, k={k}: C(n,k) (n-1)^k exceeds the float "
+                          f"range") from None
+
+
 def validate_conditions(data, n, k, samples=64):
     """Report-only check of the barrier and monotonicity inequalities."""
-    const = math.comb(n, k) * (n - 1) ** k
+    const = _sphere_sigma_k(n, k)
     dirs = _sample_directions(n, samples)
 
     inner = data.f(data.r1 * dirs, dirs) - const / data.r1**k
@@ -164,7 +166,7 @@ def homotopy_f(data, n, k, epsilon, t):
             f"epsilon={epsilon} too large: homotopy factor reaches "
             f"{floor:.3g} at rho={data.r2}"
         )
-    const = math.comb(n, k) * (n - 1) ** k
+    const = _sphere_sigma_k(n, k)
     target = data.f
 
     def blended(x, nu):
@@ -366,33 +368,29 @@ def assemble_jacobian(grid, rho, data, k, *, jet=None, fields=None):
     return grid.slots.form_matrix(j_sig, j_f, fields["sigma"], fields["f"], k)
 
 
-def newton_solve(grid, rho0, data, k, config=None, *, last=None):
+def newton_solve(grid, rho0, data, k, config=None):
     """Damped Newton on the radial field with cone and range safeguards.
 
-    ``last``, a list, ends up holding [rho, jet, fields] of the last
-    residual evaluated; after a converged solve that rho is the returned
-    array itself. The linear solves use the grid's LU order, and the
-    tolerance is relative to max f^(1/k) at rho0.
+    Returns the SurfaceJet of the converged rho and the NewtonReport. The
+    residual's state is the (jet, fields) pair it builds, from which the
+    Jacobian at the same rho is assembled. The linear solves use the
+    grid's LU order, and the tolerance is relative to max f^(1/k) at rho0.
     Raises PreconditionError if f is not positive at rho0; a trial iterate
     where it is not positive is inadmissible.
     """
-    cfg = solve_config(config, grid.perm, k, lambda: last[2]["f"])
+    cfg = solve_config(config, grid.perm, k)
     lo = data.r1 * (1.0 - RHO_MARGIN)
     hi = data.r2 * (1.0 + RHO_MARGIN)
 
-    # damped_newton asks for the Jacobian only at the iterate whose
-    # residual it computed last, so the jet and fields built there are
-    # reused.
-    last = [] if last is None else last
-    last[:] = None, None, None      # drops the previous solve's jet
-
     def res_fn(rho):
-        last[:] = rho, geometry.surface_jet(grid, rho), {}
-        return residual(grid, rho, data, k, jet=last[1], fields=last[2])
+        jet, fields = geometry.surface_jet(grid, rho), {}
+        return (residual(grid, rho, data, k, jet=jet, fields=fields),
+                (jet, fields))
 
-    def jac_fn(rho):
-        jet, fields = last[1:] if rho is last[0] else (None, None)
-        return assemble_jacobian(grid, rho, data, k, jet=jet, fields=fields)
+    def jac_fn(state):
+        jet, fields = state
+        return assemble_jacobian(grid, jet.rho, data, k, jet=jet,
+                                 fields=fields)
 
     def check(rho):
         if np.any(rho <= 0.0):
@@ -401,9 +399,9 @@ def newton_solve(grid, rho0, data, k, config=None, *, last=None):
             return "rho outside barrier range"
         return None
 
-    rho, report = damped_newton(rho0, res_fn, jac_fn, cfg,
-                                candidate_check=check)
-    return rho, report
+    (jet, _), report = damped_newton(rho0, res_fn, jac_fn, cfg,
+                                     candidate_check=check)
+    return jet, report
 
 
 def continue_to_target(grid, data, run, k):
@@ -426,17 +424,15 @@ def continue_to_target(grid, data, run, k):
         )
     run.trace.clear()
 
-    rho = np.ones(grid.nnodes)
-    t = 0.0
-    dt = run.dt0
-    last = []       # [rho, jet, fields] of newton_solve's last residual
+    t, dt = 0.0, run.dt0
 
-    def accept(t_val, rho_val, data_t, report):
-        jet = (last[1] if rho_val is last[0]
-               else geometry.surface_jet(grid, rho_val))
-        monitors = verify.estimate_report(
-            jet, data_t, k, A=run.monitor_A, alpha=run.monitor_alpha
-        )
+    def solve_at(t_val, rho0):
+        """Newton at t_val from rho0; records the solve with the monitors
+        of its jet, and returns its rho and NewtonReport."""
+        data_t = homotopy_f(data, n, k, run.epsilon, t_val)
+        jet, report = newton_solve(grid, rho0, data_t, k, config=run.newton)
+        monitors = verify.estimate_report(jet, data_t, k, A=run.monitor_A,
+                                          alpha=run.monitor_alpha)
         run.trace.append({
             "t": t_val,
             "newton_iterations": report.iterations,
@@ -445,17 +441,13 @@ def continue_to_target(grid, data, run, k):
             "tol": report.tol,
             "monitors": monitors,
         })
+        return jet.rho, report
 
-    data0 = homotopy_f(data, n, k, run.epsilon, 0.0)
-    rho, rep = newton_solve(grid, rho, data0, k, config=run.newton, last=last)
-    accept(0.0, rho, data0, rep)
-
+    rho, _ = solve_at(0.0, np.ones(grid.nnodes))
     while t < 1.0:
         t_try = min(1.0, t + dt)
-        data_t = homotopy_f(data, n, k, run.epsilon, t_try)
         try:
-            rho_new, rep = newton_solve(grid, rho, data_t, k,
-                                        config=run.newton, last=last)
+            rho, rep = solve_at(t_try, rho)
         except NewtonDiverged as exc:
             dt *= 0.5
             if dt < run.dt_min:
@@ -464,9 +456,7 @@ def continue_to_target(grid, data, run, k):
                     trace=run.trace, last_rho=rho, report=exc.report,
                 ) from exc
             continue
-        rho = rho_new
         t = t_try
-        accept(t, rho, data_t, rep)
         if rep.factorizations <= EASY_FACTORIZATIONS:
             dt = min(dt * 1.5, run.dt_max)
 

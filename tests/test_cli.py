@@ -48,6 +48,7 @@ def write_cfg(path, cfg):
 RECT_GRID = 'grid={"shape": "rect", "h": 0.125, "bounds": %s}'
 ANISO_F = ('f={"builtin": "aniso_power", "c": 1.25, "p": 3, "delta": 0.1, '
            '"axis": %d}')
+TABLE_F = 'f={"builtin": "tabulated", "r": %s, "values": %s}'
 
 # Malformed grids and data that only the library can reject; each must end
 # in the config-error exit, not in a traceback. A third entry is text the
@@ -94,6 +95,19 @@ CONFIG_PROBES = {
     "flat_h_tiny": ("solve-flat", ["grid.h=1e-5"]),
     "aniso_axis_7": ("solve-surface", [ANISO_F % 7]),
     "aniso_axis_minus_4": ("solve-surface", [ANISO_F % -4]),
+    "tabulated_r_nested": ("solve-flat", [TABLE_F % ("[[0.1], [5.0]]",
+                                                     "[1.0, 2.0]")],
+                           "key 'f.r' must be a list of finite numbers"),
+    "tabulated_values_nan": ("solve-flat", [TABLE_F % ("[0.1, 5.0]",
+                                                       "[NaN, 1.0]")],
+                             "key 'f.values' must be a list of finite"),
+    "tabulated_r_infinite": ("solve-flat", [TABLE_F % ("[0.1, Infinity]",
+                                                       "[1.0, 2.0]")],
+                             "key 'f.r' must be a list of finite numbers"),
+    # C(400, 200) 399^200 is an int past the float range.
+    "n_400_k_200": ("solve-surface", [
+        "n=400", "k=200", 'grid={"mode": "axisym-1d", "sizes": [16]}'],
+        "exceeds the float range"),
     # A non-object where an object of keys belongs is not read as absent.
     "t_schedule_list": ("solve-surface", ["t_schedule=[]"],
                         "key 't_schedule' must be of type dict"),

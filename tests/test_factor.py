@@ -147,7 +147,7 @@ def test_sphere_order_cuts_the_fill():
 
 def test_singular_jacobian_ends_newton():
     def res(x):
-        return x - 1.0
+        return x - 1.0, x
 
     def jac(x):
         return sp.csr_matrix((2, 2))

@@ -223,13 +223,13 @@ class TestNewtonSolve:
     def test_round_from_offset_start(self, round_data):
         g = geometry.build_grid(2, "full-2d", (32, 16))
         rho0 = np.full(g.nnodes, 1.2)
-        rho, rep = solver.newton_solve(g, rho0, round_data, 2)
+        jet, rep = solver.newton_solve(g, rho0, round_data, 2)
         assert rep.converged
-        assert np.abs(rho - 1.25).max() < 1e-6
+        assert np.abs(jet.rho - 1.25).max() < 1e-6
 
     def test_fixed_point_zero_iterations(self, round_data):
         g = geometry.build_grid(2, "full-2d", (16, 16))
-        rho, rep = solver.newton_solve(
+        _, rep = solver.newton_solve(
             g, np.full(g.nnodes, 1.25), round_data, 2)
         assert rep.converged
         assert rep.iterations == 0
@@ -263,13 +263,13 @@ class TestNewtonSolve:
 
         data = solver.PrescribedData(f=f, r1=0.5, r2=2.0)
         g = geometry.build_grid(2, "axisym-1d", 32)
-        rho, rep = solver.newton_solve(g, np.full(g.nnodes, 1.1), data, 2)
+        jet, rep = solver.newton_solve(g, np.full(g.nnodes, 1.1), data, 2)
         assert rep.converged and rep.iterations == 9
         # One f call per residual and 8 per Jacobian (central differences
         # along components 0 and n of X and nu); none to rebuild f.
         residuals = len(rep.residual_history)
         assert len(calls) == residuals + 8 * rep.factorizations == 26
-        assert hashlib.sha256(rho.tobytes()).hexdigest() == (
+        assert hashlib.sha256(jet.rho.tobytes()).hexdigest() == (
             "36dc0e33765e2e14387ad75bfca61fd391d92ba289b899b8db5df5fc060209de")
 
     @pytest.mark.parametrize("mode,sizes", [("full-2d", (16, 16)),
@@ -317,10 +317,15 @@ class TestNewtonSolve:
             solver.newton_solve(g, np.ones(g.nnodes), data, 2)
 
 
+def with_x(res):
+    """``res`` as a damped_newton residual callback whose state is x."""
+    return lambda x: (res(x), x)
+
+
 class TestDampedNewtonCore:
     def test_scalar_quadratic(self):
         def res(x):
-            return np.array([x[0] ** 2 - 4.0])
+            return np.array([x[0] ** 2 - 4.0]), x
 
         def jac(x):
             return np.array([[2.0 * x[0]]])
@@ -333,7 +338,7 @@ class TestDampedNewtonCore:
     def test_divergence_reported(self):
         # residual cannot decrease: constant nonzero map with fake jacobian
         def res(x):
-            return np.array([1.0])
+            return np.array([1.0]), x
 
         def jac(x):
             return np.array([[1.0]])
@@ -344,16 +349,26 @@ class TestDampedNewtonCore:
 
     def test_nan_residual_at_the_start_does_not_converge(self):
         # NaN > tol is false: the stop test must not read a NaN residual
-        # as converged.
-        with pytest.raises(NewtonDiverged):
-            damped_newton(np.array([1.0]), lambda x: np.array([np.nan]),
-                          lambda x: np.array([[1.0]]), NewtonConfig())
+        # as converged, nor a step from it as a cone exit.
+        jacobians = []
+
+        def jac(x):
+            jacobians.append(x)
+            return np.array([[1.0]])
+
+        with pytest.raises(NewtonDiverged) as exc:
+            damped_newton(np.array([1.0]), lambda x: (np.array([np.nan]), x),
+                          jac, NewtonConfig())
+        assert not isinstance(exc.value, ConeExit)
+        assert "residual not finite at the first iterate" in str(exc.value)
+        assert jacobians == []
+        assert exc.value.report.factorizations == 0
 
     def test_candidate_check_blocks(self):
         calls = []
 
         def res(x):
-            return x - 10.0
+            return x - 10.0, x
 
         def jac(x):
             return np.eye(1)
@@ -373,7 +388,7 @@ class TestDampedNewtonCore:
         jacobians = []
 
         def res(x):
-            return np.array([1e-3])
+            return np.array([1e-3]), x
 
         def jac(x):
             jacobians.append(x.copy())
@@ -393,7 +408,7 @@ class TestDampedNewtonCore:
         # with f <= 0 past some radius raises.
         if x[0] > 3.0:
             raise PreconditionError("f must be positive")
-        return np.array([x[0] ** 2 - 4.0])
+        return np.array([x[0] ** 2 - 4.0]), x
 
     def test_nonpositive_data_at_a_candidate_is_inadmissible(self):
         # From 0.5 the full step lands at 4.25; the half step is taken.
@@ -412,7 +427,7 @@ class TestDampedNewtonCore:
     def test_singular_dense_jacobian_diverges(self):
         # factor converts a dense Jacobian for SuperLU, which raises on it.
         with pytest.raises(NewtonDiverged, match="Jacobian not factored"):
-            damped_newton(np.zeros(2), lambda x: x - 1,
+            damped_newton(np.zeros(2), lambda x: (x - 1, x),
                           lambda x: np.zeros((2, 2)), NewtonConfig())
 
     def test_stall_at_a_residual_floor(self):
@@ -421,7 +436,7 @@ class TestDampedNewtonCore:
         jacobians = []
 
         def res(x):
-            return np.array([max(x[0] ** 2 - 4.0, 1e-3)])
+            return np.array([max(x[0] ** 2 - 4.0, 1e-3)]), x
 
         def jac(x):
             jacobians.append(x.copy())
@@ -475,7 +490,7 @@ def test_failed_report_holds_one_residual_per_iterate(kind):
     x0, res, jac, check = _failing_newton(kind)
     cfg = NewtonConfig(max_iter=3, perm=np.array([0]))
     with pytest.raises(NewtonDiverged) as exc:
-        damped_newton(x0, res, jac, cfg, candidate_check=check)
+        damped_newton(x0, with_x(res), jac, cfg, candidate_check=check)
     rep = exc.value.report
     assert isinstance(exc.value, ConeExit) == (kind == "inadmissible")
     assert rep.iterations == (3 if kind == "max_iter" else 1)
@@ -497,7 +512,8 @@ def _cubic_jac(x):
 def _logged_newton(x0, monkeypatch):
     """damped_newton on _cubic with its calls logged in order: ("residual",
     x, max|F|), ("jacobian", x) and ("solve", i), a solve on the factors
-    of the i-th Jacobian."""
+    of the i-th Jacobian. The residual's state is a copy of x, which the
+    Jacobian logs; no x has its residual evaluated twice."""
     events, real_factor = [], newton.factor
 
     def factor(jac, perm=None):
@@ -511,14 +527,16 @@ def _logged_newton(x0, monkeypatch):
     def res(x):
         r = _cubic(x)
         events.append(("residual", x.copy(), float(np.max(np.abs(r)))))
-        return r
+        return r, x.copy()
 
     def jac(x):
-        events.append(("jacobian", x.copy()))
+        events.append(("jacobian", x))
         return _cubic_jac(x)
 
     monkeypatch.setattr(newton, "factor", factor)
     x, rep = damped_newton(np.array(x0), res, jac, NewtonConfig())
+    evaluated = [e[1].tobytes() for e in events if e[0] == "residual"]
+    assert len(set(evaluated)) == len(evaluated)
     return x, rep, events
 
 
@@ -538,7 +556,8 @@ class TestKeptFactors:
 
     def test_rising_kept_step_refactors_at_the_same_x(self, monkeypatch):
         # From this start, one full step on kept factors raises the
-        # residual; the iterate stays, and gets its own Jacobian.
+        # residual; the iterate stays, and gets its own Jacobian from its
+        # own state, without a second residual at x.
         _, rep, events = _logged_newton([-1.5, 1.5, 0.5], monkeypatch)
         assert rep.converged
         solved, rising = set(), 0
@@ -551,11 +570,10 @@ class TestKeptFactors:
                 if cnorm > rnorm:
                     rising += 1
                     assert cnorm not in rep.residual_history
-                    # The residual at x again, then its Jacobian.
-                    again, jac = events[i + 2:i + 4]
-                    assert again[0] == "residual" and jac[0] == "jacobian"
-                    assert again[1].tobytes() == jac[1].tobytes() \
-                        == x.tobytes()
+                    # Next, the Jacobian at x.
+                    jac = events[i + 2]
+                    assert jac[0] == "jacobian"
+                    assert jac[1].tobytes() == x.tobytes()
             solved.add(event[1])
         assert rising > 0
 
@@ -565,9 +583,10 @@ class TestKeptFactors:
 def test_kept_factors_find_the_exact_newton_root(x0):
     # With REFACTOR_RATIO = 0 every step gets a fresh LU: exact Newton.
     x0 = np.array(x0)
-    x, rep = damped_newton(x0, _cubic, _cubic_jac, NewtonConfig())
+    x, rep = damped_newton(x0, with_x(_cubic), _cubic_jac, NewtonConfig())
     with mock.patch.object(newton, "REFACTOR_RATIO", 0.0):
-        root, exact = damped_newton(x0, _cubic, _cubic_jac, NewtonConfig())
+        root, exact = damped_newton(x0, with_x(_cubic), _cubic_jac,
+                                    NewtonConfig())
     assert exact.factorizations == exact.iterations
     assert np.max(np.abs(_cubic(x))) <= rep.tol
     # |J v| >= min|J'| |v| in the max norm near the root, where J is
@@ -578,14 +597,15 @@ def test_kept_factors_find_the_exact_newton_root(x0):
 
 
 class TestScaledStop:
-    """The stop test max|F| <= tol * max(1, scale())."""
+    """The stop test max|F| <= tol * max(1, scale(state))."""
 
     @pytest.mark.parametrize("scale", [0.0, 0.5, 1.0, float("nan")])
     def test_scale_at_most_one_is_absolute(self, scale):
         x0 = np.array([3.0, -2.0, 0.5])
-        want, want_rep = damped_newton(x0, _cubic, _cubic_jac, NewtonConfig())
-        got, rep = damped_newton(x0, _cubic, _cubic_jac,
-                                 NewtonConfig(scale=lambda: scale))
+        want, want_rep = damped_newton(x0, with_x(_cubic), _cubic_jac,
+                                       NewtonConfig())
+        got, rep = damped_newton(x0, with_x(_cubic), _cubic_jac,
+                                 NewtonConfig(scale=lambda state: scale))
         assert want_rep.iterations > 3
         assert got.tobytes() == want.tobytes()
         assert rep == want_rep
@@ -597,7 +617,7 @@ class TestScaledStop:
         c = 1.3e7
 
         def res(x):
-            return x**2 - c
+            return x**2 - c, x
 
         def jac(x):
             return np.diag(2.0 * x)
@@ -607,7 +627,8 @@ class TestScaledStop:
             damped_newton(x0, res, jac, NewtonConfig())
         assert exc.value.report.final_residual == pytest.approx(1.86e-9,
                                                                 rel=1e-2)
-        x, rep = damped_newton(x0, res, jac, NewtonConfig(scale=lambda: 1e4))
+        x, rep = damped_newton(x0, res, jac,
+                               NewtonConfig(scale=lambda state: 1e4))
         assert rep.converged and rep.tol == pytest.approx(1e-6)
         assert 1e-10 < rep.final_residual <= 1e-6
         assert x[0] == pytest.approx(math.sqrt(c), rel=1e-15)
@@ -617,32 +638,32 @@ class TestScaledStop:
 
         def res(x):
             seen.append(x.copy())
-            return _cubic(x)
+            return _cubic(x), x
 
-        def scale():
-            reads.append(len(seen))
+        def scale(state):
+            reads.append((len(seen), state.tobytes()))
             return 50.0
 
-        _, rep = damped_newton(np.array([3.0, -2.0, 0.5]), res, _cubic_jac,
-                               NewtonConfig(scale=scale))
-        assert reads == [1]
+        x0 = np.array([3.0, -2.0, 0.5])
+        _, rep = damped_newton(x0, res, _cubic_jac, NewtonConfig(scale=scale))
+        assert reads == [(1, x0.tobytes())]
         assert rep.tol == 50.0 * 1e-10
 
     @pytest.mark.parametrize("scale", [float("inf"), 1e300])
     def test_unbounded_scale_falls_back(self, scale):
         # An infinite tolerance would accept any residual.
         with pytest.raises(NewtonDiverged) as exc:
-            damped_newton(np.array([0.0]), lambda x: np.array([1e20]),
+            damped_newton(np.array([0.0]), lambda x: (np.array([1e20]), x),
                           lambda x: np.array([[1.0]]),
                           NewtonConfig(tol=1e10, max_iter=2,
-                                       scale=lambda: scale))
+                                       scale=lambda state: scale))
         assert exc.value.report.tol == 1e10
 
     def test_failure_names_the_applied_tol(self):
         with pytest.raises(NewtonDiverged) as exc:
-            damped_newton(np.array([0.0]), lambda x: np.array([1.0]),
+            damped_newton(np.array([0.0]), lambda x: (np.array([1.0]), x),
                           lambda x: np.array([[1.0]]),
-                          NewtonConfig(max_iter=5, scale=lambda: 1e4))
+                          NewtonConfig(max_iter=5, scale=lambda state: 1e4))
         assert "tol 1.000e-06" in str(exc.value)
         assert "1e-10" not in str(exc.value)
         assert "1.0e-10" not in str(exc.value)

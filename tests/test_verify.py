@@ -141,8 +141,7 @@ class TestIdentityCheck:
     def test_converged_state_defect(self):
         g = geometry.build_grid(2, "full-2d", (32, 16))
         data = round_data()
-        rho, rep = solver.newton_solve(g, np.full(g.nnodes, 1.1), data, 2)
-        jet = geometry.surface_jet(g, rho)
+        jet, _ = solver.newton_solve(g, np.full(g.nnodes, 1.1), data, 2)
         assert verify.identity_check(jet, data, 2) <= 1e-6
 
     def test_unconverged_state_scales_with_residual(self):

@@ -206,14 +206,13 @@ def _constant(cfg):
 
 
 def _table(cfg, path):
-    """The list at ``path`` as a 1-d array of finite floats."""
-    try:
-        table = np.asarray(_get(cfg, path, list), dtype=float)
-    except (TypeError, ValueError, OverflowError):     # ragged or not numbers
-        table = np.empty((0, 0))
-    if table.ndim != 1 or not np.all(np.isfinite(table)):
+    """The list at ``path`` as a 1-d array of finite floats; as for the
+    scalar float keys, booleans, strings and nested lists are refused."""
+    table = _get(cfg, path, list)
+    if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max
+               for v in table):
         raise ConfigError(f"key '{path}' must be a list of finite numbers")
-    return table
+    return np.asarray(table, dtype=float)
 
 
 def _tabulated(cfg):

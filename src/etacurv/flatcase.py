@@ -7,11 +7,13 @@ first derivatives use unequal-arm 3-point stencils with the boundary arm
 snapped to the domain boundary; mixed second derivatives come from the
 rotated-diagonal identity phi_ab = (phi_dd - phi_ee)/2, with outside
 diagonal neighbors closed by first-order linear extrapolation through the
-snapped zero crossing.
+snapped zero crossing. Newton needs no eigensolver: sigma_k of
+M = (lap phi) I - D^2 phi and its derivative come from the trace recursion.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -255,12 +257,17 @@ class FlatState:
     grad: np.ndarray           # (Ni, dim)
     hess: np.ndarray           # (Ni, dim, dim)
     lap_phi: np.ndarray
-    eta_spectrum: np.ndarray   # ascending eigenvalues of (lap) I - D^2 phi
     pogorelov_beta: float = 4.0
+
+    @cached_property
+    def eta_spectrum(self):
+        """Ascending eigenvalues of (lap phi) I - D^2 phi, on first read."""
+        eigs = np.linalg.eigvalsh(self.hess)
+        return np.sort(self.lap_phi[:, None] - eigs, axis=1)
 
 
 def build_flat_state(grid, phi, beta=4.0):
-    """Differentiate phi and assemble the eta-spectrum field."""
+    """Differentiate phi to its gradient, Hessian and Laplacian fields."""
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (grid.ninterior,):
         raise ValueError(f"phi must have shape ({grid.ninterior},)")
@@ -272,56 +279,54 @@ def build_flat_state(grid, phi, beta=4.0):
     for (a, b), op in grid.dmix.items():
         hess[:, a, b] = hess[:, b, a] = op @ phi
     lap_phi = np.einsum("naa->n", hess)
-    eigs = np.linalg.eigvalsh(hess)
-    eta = np.sort(lap_phi[:, None] - eigs, axis=1)
     return FlatState(grid=grid, phi=phi, grad=grad, hess=hess,
-                     lap_phi=lap_phi, eta_spectrum=eta,
-                     pogorelov_beta=beta)
+                     lap_phi=lap_phi, pogorelov_beta=beta)
 
 
 def flat_residual(state, f, k, *, fields=None):
-    """Per-interior-node defect sigma_k(eta spectrum)^(1/k) - f^(1/k), with
-    f = f(x, phi, grad phi).
+    """Per-interior-node defect sigma_k(M)^(1/k) - f^(1/k), with
+    M = (lap phi) I - D^2 phi and f = f(x, phi, grad phi).
 
-    Raises PreconditionError where f is not positive (NaN included).
-    ``fields``, a dict, receives the sigma_k and f fields under "sigma"
-    and "f", which the Jacobian of the same state reuses.
+    Raises ConeViolationError at the first node and order where M leaves
+    the cone, PreconditionError where f is not positive (NaN included).
+    ``fields``, a dict, receives the sigma_k, f and Newton tensor T_(k-1)
+    fields under "sigma", "f" and "tensor" for the Jacobian of the state.
     """
     if not 1 <= k <= state.grid.dim:
         raise ValueError(f"order k={k} outside [1, {state.grid.dim}]")
-    sig = symm.require_cone_batch(state.eta_spectrum, k)[:, k]
+    m = state.lap_phi[:, None, None] * np.eye(state.grid.dim) - state.hess
+    e, tensor = symm.newton_tensor_batch(m, k)
+    sig = symm.require_cone_batch(e, k)[:, k]
     fv = f(state.grid.pts, state.phi, state.grad)
     if fields is not None:
-        fields.update(sigma=sig, f=fv)
+        fields.update(sigma=sig, f=fv, tensor=tensor)
     return form_residual(sig, fv, k)
 
 
 def flat_jacobian(state, f, k, *, fields=None):
     """Analytic Jacobian of the flat residual map.
 
-    The sigma_k sensitivity to the Hessian entries is the spectral
-    coefficient matrix V diag(ctilde) V^T with ctilde_i the derivative of
-    sigma_k of the eta spectrum in the i-th Hessian eigenvalue; the f
-    dependence on phi and grad phi enters by finite differencing in those
-    slots. The two parts carry the chain factors of sigma_k^(1/k) and
-    f^(1/k) respectively, at the sigma_k and f fields of ``fields``, the
-    dict ``flat_residual`` filled for this state; without it,
-    ``flat_residual`` is called to fill one.
+    With T = T_(k-1)(M) the Newton tensor of M = (lap phi) I - D^2 phi,
+    d sigma_k = tr(T dM) = tr(C dD^2 phi) for C = tr(T) I - T, whose
+    entries weight the Hessian operators (a mixed one by C_ab + C_ba, as
+    D^2 phi is symmetric); the f dependence on phi and grad phi enters by
+    finite differencing in those slots. The two parts carry the chain
+    factors of sigma_k^(1/k) and f^(1/k) respectively, at the fields of
+    ``fields``, the dict ``flat_residual`` filled for this state; without
+    it, ``flat_residual`` is called to fill one.
     """
     if not fields:
         fields = {}
         flat_residual(state, f, k, fields=fields)
     grid = state.grid
     dim = grid.dim
-    eigs, vecs = np.linalg.eigh(state.hess)
-    mu = state.lap_phi[:, None] - eigs
-    ctil = symm.sigma_k_grad_kappa_batch(mu, k)
-    coef = np.einsum("nij,nj,nkj->nik", vecs, ctil, vecs)
+    t = fields["tensor"]
+    trace = np.einsum("naa->n", t)
 
     slots = grid.slots
     nhess = dim + len(grid.dmix)
-    j_sig = slots.accumulate([coef[:, a, a] for a in range(dim)]
-                             + [2.0 * coef[:, a, b] for a, b in grid.dmix])
+    j_sig = slots.accumulate([trace - t[:, a, a] for a in range(dim)] + [
+        -t[:, a, b] - t[:, b, a] for a, b in grid.dmix])
 
     fphi, fgrad = fd_data_derivs(f, (grid.pts, state.phi, state.grad),
                                  ((1, True), (2, False)))

@@ -293,7 +293,8 @@ def sigma_k_of_eta(jet, k):
     """
     if not 1 <= k <= jet.n:
         raise ValueError(f"order k={k} outside [1, {jet.n}]")
-    return symm.require_cone_batch(jet.eta, k)[:, k]
+    e = symm.elem_sym_all_batch(jet.eta, k)
+    return symm.require_cone_batch(e, k)[:, k]
 
 
 def surface_csv_text(jet, k):

@@ -123,33 +123,33 @@ def validate_conditions(data, n, k, samples=64):
     inner = data.f(data.r1 * dirs, dirs) - const / data.r1**k
     outer = const / data.r2**k - data.f(data.r2 * dirs, dirs)
 
-    # d/drho (rho^k f(rho w, nu)) over sample rays, central differences.
+    # d/drho (rho^k f(rho w, nu)) over sample rays, central differences with
+    # one call of f per side for all radii: both sides at once use 2x memory.
+    def rho_k_f(radii, nu):
+        x = (radii[:, None, None] * dirs).reshape(-1, n + 1)
+        powers = np.array([r**k for r in radii])[:, None]
+        return powers * data.f(x, nu).reshape(radii.size, -1)
+
     nus = np.roll(dirs, 1, axis=0)           # decoupled direction sample
     rhos = np.linspace(data.r1, data.r2, 24)
-    worst = -np.inf
-    scale = 0.0
+    dr = 1e-6 * rhos
+    worst, scale = -np.inf, 0.0
     for pair_nu in (dirs, nus):
-        for r in rhos:
-            dr = 1e-6 * r
-            up = (r + dr) ** k * data.f((r + dr) * dirs, pair_nu)
-            dn = (r - dr) ** k * data.f((r - dr) * dirs, pair_nu)
-            deriv = (up - dn) / (2.0 * dr)
-            worst = max(worst, float(deriv.max()))
-            scale = max(scale, float(np.max(np.abs(up))))
+        nu = np.tile(pair_nu, (rhos.size, 1))
+        up, dn = rho_k_f(rhos + dr, nu), rho_k_f(rhos - dr, nu)
+        deriv = (up - dn) / (2.0 * dr[:, None])
+        worst = max(worst, *deriv.max(axis=1).tolist())
+        scale = max(scale, *np.abs(up).max(axis=1).tolist())
 
     ztol = 1e-8 * (1.0 + scale)
     mono_ok = worst <= ztol
-    inner_m = float(inner.min())
-    outer_m = float(outer.min())
-    passed = mono_ok and inner_m >= -1e-12 and outer_m >= -1e-12
+    inner_m, outer_m = float(inner.min()), float(outer.min())
     return ConditionsReport(
-        passed=passed,
-        inner_margin=inner_m,
-        outer_margin=outer_m,
+        passed=mono_ok and inner_m >= -1e-12 and outer_m >= -1e-12,
+        inner_margin=inner_m, outer_margin=outer_m,
         monotonicity_margin=worst,
         zero_margin=bool(mono_ok and abs(worst) <= ztol),
-        samples=dirs.shape[0],
-    )
+        samples=dirs.shape[0])
 
 
 def homotopy_f(data, n, k, epsilon, t):
@@ -226,14 +226,13 @@ def _jac_f_term(jet, data, dV, dW):
     return jet.grid.slots.accumulate(coefs)
 
 
-def _inv2(a):
-    det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
-    inv = np.empty_like(a)
-    inv[:, 0, 0] = a[:, 1, 1]
-    inv[:, 1, 1] = a[:, 0, 0]
-    inv[:, 0, 1] = -a[:, 0, 1]
-    inv[:, 1, 0] = -a[:, 1, 0]
-    return inv / det[:, None, None], det
+def _adj2(a):
+    adj = np.empty_like(a)
+    adj[:, 0, 0] = a[:, 1, 1]
+    adj[:, 1, 1] = a[:, 0, 0]
+    adj[:, 0, 1] = -a[:, 0, 1]
+    adj[:, 1, 0] = -a[:, 1, 0]
+    return adj, a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
 
 
 def _jac_full(grid, jet, data, k):
@@ -248,19 +247,15 @@ def _jac_full(grid, jet, data, k):
     s_tt, s_tp, s_pp = raw["s_tt"], raw["s_tp"], raw["s_pp"]
     npts = rho.size
 
-    ginv, detg = _inv2(g)
+    adjg, detg = _adj2(g)
+    ginv = adjg / detg[:, None, None]
     if k == 1:
         # sigma_1 = tr(g^-1 h)
         m_h = ginv
         m_g = -np.einsum("nab,nbc,ncd->nad", ginv, h, ginv)
     else:
         # sigma_2 = det h / det g
-        adjh = np.empty_like(h)
-        adjh[:, 0, 0] = h[:, 1, 1]
-        adjh[:, 1, 1] = h[:, 0, 0]
-        adjh[:, 0, 1] = -h[:, 0, 1]
-        adjh[:, 1, 0] = -h[:, 1, 0]
-        deth = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
+        adjh, deth = _adj2(h)
         m_h = adjh / detg[:, None, None]
         m_g = -(deth / detg)[:, None, None] * ginv
 
@@ -316,13 +311,13 @@ def _jac_axisym(grid, jet, data, k):
     kap_m, kap_p = raw["kap_m"], raw["kap_p"]
     npts = rho.size
 
-    # Sensitivities of sigma_k(eta spectrum) to the unsorted curvatures.
+    # Sensitivities of sigma_k(eta spectrum) to the unsorted curvatures,
+    # sum_(j != i) sigma_(k-1)(mu | j) with mu = H - kappa.
     kap = np.empty((npts, n))
     kap[:, 0] = kap_m
     kap[:, 1:] = kap_p[:, None]
-    mu = kap.sum(axis=1, keepdims=True) - kap
-    ctil = symm.sigma_k_grad_kappa_batch(mu, k)
-    cm, cp = ctil[:, 0], ctil[:, 1]
+    s = symm.sigma_excl_batch(kap.sum(axis=1, keepdims=True) - kap, k - 1)
+    cm, cp = (s.sum(axis=1, keepdims=True) - s)[:, :2].T
 
     num_m = rho**2 + 2 * rt**2 - rho * rtt
     cot = ct / st
@@ -415,8 +410,7 @@ def continue_to_target(grid, data, run, k):
     report fails.
     """
     n = grid.n
-    conditions = validate_conditions(data, n, k)
-    run.conditions = conditions
+    run.conditions = conditions = validate_conditions(data, n, k)
     if not conditions.passed:
         raise PreconditionError(
             "prescribed data fails the barrier/monotonicity conditions: "

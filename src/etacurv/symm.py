@@ -11,6 +11,7 @@ arrays of eigenvalue vectors (shape (N, n)) and are used by the field-level
 solvers; the scalar entry points (elem_sym_all, sigma, sigma_excl,
 gamma_k_contains, operator_coefficients) are one-row calls into them, and
 elem_sym_all_batch and sigma_excl_batch share the one recurrence step.
+newton_tensor_batch gives sigma_j of stacked matrices.
 """
 
 import math
@@ -68,19 +69,35 @@ def _push(e, x, top):
         e[:, m] += x * e[:, m - 1]
 
 
-def elem_sym_all_batch(lam):
-    """sigma_0..sigma_n along the last axis of an (N, n) array.
-
-    Adding entries one at a time keeps the cost O(n^2) and avoids the
-    exponential subset sum; exact in exact arithmetic.
-    """
+def elem_sym_all_batch(lam, top=None):
+    """sigma_0..sigma_top (default n) along the last axis of an (N, n)
+    array, adding one entry at a time in O(n top) with no subset sum; exact
+    in exact arithmetic, and sigma_j is the same for any top >= j."""
     lam = np.asarray(lam, dtype=float)
     npts, n = lam.shape
-    e = np.zeros((npts, n + 1))
+    top = n if top is None else top
+    e = np.zeros((npts, top + 1))
     e[:, 0] = 1.0
     for j in range(n):
-        _push(e, lam[:, j], j + 1)
+        _push(e, lam[:, j], min(j + 1, top))
     return e
+
+
+def newton_tensor_batch(m, k):
+    """The (N, k + 1) sigma table and the Newton tensor T_(k-1) of stacked
+    symmetric matrices M, (N, d, d), without an eigensolver: T_0 = I,
+    sigma_j = tr(M T_(j-1)) / j, T_j = sigma_j I - M T_(j-1), and
+    d sigma_k(M) = tr(T_(k-1) dM) (Reilly, Michigan Math. J. 20, 1973).
+    """
+    eye = np.eye(m.shape[-1])
+    e = np.ones((len(m), k + 1))
+    t, mt = np.broadcast_to(eye, m.shape), m       # T_0 and M T_0
+    for j in range(1, k + 1):
+        e[:, j] = np.einsum("naa->n", mt) / j
+        if j < k:
+            t = e[:, j, None, None] * eye - mt
+            mt = m @ t
+    return e, t
 
 
 def elem_sym_all(values):
@@ -147,12 +164,9 @@ def _cone_mask(e, k, margin):
 
 
 def gamma_k_contains_batch(lam, k, margin=0.0):
-    """Vectorized cone membership.
-
-    Returns (ok, first_fail) where ``first_fail[p]`` is the smallest j with
-    sigma_j <= margin at row p (0 where ok).
-    """
-    return _cone_mask(elem_sym_all_batch(lam), k, margin)
+    """Vectorized cone membership: (ok, first_fail), ``first_fail[p]`` the
+    smallest j with sigma_j <= margin at row p (0 where ok)."""
+    return _cone_mask(elem_sym_all_batch(lam, k), k, margin)
 
 
 def gamma_k_contains(lam, margin=0.0):
@@ -165,12 +179,10 @@ def gamma_k_contains(lam, margin=0.0):
     return bool(ok[0])
 
 
-def require_cone_batch(lam, k, node_ids=None):
-    """The sigma table elem_sym_all_batch(lam) of rows inside the cone.
-
-    Raises ConeViolationError identifying the first offending row.
-    """
-    e = elem_sym_all_batch(lam)
+def require_cone_batch(e, k, node_ids=None):
+    """The sigma table e (sigma_0..sigma_k or more per row) once it is
+    inside the cone; else ConeViolationError names the first bad row and
+    its lowest bad order."""
     ok, first_fail = _cone_mask(e, k, 0.0)
     if ok.all():
         return e
@@ -194,16 +206,6 @@ def eta_spectrum_from_kappa(kappa):
     lam = kappa.sum() - kappa
     perm = np.argsort(lam, kind="stable")
     return EtaSpectrum(values=lam[perm], permutation=perm)
-
-
-def sigma_k_grad_kappa_batch(mu, k):
-    """d sigma_k(mu(kappa)) / d kappa_i with mu_j = H - kappa_j.
-
-    Equals sum_{j != i} sigma_{k-1}(mu | j); shape (N, n). Used by the
-    analytic Jacobian assembly of both pipelines.
-    """
-    s = sigma_excl_batch(mu, k - 1)
-    return s.sum(axis=1, keepdims=True) - s
 
 
 def g_gradient_batch(sig_k, s_excl, k):
@@ -250,10 +252,9 @@ def operator_coefficients(lam):
     Raises ConeViolationError outside the open cone.
     """
     vals, k, n = lam.values, lam.k, lam.n
-    e = elem_sym_all(vals)
-    for j in range(1, k + 1):
-        if not e[j] > 0.0:
-            raise ConeViolationError(j, float(e[j]))
+    # One vector, so the error names no node.
+    e = require_cone_batch(elem_sym_all_batch(vals[None, :], k), k,
+                           node_ids=[None])[0]
     sk = e[k]
     p = 1.0 / k
     value = sk**p

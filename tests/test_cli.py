@@ -104,6 +104,14 @@ CONFIG_PROBES = {
     "tabulated_r_infinite": ("solve-flat", [TABLE_F % ("[0.1, Infinity]",
                                                        "[1.0, 2.0]")],
                              "key 'f.r' must be a list of finite numbers"),
+    # As for the scalar float keys, a JSON boolean or string is not a
+    # number: r = [true, 5.0] used to converge with r = [1, 5].
+    "tabulated_r_bool": ("solve-flat", ["k=1", TABLE_F % ("[true, 5.0]",
+                                                          "[1.0, 2.0]")],
+                         "key 'f.r' must be a list of finite numbers"),
+    "tabulated_values_string": ("solve-flat", [TABLE_F % ("[0.1, 5.0]",
+                                                          '["1.0", 2.0]')],
+                                "key 'f.values' must be a list of finite"),
     # C(400, 200) 399^200 is an int past the float range.
     "n_400_k_200": ("solve-surface", [
         "n=400", "k=200", 'grid={"mode": "axisym-1d", "sizes": [16]}'],

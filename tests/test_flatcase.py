@@ -312,6 +312,22 @@ class TestDirichletSolve:
         assert (fields["sigma"] ** 0.5 - fields["f"] ** 0.5).tobytes() \
             == res.tobytes()
 
+    @pytest.mark.parametrize("dim,k", [(2, 1), (3, 2), (4, 3)])
+    def test_no_eigensolver_inside_newton(self, monkeypatch, dim, k):
+        calls = []
+        for name in ("eigvalsh", "eigh", "eig", "eigvals"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, real=real,
+                                name=name: calls.append(name) or real(*a))
+        g = flatcase.build_flat_grid(dim, "ball", h=1 / 4)
+        state, rep = flatcase.dirichlet_solve(g, f_grad_sq, k)
+        assert rep.converged and rep.factorizations >= 1
+        assert calls == []
+        # The eta spectrum is computed once, on first read, for output.
+        first = state.eta_spectrum
+        assert state.eta_spectrum is first and calls == ["eigvalsh"]
+        assert np.all(np.diff(first, axis=1) >= 0)
+
 
 class TestConvergenceOrder:
     def test_quadratic_order(self):

@@ -126,6 +126,15 @@ class TestRoundSphere:
         const = math.comb(n, k) * (n - 1) ** k
         assert np.abs(sig - const).max() < 1e-12
 
+    def test_sigma_k_of_a_large_n_stops_at_k(self):
+        # sigma_m of n = 400 entries of 399 passes the float range for large
+        # m; only sigma_1..sigma_k are formed, so nothing overflows.
+        g = geometry.build_grid(400, "axisym-1d", (16,))
+        jet = geometry.surface_jet(g, np.ones(g.nnodes))
+        with np.errstate(all="raise"):
+            sig = geometry.sigma_k_of_eta(jet, 1)
+        assert np.abs(sig / (400 * 399) - 1).max() < 1e-12
+
 
 class TestJetInvariants:
     @pytest.fixture

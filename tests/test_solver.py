@@ -72,6 +72,67 @@ class TestValidateConditions:
         assert rep.passed
 
 
+def _conditions_by_loop(data, n, k, samples=64):
+    """validate_conditions with one call of f per radius and side, as it
+    was written before the radii were stacked: the oracle of the stacked
+    version."""
+    const = math.comb(n, k) * (n - 1) ** k
+    dirs = solver._sample_directions(n, samples)
+    inner = data.f(data.r1 * dirs, dirs) - const / data.r1**k
+    outer = const / data.r2**k - data.f(data.r2 * dirs, dirs)
+    worst, scale = -np.inf, 0.0
+    for pair_nu in (dirs, np.roll(dirs, 1, axis=0)):
+        for r in np.linspace(data.r1, data.r2, 24):
+            dr = 1e-6 * r
+            up = (r + dr) ** k * data.f((r + dr) * dirs, pair_nu)
+            dn = (r - dr) ** k * data.f((r - dr) * dirs, pair_nu)
+            deriv = (up - dn) / (2.0 * dr)
+            worst = max(worst, float(deriv.max()))
+            scale = max(scale, float(np.max(np.abs(up))))
+    ztol = 1e-8 * (1.0 + scale)
+    mono_ok = worst <= ztol
+    inner_m, outer_m = float(inner.min()), float(outer.min())
+    return solver.ConditionsReport(
+        passed=mono_ok and inner_m >= -1e-12 and outer_m >= -1e-12,
+        inner_margin=inner_m, outer_margin=outer_m,
+        monotonicity_margin=worst,
+        zero_margin=bool(mono_ok and abs(worst) <= ztol),
+        samples=dirs.shape[0])
+
+
+def _nan_past(f, radius):
+    return lambda x, nu: np.where(np.linalg.norm(x, axis=-1) > radius,
+                                  np.nan, f(x, nu))
+
+
+# The benchmark sweep's 20 round data sets, its anisotropic surface data,
+# a constant and data that is NaN on the outer radii.
+CONDITION_CASES = (
+    [(power_decay(math.comb(n, k) * (n - 1) ** k * 1.2, k + 1), n, k)
+     for n in range(2, 7) for k in range(1, n + 1)]
+    + [(aniso(1.25, 3.0, 0.2, axis=2), 2, 2),
+       (lambda x, nu: np.full(x.shape[:-1], 1.0), 2, 2),
+       (_nan_past(power_decay(1.25, 3), 1.5), 2, 2)])
+
+
+@pytest.mark.parametrize("case", range(len(CONDITION_CASES)))
+def test_stacked_conditions_equal_the_loop(case):
+    f, n, k = CONDITION_CASES[case]
+    calls = []
+
+    def counted(x, nu):
+        calls.append(len(x))
+        return f(x, nu)
+
+    data = solver.PrescribedData(f=counted, r1=0.5, r2=2.0)
+    got = solver.validate_conditions(data, n, k)
+    # Two calls for the barrier margins and one per side of the central
+    # differences and direction pairing, each for all 24 radii.
+    assert len(calls) == 6
+    # Field for field, NaN included, as repr prints every float exactly.
+    assert repr(got) == repr(_conditions_by_loop(data, n, k))
+
+
 class TestHomotopy:
     def test_t0_round_is_exact(self, round_data):
         g = geometry.build_grid(2, "full-2d", (16, 16))

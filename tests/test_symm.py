@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from eigen_oracle import eigen_coefficients
 from etacurv import symm
 from etacurv.errors import ConeViolationError
 
@@ -114,9 +115,18 @@ class TestConeMembership:
     def test_require_raises_with_node(self):
         lam = np.array([[1.0, 1.0], [-2.0, 1.0]])
         with pytest.raises(ConeViolationError) as exc:
-            symm.require_cone_batch(lam, 1)
+            symm.require_cone_batch(symm.elem_sym_all_batch(lam), 1)
         assert exc.value.node == 1
         assert exc.value.j == 1
+
+    def test_table_stops_at_the_order_without_overflow(self):
+        # sigma_m of 400 entries of 399 passes the float range for large m;
+        # a table stopped at k = 1 never forms those orders.
+        lam = np.full((3, 400), 399.0)
+        with np.errstate(all="raise"):
+            e = symm.require_cone_batch(symm.elem_sym_all_batch(lam, 1), 1)
+        assert e.shape == (3, 2)
+        assert np.all(e[:, 1] == 400 * 399.0)
 
 
 class TestEtaSpectrum:
@@ -346,13 +356,80 @@ def test_require_cone_batch_returns_table_or_names_first_row(rows, k,
     node_ids = 100 + np.arange(len(lam)) if with_ids else None
     inside = (table[:, 1 : k + 1] > 0.0).all(axis=1)
     if inside.all():
-        got = symm.require_cone_batch(lam, k, node_ids=node_ids)
-        assert np.array_equal(got, table)
+        got = symm.require_cone_batch(table, k, node_ids=node_ids)
+        assert got is table
         return
     p = int(np.argmin(inside))
     j = 1 + int(np.argmax(table[p, 1 : k + 1] <= 0.0))
     with pytest.raises(ConeViolationError) as exc:
-        symm.require_cone_batch(lam, k, node_ids=node_ids)
+        symm.require_cone_batch(table, k, node_ids=node_ids)
     assert exc.value.j == j
     assert exc.value.sigma_value == table[p, j]
     assert exc.value.node == (p if node_ids is None else node_ids[p])
+
+
+def rotated(lam, seed):
+    """Symmetric matrices Q diag(lam) Q^T, one per row of lam, for random
+    orthogonal Q."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal(lam.shape + lam.shape[-1:]))
+    m = np.einsum("nij,nj,nkj->nik", q, lam, q)
+    return 0.5 * (m + m.transpose(0, 2, 1))
+
+
+# Rows of spectra in Gamma_d (all entries positive), d = 2..7, and an order.
+spectra = st.integers(2, 7).flatmap(lambda d: st.tuples(
+    st.lists(st.lists(st.floats(1e-3, 1e3), min_size=d, max_size=d),
+             min_size=1, max_size=4),
+    st.integers(1, d)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spectra, st.integers(0, 2**32 - 1))
+def test_newton_tensor_sigma_matches_the_eigenvalue_table(case, seed):
+    rows, k = case
+    m = rotated(np.asarray(rows), seed)
+    e, _ = symm.newton_tensor_batch(m, k)
+    want = symm.elem_sym_all_batch(np.linalg.eigvalsh(m), k)
+    assert e.shape == want.shape and np.all(e[:, 0] == 1.0)
+    # In units of sigma_1^j, which bounds sigma_j on Gamma_d.
+    s1 = want[:, 1:2] ** np.arange(k + 1)
+    assert np.all(np.abs(e - want) <= 1e-14 * s1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spectra, st.integers(0, 2**32 - 1))
+def test_newton_tensor_coefficients_match_the_eigen_path(case, seed):
+    rows, k = case
+    m = rotated(np.asarray(rows), seed)
+    d = m.shape[-1]
+    # M = (tr H) I - H, so H = (tr M / (d - 1)) I - M.
+    hess = (np.einsum("naa->n", m) / (d - 1))[:, None, None] * np.eye(d) - m
+    _, t = symm.newton_tensor_batch(m, k)
+    coef = np.einsum("naa->n", t)[:, None, None] * np.eye(d) - t
+    want = eigen_coefficients(hess, k)
+    s1 = np.einsum("naa->n", m)[:, None, None] ** (k - 1)
+    assert np.all(np.abs(coef - want) <= 1e-13 * s1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 7).flatmap(lambda d: st.tuples(
+    st.lists(st.lists(st.integers(-6, 6), min_size=d, max_size=d),
+             min_size=1, max_size=5),
+    st.integers(1, d))), st.integers(0, 2**32 - 1))
+def test_newton_tensor_cone_check_names_the_first_bad_node(case, seed):
+    rows, k = case
+    lam = np.asarray(rows, dtype=float)
+    exact = symm.elem_sym_all_batch(lam, k)     # integers: exact
+    # Off the boundary, so that roundoff in Q cannot flip a sign.
+    assume(np.all(exact[:, 1:] != 0.0))
+    e, _ = symm.newton_tensor_batch(rotated(lam, seed), k)
+    inside = (exact[:, 1:] > 0.0).all(axis=1)
+    if inside.all():
+        assert symm.require_cone_batch(e, k) is e
+        return
+    p = int(np.argmin(inside))
+    with pytest.raises(ConeViolationError) as exc:
+        symm.require_cone_batch(e, k)
+    assert exc.value.node == p
+    assert exc.value.j == 1 + int(np.argmax(exact[p, 1:] <= 0.0))

@@ -150,7 +150,6 @@ class SurfaceJet:
     X: np.ndarray              # positions in R^(n+1)
     nu: np.ndarray             # unit outward normal
     u: np.ndarray              # support function <X, nu>
-    u_closed: np.ndarray       # rho^2 / sqrt(rho^2 + |grad rho|^2)
     grad_norm: np.ndarray      # |grad rho| on S^n
     kappa: np.ndarray          # principal curvatures, sorted descending
     eta: np.ndarray            # Newton-transformation spectrum, ascending
@@ -212,7 +211,7 @@ def _jet_full(grid, rho):
            "s_tt": s_tt, "s_tp": s_tp, "s_pp": s_pp, "w": w,
            "st": st, "ct": ct, "x": x, "e_t": e_t, "e_p": e_p,
            "g": g, "h": h}
-    return _finish_jet(grid, rho, pos, nu, np.sqrt(gn2), w, kappa, raw)
+    return _finish_jet(grid, rho, pos, nu, np.sqrt(gn2), kappa, raw)
 
 
 def _fundamental_forms(rho, rt, rp, s_tt, s_tp, s_pp, st, w):
@@ -256,7 +255,7 @@ def _jet_axisym(grid, rho):
 
     raw = {"rt": rt, "rtt": rtt, "w": w, "st": st, "ct": ct,
            "x": x, "e_t": e_t, "kap_m": kap_m, "kap_p": kap_p}
-    return _finish_jet(grid, rho, pos, nu, np.abs(rt), w, kappa, raw)
+    return _finish_jet(grid, rho, pos, nu, np.abs(rt), kappa, raw)
 
 
 def _principal_curvatures(g, h):
@@ -274,15 +273,14 @@ def _principal_curvatures(g, h):
     return np.stack([mid + rad, mid - rad], axis=1)
 
 
-def _finish_jet(grid, rho, pos, nu, grad_norm, w, kappa, raw):
+def _finish_jet(grid, rho, pos, nu, grad_norm, kappa, raw):
     """The jet of kappa, which the caller sorts descending."""
     hsum = kappa.sum(axis=1)
     eta = hsum[:, None] - kappa                  # ascending, paired with kappa
     u = np.einsum("ij,ij->i", pos, nu)
-    u_closed = rho**2 / w
     return SurfaceJet(grid=grid, rho=rho, X=pos, nu=nu, u=u,
-                      u_closed=u_closed, grad_norm=grad_norm,
-                      kappa=kappa, eta=eta, H=hsum, raw=raw)
+                      grad_norm=grad_norm, kappa=kappa, eta=eta, H=hsum,
+                      raw=raw)
 
 
 def sigma_k_of_eta(jet, k):

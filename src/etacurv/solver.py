@@ -58,12 +58,13 @@ EASY_FACTORIZATIONS = 3
 
 @dataclass
 class HomotopyRun:
-    """Configuration and trace of one continuity-method solve."""
+    """Continuity-method settings and trace; by default the first attempt
+    after t = 0 is the target t = 1, and a failed attempt halves dt."""
 
     epsilon: float = 0.01
-    dt0: float = 0.5
+    dt0: float = None              # first step, default dt_max
     dt_min: float = 1e-4
-    dt_max: float = 0.5
+    dt_max: float = 1.0
     newton: NewtonConfig = field(default_factory=NewtonConfig)
     monitor_A: float = 2.0
     monitor_alpha: float = None    # default 2 * max|X|^2, set per state
@@ -73,6 +74,7 @@ class HomotopyRun:
     def __post_init__(self):
         if self.epsilon <= 0.0:
             raise ConfigError("homotopy epsilon must be positive")
+        self.dt0 = self.dt_max if self.dt0 is None else self.dt0
         # With dt_min <= 0 the step halving never underflows, and with
         # dt0 <= 0 the homotopy never advances: both would loop forever.
         if not (self.dt_min > 0.0 and 0.0 < self.dt0 <= self.dt_max):
@@ -402,12 +404,12 @@ def newton_solve(grid, rho0, data, k, config=None):
 def continue_to_target(grid, data, run, k):
     """March the homotopy from the round sphere at t = 0 to t = 1.
 
-    Steps are halved on Newton failure and grown by 1.5x after cheap
-    successes; monitors are recorded at every accepted t. The
-    barrier/monotonicity report is kept in ``run.conditions``. Raises
-    ContinuationStuck (with the partial trace and the NewtonReport of the
-    last attempt) on step underflow and PreconditionError when that
-    report fails.
+    The first attempt is t = dt0 (default 1); steps are halved on Newton
+    failure and grown by 1.5x after cheap successes; monitors are
+    recorded at every accepted t. The barrier/monotonicity report is kept
+    in ``run.conditions``. Raises ContinuationStuck (with the partial
+    trace and the NewtonReport of the last attempt) on step underflow and
+    PreconditionError when that report fails.
     """
     n = grid.n
     run.conditions = conditions = validate_conditions(data, n, k)

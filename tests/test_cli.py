@@ -78,6 +78,9 @@ CONFIG_PROBES = {
     "dt_max_zero": ("solve-surface", ["t_schedule.dt_max=0"]),
     "dt0_negative": ("solve-surface", ["t_schedule.dt0=-1"]),
     "dt_min_zero": ("solve-surface", ["t_schedule.dt_min=0"]),
+    # dt0 defaults to dt_max only when it is not given.
+    "dt0_above_dt_max": ("solve-surface", ["t_schedule.dt0=0.7"],
+                         "0 < dt0 <= dt_max"),
     "max_iter_zero": ("solve-surface", ["newton.max_iter=0"]),
     "tol_negative": ("solve-surface", ["newton.tol=-1"]),
     # A removed option is refused whatever its value, so that a request for
@@ -466,6 +469,24 @@ def test_large_round_data_converges(tmp_path):
                for line in (out / "trace.jsonl").read_text().splitlines()]
     assert records[-1]["tol"] == report["tol"]
     assert all(rec["max_residual"] <= rec["tol"] for rec in records)
+
+
+@pytest.mark.parametrize("overrides,accepted_t", [
+    ((), [0.0, 1.0]),
+    (("t_schedule.dt_max=0.5",), [0.0, 0.5, 1.0]),
+], ids=["defaults", "dt_max_alone"])
+def test_first_step_defaults_to_dt_max(tmp_path, overrides, accepted_t):
+    # Without t_schedule.dt0 the first attempt after t = 0 is t = dt_max:
+    # the target itself by default, and dt_max = 0.5 given alone restores
+    # the schedule 0, 0.5, 1 instead of exiting 2 on dt0 > dt_max.
+    cfg = {key: v for key, v in SURFACE_CFG.items() if key != "t_schedule"}
+    r, out = _solve_surface(tmp_path, cfg, *overrides)
+    assert r.exit_code == 0, (r.output, r.exception)
+    records = [json.loads(line)
+               for line in (out / "trace.jsonl").read_text().splitlines()]
+    assert [rec["t"] for rec in records] == accepted_t
+    report = json.loads((out / "report.json").read_text())
+    assert report["accepted_steps"] == len(accepted_t)
 
 
 def test_stall_error_names_the_applied_tol(tmp_path):

@@ -149,7 +149,8 @@ class TestJetInvariants:
         assert np.abs(norms - 1.0).max() < 1e-12
 
     def test_support_closed_form(self, jet):
-        assert np.abs(jet.u - jet.u_closed).max() < 1e-12
+        # u = <X, nu> = rho^2 / sqrt(rho^2 + |grad rho|^2) = rho^2 / w
+        assert np.abs(jet.u - jet.rho**2 / jet.raw["w"]).max() < 1e-12
 
     def test_eta_trace_rule(self, jet):
         n = jet.n

@@ -792,7 +792,7 @@ class TestContinuation:
         # floor. Relative to max f, every attempt is accepted. The steps
         # and the answer were recorded from the scaled stop test, with LU
         # factors kept across Newton iterations, under the default root
-        # form and dt0 = dt_max = 0.5.
+        # form and the homotopy from t = 1 (dt0 = dt_max = 1).
         n, k, radius = 5, 4, 1.2
         const = math.comb(n, k) * (n - 1) ** k * radius
         data = solver.PrescribedData(f=power_decay(const, k + 1),
@@ -821,11 +821,10 @@ class TestContinuation:
                  for rec in run.trace]
         assert trace == [
             (0.0, 0, 0, 8.881784197001252e-16),
-            (0.5, 6, 3, 7.176481631177012e-13),
-            (1.0, 6, 1, 6.035172361862351e-12),
+            (1.0, 6, 3, 6.341593916658894e-13),
         ]
         assert hashlib.sha256(rho.tobytes()).hexdigest() == (
-            "f6a27512e90f9ae4c1ff7b208e049a7fdfacc8a7bd37c5ab008be850d59452e0")
+            "3e3e0520890d0f7ff038216ad638d3f75335f0c161584cab6bc2b090c5e62b97")
         assert len(failed) == 0
         assert np.abs(rho - radius).max() < 1e-10
 
@@ -856,10 +855,11 @@ class TestContinuation:
             assert 1e-10 <= rec["tol"] and rec["max_residual"] <= rec["tol"]
 
     def test_defaults_are_root_form_from_dt_max(self):
-        # The root form is the only one: no setting selects another.
+        # The root form is the only one: no setting selects another. The
+        # first attempt after t = 0 is the target t = 1.
         assert not hasattr(NewtonConfig(), "form")
         run = solver.HomotopyRun()
-        assert run.dt0 == run.dt_max == 0.5
+        assert run.dt0 == run.dt_max == 1.0
 
     @pytest.mark.parametrize("radius", [0.6, 0.7])
     def test_small_round_data_never_fails_an_attempt(self, monkeypatch,
@@ -886,6 +886,48 @@ class TestContinuation:
                                                    solver.HomotopyRun(), k)
                 assert failed == [], (n, k)
                 assert np.abs(rho - radius).max() < 1e-10, (n, k)
+
+    def test_dt0_defaults_to_dt_max(self):
+        assert solver.HomotopyRun(dt_max=0.3).dt0 == 0.3
+        with pytest.raises(ConfigError):
+            solver.HomotopyRun(dt0=0.5, dt_max=0.3)
+
+    def test_failed_target_attempt_halves_the_step(self, monkeypatch):
+        # From the round sphere, the Newton steps toward t = 1 and t = 0.5
+        # leave the cone at every step fraction: each attempt costs one LU
+        # and no iteration, and the halved steps reach the target.
+        data = solver.PrescribedData(f=aniso(0.8, 2.5, 0.1), r1=0.5, r2=2.0)
+        g = geometry.build_grid(2, "full-2d", (64, 32))
+        attempts, tried = [], []
+        real_f, real_solve = solver.homotopy_f, solver.newton_solve
+
+        def blend(data, n, k, epsilon, t):
+            tried.append(t)
+            return real_f(data, n, k, epsilon, t)
+
+        def solve(*args, **kw):
+            try:
+                jet, rep = real_solve(*args, **kw)
+            except NewtonDiverged as exc:
+                attempts.append((tried[-1], type(exc).__name__,
+                                 exc.report.factorizations,
+                                 exc.report.iterations))
+                raise
+            attempts.append((tried[-1], "accepted"))
+            return jet, rep
+
+        monkeypatch.setattr(solver, "homotopy_f", blend)
+        monkeypatch.setattr(solver, "newton_solve", solve)
+        _, run = solver.continue_to_target(g, data, solver.HomotopyRun(), 1)
+        assert attempts == [
+            (0.0, "accepted"),
+            (1.0, "ConeExit", 1, 0),
+            (0.5, "ConeExit", 1, 0),
+            (0.25, "accepted"), (0.5, "accepted"), (0.875, "accepted"),
+            (1.0, "accepted"),
+        ]
+        assert [rec["t"] for rec in run.trace] == [0.0, 0.25, 0.5, 0.875, 1.0]
+        assert run.trace[-1]["max_residual"] <= run.trace[-1]["tol"]
 
     def test_stuck_carries_trace(self, round_data):
         g = geometry.build_grid(2, "full-2d", (16, 16))

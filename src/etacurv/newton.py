@@ -33,9 +33,11 @@ is accepted only if it is admissible, changes the iterate and decreases
 the residual. Otherwise, and after any step that contracted less, the
 Jacobian at the iterate is built and factored afresh, and the step is
 backtracked as above. When the stop test is first met after a step on
-kept factors, one more step on them is taken and kept if it does not
-raise the residual: kept factors converge linearly, and that step
-restores the margin below tol that exact Newton's last step leaves.
+kept factors, one more step on them is taken and kept if it lowers the
+residual: kept factors converge linearly, and that step restores the
+margin below tol that exact Newton's last step leaves. A closing step
+that leaves the residual as it is, at its roundoff floor, is dropped, so
+the iteration count does not turn on the residual's last bit.
 Factors are freed as soon as no step will use them, so that two LUs are
 never alive at once.
 
@@ -215,21 +217,26 @@ class SlotTable:
 def factor(jac, perm=None):
     """The solver of jac x = b, factored once: a function of b.
 
-    jac, a sparse matrix or a dense array, is converted to CSC. With a
-    permutation ``perm`` (new -> old, as stored on the grid) it gets
-    SuperLU's LU of jac[perm][:, perm] with no further column reordering;
-    without one, SuperLU's LU in its default COLAMD order (the factors
-    ``spsolve`` would compute for every b). SuperLU raises RuntimeError on
-    an exactly singular matrix.
+    jac is a sparse matrix or a dense array. With a permutation ``perm``
+    (new -> old, as stored on the grid), SuperLU factors the transpose of
+    A = jac[perm][:, perm] with no further column reordering, and each b
+    is solved with ``trans="T"``. The transpose of A in CSR is A's CSC
+    form with no copy, and SuperLU, which factors column by column, runs
+    faster on the columns of Jᵀ than on those of J on the flat Jacobians,
+    whose patterns are not symmetric (exact zeros are dropped), for the
+    same fill. Without an order, jac is converted to CSC and gets
+    SuperLU's LU in its default COLAMD order (the factors ``spsolve``
+    would compute for every b). SuperLU raises RuntimeError on an exactly
+    singular matrix.
     """
     if perm is None:
         return splu(sp.csc_matrix(jac)).solve
-    # Unnamed CSC copies: only the permuted one is alive during splu.
-    lu = splu(sp.csc_matrix(jac)[perm][:, perm], permc_spec="NATURAL")
+    # Unnamed CSR copies: only the permuted one is alive during splu.
+    lu = splu(sp.csr_matrix(jac)[perm][:, perm].T, permc_spec="NATURAL")
 
     def solve(b):
         x = np.empty_like(b)
-        x[perm] = lu.solve(b[perm])
+        x[perm] = lu.solve(b[perm], trans="T")
         return x
     return solve
 
@@ -300,8 +307,10 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
     would repeat the same iteration until ``max_iter``. So does an iterate
     not yet converged after STALL_STEPS accepted steps in a row that did
     not decrease the residual. The factors of a Jacobian are kept, and
-    refreshed, as the module docstring describes. Returns the state of the
-    converged iterate and the NewtonReport.
+    refreshed, as the module docstring describes; the closing step on kept
+    factors, taken once the stop test holds, is accepted only if it lowers
+    the residual, and otherwise the converged iterate is returned as it
+    was. Returns the state of the converged iterate and the NewtonReport.
     """
     x = np.asarray(x0, dtype=float).copy()
     res, state = residual_fn(x)
@@ -403,7 +412,7 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
 
     if kept:
         step = full_step()
-        if step is not None and step[3] <= rnorm:
+        if step is not None and step[3] < rnorm:
             accept(step, 1.0)
     report.converged = True
     return state, report

@@ -2,7 +2,9 @@
 
 The oracle is the sparse sum the Jacobians used to be written as,
 sum_s diag(c_s) @ M_s with scipy's products and sums; the table must give
-the same CSC arrays byte for byte, since the linear solve factors those.
+the same CSC arrays byte for byte: the same entries, explicit zeros
+included, in the same positions, which is the matrix the linear solve
+factors.
 """
 
 import numpy as np

@@ -3,12 +3,15 @@
 A flat grid orders its unknowns by nested dissection of the lattice, a
 full-2d sphere grid by SuperLU's minimum degree on its Jacobian pattern;
 ``factor`` solves in that order and must agree with ``spsolve`` in the
-natural one.
+natural one. With an order, it factors the transpose, so each test
+checks that it solves J x = b and not Jᵀ x = b.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import splu, spsolve
 
 from etacurv import flatcase, geometry, solver
@@ -38,10 +41,10 @@ def grad_sq(x, phi, grad):
     return 1.0 + np.einsum("ni,ni->n", grad, grad)
 
 
-def flat_jacobian(grid):
-    phi = flatcase._initial_guess(grid, grad_sq, 2)
+def flat_jacobian(grid, k=2):
+    phi = flatcase._initial_guess(grid, grad_sq, k)
     return flatcase.flat_jacobian(flatcase.build_flat_state(grid, phi),
-                                  grad_sq, 2)
+                                  grad_sq, k)
 
 
 def sphere_jacobian(grid):
@@ -55,12 +58,12 @@ def sphere_jacobian(grid):
 
 
 def lu_fill(jac, perm=None):
-    """L + U nonzeros of the LU factor() makes, or of COLAMD's without
-    perm."""
+    """L + U nonzeros of the LU factor() makes: of the transposed
+    jac[perm][:, perm] with perm, of COLAMD's without."""
     if perm is None:
         lu = splu(jac.tocsc())
     else:
-        lu = splu(jac.tocsc()[perm][:, perm], permc_spec="NATURAL")
+        lu = splu(jac.tocsr()[perm][:, perm].T, permc_spec="NATURAL")
     return lu.L.nnz + lu.U.nnz
 
 
@@ -119,9 +122,11 @@ def test_small_sets_keep_their_order():
 
 @pytest.mark.parametrize("grid,jacobian", [
     (FLATS["ball3d"], flat_jacobian),
+    (FLATS["ball3d"], lambda grid: flat_jacobian(grid, 3)),
+    (lambda: flatcase.build_flat_grid(4, "ball", h=1 / 5), flat_jacobian),
     (FLATS["rect3d"], flat_jacobian),
     (SPHERES["full128x64"], sphere_jacobian),
-], ids=["ball3d", "rect3d", "full128x64"])
+], ids=["ball3d", "ball3d_k3", "ball4d", "rect3d", "full128x64"])
 def test_factor_solves_like_spsolve(grid, jacobian):
     grid = grid()
     jac = jacobian(grid)
@@ -131,6 +136,37 @@ def test_factor_solves_like_spsolve(grid, jacobian):
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
     # Without an order, factor is spsolve in SuperLU's default order.
     assert factor(jac)(b).tobytes() == ref.tobytes()
+
+
+@st.composite
+def unsymmetric_systems(draw):
+    """(J, perm, b): J row diagonally dominant with a pattern that is not
+    symmetric, perm a random order and b a random right-hand side."""
+    n = draw(st.integers(2, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    off = sp.random(n, n, density=draw(st.floats(0.05, 0.4)), format="csr",
+                    random_state=rng, data_rvs=lambda m: rng.uniform(-1, 1, m))
+    off.setdiag(0.0)
+    # One entry without its mirror, so that J and Jᵀ differ.
+    i, j = rng.choice(n, 2, replace=False)
+    off = off.tolil()
+    off[i, j], off[j, i] = 1.0, 0.0
+    off = off.tocsr()
+    off.eliminate_zeros()
+    diag = np.abs(off).sum(axis=1).A1 + rng.uniform(1.0, 2.0, n)
+    jac = (off + sp.diags(diag)).tocsr()
+    return jac, rng.permutation(n), rng.standard_normal(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unsymmetric_systems(), st.sampled_from(["csr", "csc", "dense"]))
+def test_factor_solves_j_not_its_transpose(system, kind):
+    jac, perm, b = system
+    assert (jac != jac.T).nnz > 0
+    given_as = {"csr": jac, "csc": jac.tocsc(), "dense": jac.toarray()}[kind]
+    x = factor(given_as, perm)(b)
+    assert np.max(np.abs(jac @ x - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 def test_flat_order_halves_the_fill():

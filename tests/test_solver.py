@@ -638,6 +638,30 @@ class TestKeptFactors:
             solved.add(event[1])
         assert rising > 0
 
+    @pytest.mark.parametrize("closing", [1e-4, 1e-5])
+    def test_closing_step_counts_only_if_it_lowers_the_residual(self,
+                                                                closing):
+        # Scripted max|F| along the iterates: a fresh step to 0.05 (below
+        # REFACTOR_RATIO), a kept step to 1e-4 (below tol), then the
+        # closing kept step to `closing`.
+        norms = iter([1.0, 0.05, 1e-4, closing])
+
+        def res(x):
+            return np.array([next(norms)]), x.copy()
+
+        x, rep = damped_newton(np.array([0.0]), res,
+                               lambda x: np.array([[1.0]]),
+                               NewtonConfig(tol=1e-3))
+        assert rep.converged and rep.factorizations == 1
+        if closing < 1e-4:
+            assert rep.iterations == 3
+            assert rep.residual_history == [1.0, 0.05, 1e-4, closing]
+        else:       # an equal residual: the step is dropped
+            assert rep.iterations == 2
+            assert rep.residual_history == [1.0, 0.05, 1e-4]
+            assert x.tobytes() == np.array([-1.05]).tobytes()
+        assert rep.step_fractions == [1.0] * rep.iterations
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.tuples(*[st.floats(0.3, 4.0)] * 3))

@@ -19,9 +19,7 @@ from .solver import (ConditionsReport, HomotopyRun, PrescribedData,
                      assemble_jacobian, continue_to_target, homotopy_f,
                      newton_solve, residual, validate_conditions)
 from .symm import (OperatorCoefficients, SpectrumVector, elem_sym_all,
-                   elem_sym_all_batch, eta_spectrum_from_kappa,
-                   gamma_k_contains, operator_coefficients, sigma,
-                   sigma_brute, sigma_excl)
+                   elem_sym_all_batch, operator_coefficients, sigma_brute)
 from .verify import (curvature_bound, estimate_report, gradient_bound,
                      identity_check, q_monitor, w_monitor)
 

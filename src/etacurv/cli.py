@@ -205,12 +205,18 @@ def _constant(cfg):
     return lambda x: np.full(x.shape[:-1], value)
 
 
+def _numbers(values):
+    """True if ``values`` is a list of finite numbers; as for the scalar
+    float keys, booleans, strings and nested lists are not numbers."""
+    return type(values) is list and all(
+        type(v) in (int, float) and abs(v) <= sys.float_info.max
+        for v in values)
+
+
 def _table(cfg, path):
-    """The list at ``path`` as a 1-d array of finite floats; as for the
-    scalar float keys, booleans, strings and nested lists are refused."""
+    """The list at ``path`` as a 1-d array of finite floats."""
     table = _get(cfg, path, list)
-    if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max
-               for v in table):
+    if not _numbers(table):
         raise ConfigError(f"key '{path}' must be a list of finite numbers")
     return np.asarray(table, dtype=float)
 
@@ -366,9 +372,14 @@ def _surface_setup(cfg, n, k, newton):
 
 def _flat_setup(cfg, n, k, newton):
     fcall = build_flat_f(_get(cfg, "f", dict))
-    grid = flatcase.build_flat_grid(n, h=_get(cfg, "grid.h", float), **_given(
-        cfg, shape=("grid.shape", str), radius=("grid.radius", float),
-        bounds=("grid.bounds", list)))
+    h = _get(cfg, "grid.h", float)
+    domain = _given(cfg, shape=("grid.shape", str),
+                    radius=("grid.radius", float),
+                    bounds=("grid.bounds", list))
+    if not all(map(_numbers, domain.get("bounds", []))):
+        raise ConfigError("key 'grid.bounds' must be a list of lists of "
+                          "finite numbers")
+    grid = flatcase.build_flat_grid(n, h=h, **domain)
     beta_kw = _given(cfg, beta=("beta", float))
 
     def solve():

@@ -108,18 +108,32 @@ def _sample_directions(n, samples):
     return np.vstack([axes, dirs])
 
 
-def _sphere_sigma_k(n, k):
-    """sigma_k of the unit sphere's eta spectrum, C(n,k) (n-1)^k, a float."""
+def _sphere_sigma_k(data, n, k):
+    """sigma_k of the unit sphere's eta spectrum, C(n,k) (n-1)^k, a float.
+
+    ConfigError if it, or its value C(n,k) (n-1)^k / r^k on the sphere of
+    radius r = r1 or r2, leaves the float range; the powers r^k that the
+    barrier and homotopy terms form are then finite and nonzero.
+    """
     try:
-        return float(math.comb(n, k) * (n - 1) ** k)
+        const = float(math.comb(n, k) * (n - 1) ** k)
     except OverflowError:
         raise ConfigError(f"n={n}, k={k}: C(n,k) (n-1)^k exceeds the float "
                           f"range") from None
+    for key in ("r1", "r2"):
+        r = getattr(data, key)
+        with np.errstate(all="ignore"):
+            scaled = const / np.float64(r) ** k
+        if not 0.0 < scaled < math.inf:
+            raise ConfigError(f"key '{key}' = {r:g}: C(n,k) (n-1)^k / "
+                              f"{key}^k leaves the float range at n={n}, "
+                              f"k={k}")
+    return const
 
 
 def validate_conditions(data, n, k, samples=64):
     """Report-only check of the barrier and monotonicity inequalities."""
-    const = _sphere_sigma_k(n, k)
+    const = _sphere_sigma_k(data, n, k)
     dirs = _sample_directions(n, samples)
 
     inner = data.f(data.r1 * dirs, dirs) - const / data.r1**k
@@ -158,6 +172,7 @@ def homotopy_f(data, n, k, epsilon, t):
     """Blend the target data with the solvable round-sphere problem."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"homotopy parameter t={t} outside [0, 1]")
+    const = _sphere_sigma_k(data, n, k)
     # The bracketed factor is decreasing in rho; positivity on [r1, r2]
     # is decided at r2. Newton iterates may go past r2 by RHO_MARGIN, where
     # the factor can be negative: a trial iterate whose blended data is not
@@ -168,7 +183,6 @@ def homotopy_f(data, n, k, epsilon, t):
             f"epsilon={epsilon} too large: homotopy factor reaches "
             f"{floor:.3g} at rho={data.r2}"
         )
-    const = _sphere_sigma_k(n, k)
     target = data.f
 
     def blended(x, nu):
@@ -228,18 +242,26 @@ def _jac_f_term(jet, data, dV, dW):
     return jet.grid.slots.accumulate(coefs)
 
 
-def _adj2(a):
+def _inv2(a):
+    """Inverses of stacked 2x2 matrices: the adjugate over the determinant."""
     adj = np.empty_like(a)
     adj[:, 0, 0] = a[:, 1, 1]
     adj[:, 1, 1] = a[:, 0, 0]
     adj[:, 0, 1] = -a[:, 0, 1]
     adj[:, 1, 0] = -a[:, 1, 0]
-    return adj, a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+    det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+    return adj / det[:, None, None]
 
 
 def _jac_full(grid, jet, data, k):
-    """Jacobian data of the sigma_k and f parts on the lat-lon grid
-    (n = 2, k in {1, 2})."""
+    """Jacobian data of the sigma_k and f parts on the lat-lon grid (n = 2).
+
+    The eta spectrum is that of H I - A, with A = g^-1 h the shape
+    operator, so d sigma_k = tr(C dA) for C = tr(T) I - T and T the Newton
+    tensor T_(k-1)(H I - A), as in flatcase.flat_jacobian. With
+    dA = g^-1 dh - g^-1 dg A, the coefficients of dh and dg are
+    m_h = C g^-1 and m_g = -A m_h.
+    """
     raw = jet.raw
     rho = jet.rho
     rt, rp = raw["rt"], raw["rp"]
@@ -249,17 +271,13 @@ def _jac_full(grid, jet, data, k):
     s_tt, s_tp, s_pp = raw["s_tt"], raw["s_tp"], raw["s_pp"]
     npts = rho.size
 
-    adjg, detg = _adj2(g)
-    ginv = adjg / detg[:, None, None]
-    if k == 1:
-        # sigma_1 = tr(g^-1 h)
-        m_h = ginv
-        m_g = -np.einsum("nab,nbc,ncd->nad", ginv, h, ginv)
-    else:
-        # sigma_2 = det h / det g
-        adjh, deth = _adj2(h)
-        m_h = adjh / detg[:, None, None]
-        m_g = -(deth / detg)[:, None, None] * ginv
+    eye = np.eye(2)
+    ginv = _inv2(g)
+    a = ginv @ h
+    _, t = symm.newton_tensor_batch(
+        np.einsum("naa->n", a)[:, None, None] * eye - a, k)
+    m_h = (np.einsum("naa->n", t)[:, None, None] * eye - t) @ ginv
+    m_g = -a @ m_h
 
     zeros = np.zeros(npts)
 

@@ -1,22 +1,22 @@
 """Elementary symmetric functions, cone tests and operator coefficients.
 
-Everything the solver needs from the algebra of the k-th elementary
+Everything the solvers need from the algebra of the k-th elementary
 symmetric function sigma_k and of the concave operator G = sigma_k^(1/k):
 values, first and second derivatives in the eigenvalue arguments, the
-summed coefficients F^ii = sum_{j != i} G^jj, and membership tests for the
-admissible cone (sigma_1 > 0, ..., sigma_k > 0).
+summed coefficients F^ii = sum_{j != i} G^jj, and the admissible-cone
+check (sigma_1 > 0, ..., sigma_k > 0).
 
 All public entry points are pure functions. The *_batch kernels operate on
 arrays of eigenvalue vectors (shape (N, n)) and are used by the field-level
-solvers; the scalar entry points (elem_sym_all, sigma, sigma_excl,
-gamma_k_contains, operator_coefficients) are one-row calls into them, and
-elem_sym_all_batch and sigma_excl_batch share the one recurrence step.
-newton_tensor_batch gives sigma_j of stacked matrices.
+solvers; elem_sym_all_batch and sigma_excl_batch share the one recurrence
+step. newton_tensor_batch gives sigma_j and the Newton tensor of stacked
+matrices, the derivative rule of both matrix Jacobians. The one-vector
+entry points elem_sym_all and operator_coefficients are calls into the
+batch kernels; sigma_brute is the enumeration oracle.
 """
 
 import math
-from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -26,17 +26,11 @@ from .errors import ConeViolationError
 __all__ = [
     "SpectrumVector",
     "OperatorCoefficients",
-    "EtaSpectrum",
-    "sigma",
-    "sigma_excl",
+    "elem_sym_all",
+    "elem_sym_all_batch",
     "sigma_brute",
-    "gamma_k_contains",
     "operator_coefficients",
-    "eta_spectrum_from_kappa",
 ]
-
-# Relative tie tolerance for the divided-difference pair coefficient.
-PAIR_TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -115,13 +109,6 @@ def sigma_brute(values, m):
     return float(sum(math.prod(c) for c in combinations(values, m)))
 
 
-def sigma(lam, m):
-    """sigma_m of a spectrum vector (production recurrence path)."""
-    if not 0 <= m <= lam.n:
-        raise ValueError(f"m={m} outside [0, {lam.n}]")
-    return float(elem_sym_all(lam.values)[m])
-
-
 def sigma_excl_batch(lam, m):
     """sigma_m(lam | i) per row and per excluded index; shape (N, n).
 
@@ -146,66 +133,17 @@ def sigma_excl_batch(lam, m):
     return out
 
 
-def sigma_excl(lam, m, i):
-    """sigma_m of the vector with entry i removed (a one-row batch call)."""
-    if not 0 <= i < lam.n:
-        raise ValueError(f"index i={i} outside [0, {lam.n})")
-    if not 0 <= m <= lam.n - 1:
-        raise ValueError(f"m={m} outside [0, {lam.n - 1}]")
-    return float(sigma_excl_batch(lam.values[None, :], m)[0, i])
-
-
-def _cone_mask(e, k, margin):
-    """(ok, first_fail) for the rows of a sigma table e."""
-    bad = e[:, 1 : k + 1] <= margin
-    ok = ~bad.any(axis=1)
-    first_fail = np.where(ok, 0, bad.argmax(axis=1) + 1)
-    return ok, first_fail
-
-
-def gamma_k_contains_batch(lam, k, margin=0.0):
-    """Vectorized cone membership: (ok, first_fail), ``first_fail[p]`` the
-    smallest j with sigma_j <= margin at row p (0 where ok)."""
-    return _cone_mask(elem_sym_all_batch(lam, k), k, margin)
-
-
-def gamma_k_contains(lam, margin=0.0):
-    """True iff sigma_j(lam) > margin for all j = 1..k (one-row batch call).
-
-    The cone is open, so membership uses strict positivity with zero
-    tolerance by default; callers needing a safety band pass ``margin``.
-    """
-    ok, _ = gamma_k_contains_batch(lam.values[None, :], lam.k, margin)
-    return bool(ok[0])
-
-
 def require_cone_batch(e, k, node_ids=None):
     """The sigma table e (sigma_0..sigma_k or more per row) once it is
     inside the cone; else ConeViolationError names the first bad row and
     its lowest bad order."""
-    ok, first_fail = _cone_mask(e, k, 0.0)
-    if ok.all():
+    bad = e[:, 1 : k + 1] <= 0.0
+    if not bad.any():
         return e
-    p = int(np.argmin(ok))
-    j = int(first_fail[p])
+    p = int(np.argmax(bad.any(axis=1)))
+    j = int(np.argmax(bad[p])) + 1
     node = p if node_ids is None else node_ids[p]
     raise ConeViolationError(j, float(e[p, j]), node=node)
-
-
-EtaSpectrum = namedtuple("EtaSpectrum", ["values", "permutation"])
-
-
-def eta_spectrum_from_kappa(kappa):
-    """Spectrum of the first Newton transformation from curvatures.
-
-    lambda_i = (sum_j kappa_j) - kappa_i, returned sorted ascending along
-    with the permutation (sorted position -> original index) so geometric
-    quantities can be mapped back to principal directions.
-    """
-    kappa = np.asarray(kappa, dtype=float)
-    lam = kappa.sum() - kappa
-    perm = np.argsort(lam, kind="stable")
-    return EtaSpectrum(values=lam[perm], permutation=perm)
 
 
 def g_gradient_batch(sig_k, s_excl, k):
@@ -223,25 +161,13 @@ class OperatorCoefficients:
     """Value and derivatives of G = sigma_k^(1/k) at one eigenvalue vector.
 
     ``hessian`` is the matrix of second partials of G in the eigenvalue
-    arguments; ``pair_second(i, j)`` gives the off-diagonal matrix second
-    derivative G^{ij,ji} via the divided-difference formula with the
-    analytic limit at ties.
+    arguments.
     """
 
     value: float
     gradient: np.ndarray
     hessian: np.ndarray
     f_coeffs: np.ndarray
-    lam: np.ndarray = field(repr=False)
-
-    def pair_second(self, i, j):
-        if i == j:
-            raise ValueError("pair coefficient needs i != j")
-        li, lj = self.lam[i], self.lam[j]
-        if abs(li - lj) < PAIR_TIE_RTOL * (1.0 + abs(li) + abs(lj)):
-            # Removable singularity: the limit of the divided difference.
-            return self.hessian[i, i] - self.hessian[i, j]
-        return (self.gradient[i] - self.gradient[j]) / (li - lj)
 
 
 def operator_coefficients(lam):
@@ -281,5 +207,4 @@ def operator_coefficients(lam):
         gradient=gradient,
         hessian=hessian,
         f_coeffs=f_coeffs,
-        lam=vals.copy(),
     )

@@ -66,11 +66,23 @@ CONFIG_PROBES = {
     "flat_bounds_too_few": ("solve-flat", [RECT_GRID % "[[-1, 1]]"]),
     "flat_bounds_ragged": ("solve-flat", [
         RECT_GRID % "[[-1, 1], [-1, 1, 3]]"]),
+    # As for f.r, a JSON string or boolean is not a number: both used to
+    # solve on the converted box.
+    "flat_bounds_string": ("solve-flat", [
+        RECT_GRID % '[["-1", "1"], [-1, 1]]'],
+        "key 'grid.bounds' must be a list of lists of finite numbers"),
+    "flat_bounds_bool": ("solve-flat", [
+        RECT_GRID % "[[false, true], [-1, 1]]"],
+        "key 'grid.bounds' must be a list of lists of finite numbers"),
     "f_c_nan": ("solve-surface", ["f.c=NaN"],
                 "key 'f.c' must be a finite number"),
     "r2_infinite": ("solve-surface", ["r2=Infinity"]),
     "newton_tol_nan": ("solve-surface", ["newton.tol=NaN"]),
     "r2_huge_int": ("solve-surface", ["r2=1" + "0" * 400]),
+    # r2^k and r1^k past the float range used to end in OverflowError and
+    # ZeroDivisionError tracebacks.
+    "r2_1e200": ("solve-surface", ["r2=1e200"], "key 'r2'"),
+    "r1_1e-200": ("solve-surface", ["r1=1e-200"], "key 'r1'"),
     "flat_h_nan": ("solve-flat", ["grid.h=NaN"]),
     # A schedule that never advances t, or whose step halving never
     # underflows, would loop forever.

@@ -197,13 +197,14 @@ def _fd_jacobian(g, rho, data, k):
 
 
 class TestJacobian:
-    def test_full_2d_matches_fd(self, round_data):
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_full_2d_matches_fd(self, round_data, k):
         g = geometry.build_grid(2, "full-2d", (16, 8))
         rho = (1.2 + 0.05 * np.sin(g.theta) * np.cos(g.phi)
                + 0.03 * np.cos(g.theta))
-        ja = solver.assemble_jacobian(g, rho, round_data, 2)
+        ja = solver.assemble_jacobian(g, rho, round_data, k)
         ja = np.asarray(ja.todense())
-        jf = _fd_jacobian(g, rho, round_data, 2)
+        jf = _fd_jacobian(g, rho, round_data, k)
         assert np.abs(ja - jf).max() / (1 + np.abs(jf).max()) < 1e-7
 
     @pytest.mark.parametrize("n", [2, 3])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eigen_oracle import eigen_coefficients
+from eigen_oracle import eigen_coefficients, eta_spectrum_from_kappa
 from etacurv import symm
 from etacurv.errors import ConeViolationError
 
@@ -30,25 +30,21 @@ def cone_points(n, k, count, rng, margin=0.01):
 
 class TestSigma:
     def test_ones_m2(self):
-        lam = symm.SpectrumVector((1.0, 1.0, 1.0), k=2)
-        assert symm.sigma(lam, 2) == 3.0
+        assert symm.elem_sym_all((1.0, 1.0, 1.0))[2] == 3.0
 
     def test_full_product(self):
-        lam = symm.SpectrumVector((1.0, 2.0, 3.0), k=3)
-        assert symm.sigma(lam, 3) == 6.0
+        assert symm.elem_sym_all((1.0, 2.0, 3.0))[3] == 6.0
 
     def test_vs_brute(self):
-        lam = symm.SpectrumVector((1.0, 2.0, 3.0), k=2)
-        assert symm.sigma(lam, 2) == symm.sigma_brute([1, 2, 3], 2) == 11.0
+        assert symm.elem_sym_all((1.0, 2.0, 3.0))[2] \
+            == symm.sigma_brute([1, 2, 3], 2) == 11.0
 
     def test_sigma_zero(self):
-        lam = symm.SpectrumVector((4.0, -1.0), k=1)
-        assert symm.sigma(lam, 0) == 1.0
+        assert symm.elem_sym_all((4.0, -1.0))[0] == 1.0
 
     def test_m_out_of_range(self):
-        lam = symm.SpectrumVector((1.0, 2.0), k=1)
         with pytest.raises(ValueError):
-            symm.sigma(lam, 3)
+            symm.sigma_brute((1.0, 2.0), 3)
 
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(7)
@@ -61,56 +57,58 @@ class TestSigma:
                 assert np.all(np.abs(e[:, m] - brute) / scale < 1e-12)
 
 
+def sigma_excl(values, m, i):
+    """sigma_m of one vector with entry i removed, from the batch kernel."""
+    return symm.sigma_excl_batch(np.asarray([values], dtype=float), m)[0, i]
+
+
 class TestSigmaExcl:
     def test_remove_middle(self):
-        lam = symm.SpectrumVector((1.0, 2.0, 3.0), k=1)
-        assert symm.sigma_excl(lam, 1, 1) == 4.0
+        assert sigma_excl((1.0, 2.0, 3.0), 1, 1) == 4.0
 
     def test_m_zero(self):
-        lam = symm.SpectrumVector((5.0, -2.0, 0.3), k=1)
-        assert symm.sigma_excl(lam, 0, 2) == 1.0
+        assert sigma_excl((5.0, -2.0, 0.3), 0, 2) == 1.0
 
     def test_remove_first(self):
-        lam = symm.SpectrumVector((5.0, 1.0, 1.0), k=2)
-        assert symm.sigma_excl(lam, 2, 0) == 1.0
-
-    def test_index_out_of_range(self):
-        lam = symm.SpectrumVector((1.0, 2.0), k=1)
-        with pytest.raises(ValueError):
-            symm.sigma_excl(lam, 0, 2)
+        assert sigma_excl((5.0, 1.0, 1.0), 2, 0) == 1.0
 
     def test_vs_brute(self):
         rng = np.random.default_rng(8)
         vals = rng.standard_normal(5)
-        lam = symm.SpectrumVector(vals, k=2)
         for i in range(5):
             rest = np.delete(vals, i)
             for m in range(5):
-                assert symm.sigma_excl(lam, m, i) == pytest.approx(
+                assert sigma_excl(vals, m, i) == pytest.approx(
                     symm.sigma_brute(rest, m), rel=1e-13)
+
+
+def in_cone(values, k):
+    """Gamma_k membership of one vector by the cone check of the solvers."""
+    e = symm.elem_sym_all_batch(np.asarray([values], dtype=float), k)
+    try:
+        symm.require_cone_batch(e, k)
+    except ConeViolationError:
+        return False
+    return True
 
 
 class TestConeMembership:
     def test_positive_orthant(self):
-        assert symm.gamma_k_contains(symm.SpectrumVector((1, 1, 1), k=3))
+        assert in_cone((1, 1, 1), 3)
 
     def test_outside(self):
-        assert not symm.gamma_k_contains(
-            symm.SpectrumVector((-1, 1, 1), k=2))
+        assert not in_cone((-1, 1, 1), 2)
 
     def test_mixed_sign_inside(self):
-        assert symm.gamma_k_contains(symm.SpectrumVector((3, 3, -1), k=2))
-
-    def test_margin(self):
-        lam = symm.SpectrumVector((1.0, 1.0), k=1)
-        assert symm.gamma_k_contains(lam, margin=1.0)
-        assert not symm.gamma_k_contains(lam, margin=2.0)
+        assert in_cone((3, 3, -1), 2)
 
     def test_batch_first_fail(self):
         lam = np.array([[1.0, 1.0, 1.0], [-3.0, 1.0, 1.0], [-1.0, 3.0, 3.0]])
-        ok, first = symm.gamma_k_contains_batch(lam, 2)
-        assert list(ok) == [True, False, True]
-        assert first[1] == 1
+        assert [in_cone(row, 2) for row in lam] == [True, False, True]
+        with pytest.raises(ConeViolationError) as exc:
+            symm.require_cone_batch(symm.elem_sym_all_batch(lam, 2), 2)
+        assert exc.value.node == 1
+        assert exc.value.j == 1
 
     def test_require_raises_with_node(self):
         lam = np.array([[1.0, 1.0], [-2.0, 1.0]])
@@ -130,25 +128,27 @@ class TestConeMembership:
 
 
 class TestEtaSpectrum:
+    """The eta spectrum oracle of eigen_oracle."""
+
     def test_n2_swap(self):
-        es = symm.eta_spectrum_from_kappa([1.0, 1.0])
+        es = eta_spectrum_from_kappa([1.0, 1.0])
         assert np.allclose(es.values, [1.0, 1.0])
 
     def test_sorted_sums(self):
-        es = symm.eta_spectrum_from_kappa([1.0, 2.0, 3.0])
+        es = eta_spectrum_from_kappa([1.0, 2.0, 3.0])
         assert np.allclose(es.values, [3.0, 4.0, 5.0])
         # ascending lambda pairs with descending kappa
         assert list(es.permutation) == [2, 1, 0]
 
     def test_round(self):
         r = 2.0
-        es = symm.eta_spectrum_from_kappa(np.full(4, 1 / r))
+        es = eta_spectrum_from_kappa(np.full(4, 1 / r))
         assert np.allclose(es.values, 3 / r)
 
     def test_trace_identity(self):
         rng = np.random.default_rng(9)
         kappa = rng.standard_normal(5)
-        es = symm.eta_spectrum_from_kappa(kappa)
+        es = eta_spectrum_from_kappa(kappa)
         assert es.values.sum() == pytest.approx(4 * kappa.sum(), rel=1e-12)
 
 
@@ -248,27 +248,18 @@ class TestOperatorCoefficients:
                 assert co.f_coeffs[1] >= co.f_coeffs.sum() / (n * (n - 1)) \
                     - 1e-12 * co.f_coeffs.sum()
 
-    def test_pair_second_divided_difference(self):
-        lam = np.array([1.0, 2.0, 4.0])
-        co = symm.operator_coefficients(symm.SpectrumVector(lam, 2))
-        expect = (co.gradient[0] - co.gradient[2]) / (lam[0] - lam[2])
-        assert co.pair_second(0, 2) == pytest.approx(expect, rel=1e-14)
-
     def test_pair_second_tie_limit(self):
-        # the divided difference must approach the analytic tie limit
+        # The divided difference (G^ii - G^jj) / (lam_i - lam_j) of the
+        # gradient must approach the analytic tie limit G^ii,ii - G^ii,jj
+        # of the Hessian.
         base = np.array([2.0, 2.0, 5.0])
         co0 = symm.operator_coefficients(symm.SpectrumVector(base, 2))
-        tie = co0.pair_second(0, 1)
+        tie = co0.hessian[0, 0] - co0.hessian[0, 1]
         eps = 1e-6
         lam = base + np.array([0.0, eps, 0.0])
         co1 = symm.operator_coefficients(symm.SpectrumVector(lam, 2))
-        assert co1.pair_second(0, 1) == pytest.approx(tie, rel=1e-5)
-
-    def test_pair_second_rejects_diagonal(self):
-        co = symm.operator_coefficients(
-            symm.SpectrumVector((1.0, 2.0, 3.0), k=2))
-        with pytest.raises(ValueError):
-            co.pair_second(1, 1)
+        pair = (co1.gradient[0] - co1.gradient[1]) / (lam[0] - lam[1])
+        assert pair == pytest.approx(tie, rel=1e-5)
 
 
 class TestSpectrumVector:
@@ -297,7 +288,7 @@ def test_sigma_recurrence_matches_enumeration(values, m):
 @given(st.lists(st.floats(-20, 20), min_size=2, max_size=6))
 def test_eta_spectrum_sum_rule(kappa):
     kappa = np.asarray(kappa)
-    es = symm.eta_spectrum_from_kappa(kappa)
+    es = eta_spectrum_from_kappa(kappa)
     n = kappa.size
     assert abs(es.values.sum() - (n - 1) * kappa.sum()) \
         <= 1e-10 * max(1.0, abs(kappa).sum())
@@ -308,29 +299,26 @@ def test_eta_spectrum_sum_rule(kappa):
     assert np.allclose(es.values, unsorted[es.permutation])
 
 
-# The batch kernels are the only implementation: the scalar API is a
-# one-row call into them, and every row of a batch is computed on its own.
+# The batch kernels are the only implementation: the one-vector entry
+# point is a one-row call into them, and every row of a batch is computed
+# on its own.
 vectors = st.integers(2, 8).flatmap(
     lambda n: st.lists(st.lists(st.floats(-20, 20), min_size=n, max_size=n),
                        min_size=1, max_size=4))
 
 
 @settings(max_examples=100, deadline=None)
-@given(vectors, st.integers(0, 8), st.floats(-5, 5))
-def test_scalar_entry_points_are_one_row_batch_calls(rows, k, margin):
+@given(vectors)
+def test_scalar_entry_points_are_one_row_batch_calls(rows):
     lam = np.asarray(rows)
     n = lam.shape[1]
-    k = max(1, min(k, n))
     table = symm.elem_sym_all_batch(lam)
-    ok, _ = symm.gamma_k_contains_batch(lam, k, margin)
     excl = [symm.sigma_excl_batch(lam, m) for m in range(n)]
     for p, row in enumerate(lam):
         assert np.array_equal(symm.elem_sym_all(row), table[p])
-        vec = symm.SpectrumVector(row, k)
-        assert symm.gamma_k_contains(vec, margin=margin) == ok[p]
         for m in range(n):
-            for i in range(n):
-                assert symm.sigma_excl(vec, m, i) == excl[m][p, i]
+            assert np.array_equal(symm.sigma_excl_batch(row[None, :], m)[0],
+                                  excl[m][p])
 
 
 @settings(max_examples=150, deadline=None)

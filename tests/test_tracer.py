@@ -6,12 +6,15 @@ wraps the callbacks handed to it. Tracing must leave every answer as it
 is and count one ``jacobian_fn`` call per factorization the reports hold.
 """
 
+import ast
 import importlib.util
+import inspect
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import etacurv
 from etacurv import cli, flatcase, geometry, newton, solver  # noqa: F401
@@ -75,3 +78,54 @@ def test_traced_solve_is_bit_for_bit(solve):
              for user in ("solver", "flatcase")]
     assert calls[:2] == calls[2:] and sum(calls[:2]) == len(lus)
     assert tracer.calls["newton.jacobian_fn"] == sum(lus) > 0
+
+
+class ReadKeys(dict):
+    """A counter that records every key read from it; missing keys read 0."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def __getitem__(self, key):
+        self.log.append(key)
+        return 0
+
+
+def test_layer_metrics_read_only_spans_that_exist():
+    """A span the tracer reads by name, such as ``symm.sigma_excl_batch``,
+    reads as 0 once its function is deleted or renamed; every one it reads
+    must be a public function of its module, which is what ``install``
+    wraps."""
+    bench = load_tracer()
+    tracer, read = bench.Tracer(), []
+    for attr in ("calls", "self_s", "total_s", "by_parent_calls",
+                 "by_parent_s"):
+        setattr(tracer, attr, ReadKeys(read))
+    tracer.last_jacobian = sp.identity(2, format="csr")
+    bench.layer_metrics(tracer, {"bytes_written": 0})
+    names = {name for key in read
+             for name in (key if isinstance(key, tuple) else (key,))
+             if name and name.split(".")[0] in bench.LAYERS}
+    assert "symm.sigma_excl_batch" in names
+    for name in sorted(names):
+        layer, attr = name.split(".")
+        fn = getattr(getattr(etacurv, layer), attr, None)
+        assert (inspect.isfunction(fn) and not attr.startswith("_")
+                and fn.__module__ == f"etacurv.{layer}"), name
+
+
+def test_every_exported_name_resolves():
+    modules = [getattr(etacurv, name) for name in
+               ("cli", "errors", "flatcase", "geometry", "newton", "solver",
+                "symm", "verify")]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    init = Path(etacurv.__file__)
+    for node in ast.walk(ast.parse(init.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            source = getattr(etacurv, node.module)
+            for alias in node.names:
+                assert getattr(source, alias.name) \
+                    is getattr(etacurv, alias.name), alias.name

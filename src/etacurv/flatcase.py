@@ -21,6 +21,7 @@ import scipy.sparse as sp
 
 from . import symm
 from .errors import DomainError
+from .geometry import _csv_column
 from .newton import (MAX_NODES, SlotTable, damped_newton, fd_data_derivs,
                      form_residual, solve_config)
 
@@ -396,15 +397,15 @@ def pogorelov_monitor(state):
 
 
 def flat_csv_text(state, residual_field):
-    """Flat dump: coordinates, phi, laplacian, eta spectrum, residual, monitor."""
+    """Flat dump: coordinates, phi, laplacian, eta spectrum, residual,
+    monitor; floats as "{:.17g}", so the bytes depend on the values only."""
     grid = state.grid
     dim = grid.dim
     cols = [f"x{a}" for a in range(dim)]
     cols += ["phi", "lap_phi"]
     cols += [f"eta_lambda{i + 1}" for i in range(dim)]
     cols += ["residual", "pogorelov"]
-    fmt = "{:.17g}".format
     fields = [*grid.pts.T, state.phi, state.lap_phi, *state.eta_spectrum.T,
-              np.asarray(residual_field), _pogorelov_field(state)]
-    rows = zip(*(map(fmt, f.tolist()) for f in fields))
+              residual_field, _pogorelov_field(state)]
+    rows = zip(*map(_csv_column, fields))
     return "\n".join([",".join(cols), *map(",".join, rows)]) + "\n"

@@ -295,8 +295,23 @@ def sigma_k_of_eta(jet, k):
     return symm.require_cone_batch(e, k)[:, k]
 
 
+def _csv_column(values):
+    """A float column as "{:.17g}" strings ("-0", "nan", "inf" included).
+
+    Each distinct value is formatted once: most columns repeat (grid
+    coordinates, symmetric solutions). Values are told apart by their
+    bits, so -0.0 and 0.0, and NaN payloads, keep their own strings.
+    """
+    bits, inv = np.unique(np.asarray(values, dtype=np.float64).view(np.int64),
+                          return_inverse=True)
+    strs = np.array(list(map("{:.17g}".format,
+                             bits.view(np.float64).tolist())), dtype=object)
+    return strs[inv].tolist()
+
+
 def surface_csv_text(jet, k):
-    """Surface dump: one CSV row per node, fixed column order."""
+    """Surface dump: one CSV row per node, fixed column order; floats as
+    "{:.17g}", so the bytes depend on the values only."""
     sig = sigma_k_of_eta(jet, k)
     n = jet.n
     cols = ["node"]
@@ -314,7 +329,5 @@ def surface_csv_text(jet, k):
     grid = jet.grid
     fields = [grid.theta, grid.phi] if grid.mode == "full-2d" else [grid.theta]
     fields += [jet.rho, *jet.X.T, jet.u, *jet.kappa.T, *jet.eta.T, sig]
-    fmt = "{:.17g}".format
-    rows = zip(map(str, range(grid.nnodes)),
-               *(map(fmt, f.tolist()) for f in fields))
+    rows = zip(map(str, range(grid.nnodes)), *map(_csv_column, fields))
     return "\n".join([",".join(cols), *map(",".join, rows)]) + "\n"

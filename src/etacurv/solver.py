@@ -132,12 +132,14 @@ def _sphere_sigma_k(data, n, k):
 
 
 def validate_conditions(data, n, k, samples=64):
-    """Report-only check of the barrier and monotonicity inequalities."""
+    """Report-only check of the barrier and monotonicity inequalities.
+
+    Fails where a sampled value of f, a difference quotient or the scale
+    is not finite (f overflowed or is NaN): the inequality was not checked
+    there, and its margin may be NaN or infinite.
+    """
     const = _sphere_sigma_k(data, n, k)
     dirs = _sample_directions(n, samples)
-
-    inner = data.f(data.r1 * dirs, dirs) - const / data.r1**k
-    outer = const / data.r2**k - data.f(data.r2 * dirs, dirs)
 
     # d/drho (rho^k f(rho w, nu)) over sample rays, central differences with
     # one call of f per side for all radii: both sides at once use 2x memory.
@@ -149,16 +151,22 @@ def validate_conditions(data, n, k, samples=64):
     nus = np.roll(dirs, 1, axis=0)           # decoupled direction sample
     rhos = np.linspace(data.r1, data.r2, 24)
     dr = 1e-6 * rhos
-    worst, scale = -np.inf, 0.0
-    for pair_nu in (dirs, nus):
-        nu = np.tile(pair_nu, (rhos.size, 1))
-        up, dn = rho_k_f(rhos + dr, nu), rho_k_f(rhos - dr, nu)
-        deriv = (up - dn) / (2.0 * dr[:, None])
-        worst = max(worst, *deriv.max(axis=1).tolist())
-        scale = max(scale, *np.abs(up).max(axis=1).tolist())
+    ups, derivs = [], []
+    # Overflow to inf and inf - inf = NaN are caught below, not warned of.
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = data.f(data.r1 * dirs, dirs) - const / data.r1**k
+        outer = const / data.r2**k - data.f(data.r2 * dirs, dirs)
+        for pair_nu in (dirs, nus):
+            nu = np.tile(pair_nu, (rhos.size, 1))
+            up, dn = rho_k_f(rhos + dr, nu), rho_k_f(rhos - dr, nu)
+            ups.append(up)
+            derivs.append((up - dn) / (2.0 * dr[:, None]))
+        worst = float(np.max(derivs))
+        scale = float(np.max(np.abs(ups)))
 
+    checked = all(np.isfinite(a).all() for a in (inner, outer, derivs, scale))
     ztol = 1e-8 * (1.0 + scale)
-    mono_ok = worst <= ztol
+    mono_ok = checked and worst <= ztol
     inner_m, outer_m = float(inner.min()), float(outer.min())
     return ConditionsReport(
         passed=mono_ok and inner_m >= -1e-12 and outer_m >= -1e-12,

@@ -724,6 +724,22 @@ class TestSolveSurfaceCommand:
         assert err["exit_code"] == 3
         assert err["conditions"]["monotonicity_margin"] > 0
 
+    def test_overflowing_data_exits_3(self, tmp_path):
+        # f = 1.25 |X|^-3 overflows to inf at |X| = r1 = 1e-150, where the
+        # difference quotient is inf - inf = NaN: the conditions were not
+        # checked there. The suite turns a RuntimeWarning into an error.
+        cfgp = tmp_path / "cfg.json"
+        write_cfg(cfgp, SURFACE_CFG)
+        out = tmp_path / "out"
+        r = CliRunner().invoke(cli.main, [
+            "solve-surface", "--config", str(cfgp), "--out", str(out),
+            "--override", "r1=1e-150"])
+        assert r.exit_code == 3, (r.output, r.exception)
+        conditions = json.loads((out / "error.json").read_text())["conditions"]
+        assert not conditions["passed"] and not conditions["zero_margin"]
+        assert conditions["inner_margin"] is None
+        assert conditions["monotonicity_margin"] is None
+
     def test_conditions_validated_once(self, tmp_path, monkeypatch):
         calls = []
         real = solver.validate_conditions
@@ -753,14 +769,27 @@ class TestSolveSurfaceCommand:
         assert r.exit_code == 2
 
     def test_determinism_byte_identical(self, tmp_path):
-        cfgp = tmp_path / "cfg.json"
-        write_cfg(cfgp, SURFACE_CFG)
-        runner = CliRunner()
-        outs = []
-        for name in ("a", "b"):
-            out = tmp_path / name
-            r = runner.invoke(cli.main, ["solve-surface", "--config",
-                                         str(cfgp), "--out", str(out)])
-            assert r.exit_code == 0
-            outs.append((out / "report.json").read_bytes())
-        assert outs[0] == outs[1]
+        _assert_runs_byte_identical(tmp_path, "solve-surface", SURFACE_CFG,
+                                    ("surface.csv", "trace.jsonl",
+                                     "report.json"))
+
+
+def _assert_runs_byte_identical(tmp_path, command, cfg, files):
+    """Two runs of ``command`` on ``cfg`` write the same bytes to every
+    artifact in ``files``."""
+    cfgp = tmp_path / "cfg.json"
+    write_cfg(cfgp, cfg)
+    outs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        r = CliRunner().invoke(cli.main, [command, "--config", str(cfgp),
+                                          "--out", str(out)])
+        assert r.exit_code == 0, (r.output, r.exception)
+        assert sorted(p.name for p in out.iterdir()) == sorted(files)
+        outs.append([(out / fname).read_bytes() for fname in files])
+    assert outs[0] == outs[1]
+
+
+def test_flat_determinism_byte_identical(tmp_path):
+    _assert_runs_byte_identical(tmp_path, "solve-flat", FLAT_CFG,
+                                ("flat.csv", "report.json"))

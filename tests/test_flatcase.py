@@ -395,10 +395,15 @@ def flat_csv_rows(state, residual_field):
 
 
 class TestCsv:
-    @pytest.mark.parametrize("dim,h", [(2, 1 / 16), (3, 1 / 6)])
-    def test_matches_row_oracle(self, dim, h):
+    @pytest.mark.parametrize("dim,h,tilt", [
+        pytest.param(2, 1 / 16, 0.1, id="2-0.0625"),
+        pytest.param(3, 1 / 6, 0.1, id="3-0.16666666666666666"),
+        # The bowl itself: most values of every column repeat.
+        pytest.param(2, 1 / 16, 0.0, id="bowl-2-0.0625"),
+    ])
+    def test_matches_row_oracle(self, dim, h, tilt):
         g = flatcase.build_flat_grid(dim, "ball", h=h)
-        phi = bowl(g) * (1.0 + 0.1 * g.pts[:, 0])
+        phi = bowl(g) * (1.0 + tilt * g.pts[:, 0])
         state = flatcase.build_flat_state(g, phi)
         res = flatcase.flat_residual(state, f_grad_sq, 2)
         assert flatcase.flat_csv_text(state, res) == flat_csv_rows(state, res)

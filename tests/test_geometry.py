@@ -365,14 +365,45 @@ def surface_csv_rows(jet, k):
     return "\n".join(lines) + "\n"
 
 
+# Floats whose "{:.17g}" strings are easy to get wrong: both zeros, NaN
+# with two payloads, both infinities, the smallest subnormal, the largest
+# float, and ordinary values that a column repeats.
+_NAN_PAYLOAD = np.array([0x7FF8000000000001]).view(np.float64)[0]
+_CSV_POOL = [-0.0, 0.0, math.nan, _NAN_PAYLOAD, math.inf, -math.inf,
+             5e-324, 1.7976931348623157e308, 1.2, 0.1, -3.5e-7, 1e16, 1e17]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_CSV_POOL), max_size=40))
+def test_csv_column_formats_each_value(values):
+    col = np.array(values, dtype=np.float64)
+    want = ["{:.17g}".format(v) for v in values]
+    assert geometry._csv_column(col) == want
+    # A strided view, as the writers pass the columns of jet.X.
+    pair = np.stack([col, col[::-1]], axis=1)
+    assert geometry._csv_column(pair[:, 0]) == want
+
+
+def _wavy_rho(g):
+    return 1.0 + 0.05 * np.cos(g.theta) ** 2 + 0.02 * np.sin(
+        g.theta) * np.cos(g.phi)
+
+
+def _round_rho(g):
+    return np.full(g.nnodes, 1.2)
+
+
 class TestCsv:
-    @pytest.mark.parametrize("n,mode,sizes", [(2, "full-2d", (16, 12)),
-                                              (4, "axisym-1d", 24)])
-    def test_matches_row_oracle(self, n, mode, sizes):
+    @pytest.mark.parametrize("n,mode,sizes,rho_of", [
+        pytest.param(2, "full-2d", (16, 12), _wavy_rho, id="2-full-2d-sizes0"),
+        pytest.param(4, "axisym-1d", 24, _wavy_rho, id="4-axisym-1d-24"),
+        # Round data: most values of every column repeat.
+        pytest.param(2, "full-2d", (16, 12), _round_rho, id="round-full-2d"),
+        pytest.param(5, "axisym-1d", 24, _round_rho, id="round-axisym-n5"),
+    ])
+    def test_matches_row_oracle(self, n, mode, sizes, rho_of):
         g = geometry.build_grid(n, mode, sizes)
-        rho = 1.0 + 0.05 * np.cos(g.theta) ** 2 + 0.02 * np.sin(
-            g.theta) * np.cos(g.phi)
-        jet = geometry.surface_jet(g, rho)
+        jet = geometry.surface_jet(g, rho_of(g))
         assert geometry.surface_csv_text(jet, 2) == surface_csv_rows(jet, 2)
 
     def test_header_and_shape_full(self):

@@ -71,6 +71,44 @@ class TestValidateConditions:
         rep = solver.validate_conditions(data, 2, 2)
         assert rep.passed
 
+    def test_infinite_data_fails(self):
+        # inf at |X| = r1: the barrier margin is inf and the difference
+        # quotients there inf - inf = NaN, so nothing was checked. The
+        # suite turns a RuntimeWarning into an error: this must be silent.
+        f = power_decay(1.25, 3)
+        data = solver.PrescribedData(
+            f=lambda x, nu: np.where(np.linalg.norm(x, axis=-1) < 0.6,
+                                     np.inf, f(x, nu)), r1=0.5, r2=2.0)
+        rep = solver.validate_conditions(data, 2, 2)
+        assert not rep.passed and not rep.zero_margin
+        assert rep.inner_margin == np.inf
+        assert math.isnan(rep.monotonicity_margin)
+
+    def test_infinite_quotient_alone_fails(self):
+        # inf only just inside r1: the one difference quotient reaching
+        # there is -inf, while the margins, the scale and the largest
+        # quotient are finite.
+        f = power_decay(1.25, 3)
+        data = solver.PrescribedData(
+            f=lambda x, nu: np.where(np.linalg.norm(x, axis=-1) < 0.5 - 5e-8,
+                                     np.inf, f(x, nu)), r1=0.5, r2=2.0)
+        rep = solver.validate_conditions(data, 2, 2)
+        assert not rep.passed and not rep.zero_margin
+        assert math.isfinite(rep.inner_margin)
+        assert -np.inf < rep.monotonicity_margin < 0
+
+    def test_nan_inside_the_annulus_fails(self):
+        # NaN on 0.9 < |X| < 1.1 only: both barrier margins are finite.
+        f = power_decay(1.25, 3)
+        data = solver.PrescribedData(
+            f=lambda x, nu: np.where(
+                abs(np.linalg.norm(x, axis=-1) - 1.0) < 0.1, np.nan,
+                f(x, nu)), r1=0.5, r2=2.0)
+        rep = solver.validate_conditions(data, 2, 2)
+        assert not rep.passed and not rep.zero_margin
+        assert rep.inner_margin >= 0 and rep.outer_margin >= 0
+        assert math.isnan(rep.monotonicity_margin)
+
 
 def _conditions_by_loop(data, n, k, samples=64):
     """validate_conditions with one call of f per radius and side, as it
@@ -81,16 +119,19 @@ def _conditions_by_loop(data, n, k, samples=64):
     inner = data.f(data.r1 * dirs, dirs) - const / data.r1**k
     outer = const / data.r2**k - data.f(data.r2 * dirs, dirs)
     worst, scale = -np.inf, 0.0
+    checked = bool(np.isfinite(inner).all() and np.isfinite(outer).all())
     for pair_nu in (dirs, np.roll(dirs, 1, axis=0)):
         for r in np.linspace(data.r1, data.r2, 24):
             dr = 1e-6 * r
             up = (r + dr) ** k * data.f((r + dr) * dirs, pair_nu)
             dn = (r - dr) ** k * data.f((r - dr) * dirs, pair_nu)
             deriv = (up - dn) / (2.0 * dr)
-            worst = max(worst, float(deriv.max()))
-            scale = max(scale, float(np.max(np.abs(up))))
+            # np.maximum keeps a NaN, which the builtin max would drop.
+            worst = float(np.maximum(worst, deriv.max()))
+            scale = float(np.maximum(scale, np.max(np.abs(up))))
+            checked = checked and bool(np.isfinite(deriv).all())
     ztol = 1e-8 * (1.0 + scale)
-    mono_ok = worst <= ztol
+    mono_ok = checked and math.isfinite(scale) and worst <= ztol
     inner_m, outer_m = float(inner.min()), float(outer.min())
     return solver.ConditionsReport(
         passed=mono_ok and inner_m >= -1e-12 and outer_m >= -1e-12,

@@ -8,7 +8,7 @@ analogue sigma_k(lambda((lap phi) I - D^2 phi)) = f(x, phi, grad phi).
 
 from .errors import (ConeExit, ConeViolationError, ConfigError,
                      ContinuationStuck, DomainError, EtacurvError,
-                     NewtonDiverged, PreconditionError)
+                     LUOutOfMemory, NewtonDiverged, PreconditionError)
 from .flatcase import (DomainGrid, FlatState, build_flat_grid,
                        build_flat_state, dirichlet_solve, flat_jacobian,
                        flat_residual, pogorelov_monitor)

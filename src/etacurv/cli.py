@@ -22,7 +22,7 @@ import numpy as np
 
 from . import flatcase, geometry, solver, symm
 from .errors import (ConfigError, ContinuationStuck, DomainError,
-                     NewtonDiverged, PreconditionError)
+                     LUOutOfMemory, NewtonDiverged, PreconditionError)
 from .newton import NewtonConfig
 
 __all__ = ["main", "json_text", "atomic_write_text", "load_config"]
@@ -315,12 +315,15 @@ def _run_command(config_path, outdir, overrides, setup):
             raise
         code, texts, message = 2, {}, f"config error: {exc}"
     # ConeExit is a NewtonDiverged; a ContinuationStuck carries the trace.
-    except (PreconditionError, ContinuationStuck, NewtonDiverged) as exc:
+    except (PreconditionError, ContinuationStuck, NewtonDiverged,
+            LUOutOfMemory) as exc:
         code = 3 if isinstance(exc, PreconditionError) else 4
         payload = {"error": type(exc).__name__, "message": str(exc),
                    "exit_code": code}
         if code == 3 and getattr(run, "conditions", None) is not None:
             payload["conditions"] = run.conditions.as_dict()
+        if isinstance(exc, LUOutOfMemory):
+            payload["unknowns"] = exc.unknowns
         rep = getattr(exc, "report", None)      # the failed Newton solve's
         if rep is not None:
             payload.update(residual_history=rep.residual_history,

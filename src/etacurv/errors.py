@@ -52,6 +52,16 @@ class ConeExit(NewtonDiverged):
     """No damping fraction kept the iterate inside the admissible cone."""
 
 
+class LUOutOfMemory(EtacurvError):
+    """The LU of a Jacobian in ``unknowns`` unknowns ran out of memory; not
+    a NewtonDiverged, as a smaller homotopy step factors the same size."""
+
+    def __init__(self, message, unknowns, report=None):
+        self.unknowns = unknowns
+        self.report = report
+        super().__init__(message)
+
+
 class ContinuationStuck(EtacurvError):
     """Homotopy step size underflowed; carries the partial trace and the
     NewtonReport of the attempt that underflowed."""

@@ -310,11 +310,11 @@ def flat_jacobian(state, f, k, *, fields=None):
     With T = T_(k-1)(M) the Newton tensor of M = (lap phi) I - D^2 phi,
     d sigma_k = tr(T dM) = tr(C dD^2 phi) for C = tr(T) I - T, whose
     entries weight the Hessian operators (a mixed one by C_ab + C_ba, as
-    D^2 phi is symmetric); the f dependence on phi and grad phi enters by
-    finite differencing in those slots. The two parts carry the chain
-    factors of sigma_k^(1/k) and f^(1/k) respectively, at the fields of
-    ``fields``, the dict ``flat_residual`` filled for this state; without
-    it, ``flat_residual`` is called to fill one.
+    D^2 phi is symmetric); f enters by central differences, by
+    1e-6 (1 + |phi|) in phi and 1e-6 along each gradient component. The two
+    parts carry the chain factors of sigma_k^(1/k) and f^(1/k), at the
+    fields of ``fields``, the dict ``flat_residual`` filled for this state;
+    without it, ``flat_residual`` is called to fill one.
     """
     if not fields:
         fields = {}
@@ -329,11 +329,12 @@ def flat_jacobian(state, f, k, *, fields=None):
     j_sig = slots.accumulate([trace - t[:, a, a] for a in range(dim)] + [
         -t[:, a, b] - t[:, b, a] for a, b in grid.dmix])
 
-    fphi, fgrad = fd_data_derivs(f, (grid.pts, state.phi, state.grad),
-                                 ((1, True), (2, False)))
-    # f_phi + sum_a f_(grad_a) d1[a]: the gradient terms are summed first.
-    j_f = slots.accumulate([*fgrad.T, fphi],
-                           slots=range(nhess, nhess + dim + 1))
+    hphi = 1e-6 * (1.0 + np.abs(state.phi))
+    steps = [((None, None, e), 1e-6) for e in 1e-6 * np.eye(dim)]
+    steps.append(((None, hphi, None), hphi))
+    derivs = fd_data_derivs(f, (grid.pts, state.phi, state.grad), steps)
+    # sum_a f_(grad_a) d1[a] + f_phi: the gradient terms are summed first.
+    j_f = slots.accumulate(derivs, slots=range(nhess, nhess + dim + 1))
     return slots.form_matrix(j_sig, j_f, fields["sigma"], fields["f"], k)
 
 

@@ -45,7 +45,8 @@ Both pipelines solve sigma_k = f in the root form G - f^(1/k), with
 G = sigma_k^(1/k) concave on Gamma_k; ``form_residual`` and
 ``SlotTable.form_matrix`` give its residual and Jacobian from the sigma_k
 and f fields and the Jacobian data of each. ``fd_data_derivs`` gives the
-first derivatives of the prescribed data that the Jacobians need.
+derivatives of f along the moves a Jacobian makes in f's arguments, one
+central difference and one call of f per move.
 ``SlotTable`` is the sparsity pattern every Jacobian is assembled on, and
 ``factor`` the one sparse LU every Newton step solves with, in the
 fill-reducing order each grid stores when it is built.
@@ -59,7 +60,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spilu, splu
 
 from .errors import (ConeViolationError, ConfigError, DomainError,
-                     NewtonDiverged, ConeExit, PreconditionError)
+                     LUOutOfMemory, NewtonDiverged, ConeExit,
+                     PreconditionError)
 
 __all__ = ["NewtonConfig", "NewtonReport", "SlotTable", "damped_newton",
            "factor", "fd_data_derivs", "form_residual", "solve_config"]
@@ -241,39 +243,24 @@ def factor(jac, perm=None):
     return solve
 
 
-def fd_data_derivs(f, args, slots, cols=None):
-    """Central-difference partials of f(*args) in the listed argument slots.
+def fd_data_derivs(f, args, steps):
+    """Central differences of f(*args) along the given directions.
 
-    ``slots`` holds (index, relative) pairs. A relative slot steps by
-    1e-6 (1 + |a|) per node, |a| the row norm of a 2-d argument; the
-    others step by 1e-6. A slot of shape (N,) gives an (N,) derivative and
-    one of shape (N, d) gives (N, d), one column per component; with
-    ``cols`` (component indices) it gives only those columns, (N, len(cols)),
-    each equal to the matching column of the full derivative. Returns the
-    derivatives in slot order.
+    Each step is a (perts, h) pair: ``perts`` holds one perturbation per
+    argument, None for an argument that stays, and h the step size, a
+    scalar or one per node. The step's derivative is
+    (f(args + p) - f(args - p)) / (2h), with the up and down arguments
+    stacked into one call of f on 2N rows. Returns the derivatives, (N,)
+    each, in step order.
     """
     out = []
-    for slot, relative in slots:
-        a = args[slot]
-        h = 1e-6
-        if relative:
-            size = np.abs(a) if a.ndim == 1 else np.linalg.norm(a, axis=1)
-            h = 1e-6 * (1.0 + size)
-
-        def diff(step):
-            up, dn = list(args), list(args)
-            up[slot] = a + step
-            dn[slot] = a - step
-            return (f(*up) - f(*dn)) / (2.0 * h)
-
-        if a.ndim == 1:
-            out.append(diff(h))
-        else:
-            hcol = h[:, None] if relative else h
-            units = np.eye(a.shape[1])
-            if cols is not None:
-                units = units[cols]
-            out.append(np.stack([diff(hcol * e) for e in units], axis=1))
+    for perts, h in steps:
+        stacked = [np.concatenate((a, a)) if p is None
+                   else np.concatenate((a + p, a - p))
+                   for a, p in zip(args, perts)]
+        fv = f(*stacked)
+        half = fv.size // 2
+        out.append((fv[:half] - fv[half:]) / (2.0 * h))
     return out
 
 
@@ -306,7 +293,8 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
     NewtonDiverged at once: with deterministic callbacks, accepting it
     would repeat the same iteration until ``max_iter``. So does an iterate
     not yet converged after STALL_STEPS accepted steps in a row that did
-    not decrease the residual. The factors of a Jacobian are kept, and
+    not decrease the residual. An LU that runs out of memory raises
+    LUOutOfMemory. The factors of a Jacobian are kept, and
     refreshed, as the module docstring describes; the closing step on kept
     factors, taken once the stop test holds, is accepted only if it lowers
     the residual, and otherwise the converged iterate is returned as it
@@ -382,6 +370,9 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
             solve = factor(jac, cfg.perm)
         except RuntimeError as exc:     # SuperLU: exactly singular
             raise diverged(f"Jacobian not factored: {exc}") from exc
+        except MemoryError as exc:      # a smaller t step would not help
+            raise LUOutOfMemory(f"LU of {x.size} unknowns ran out of memory",
+                                x.size, report) from exc
         del jac         # the steps need only its factors
         delta = solve(-res)
         report.factorizations += 1

@@ -35,7 +35,8 @@ class PrescribedData:
 
     ``f`` maps position arrays (N, n+1) and unit directions (N, n+1) to
     positive scalars (N,); first derivatives are taken by finite
-    differencing, so f must tolerate near-unit directions.
+    differencing, so f must tolerate near-unit directions. f is called on
+    stacked row arrays of any length and must act row by row.
     """
 
     f: object
@@ -222,32 +223,23 @@ def _jac_f_term(jet, data, dV, dW):
     """Jacobian data of f(X, nu): df = d_X f . dX + d_nu f . dnu, per slot.
 
     Slot s perturbs the normal numerator by dV[s] and its length w by
-    dW[s]; slot 0 (the value of rho) also moves X along x. The data
-    derivatives come from finite differences, taken only along the
-    components where x, nu or some dV[s] is nonzero anywhere: the others
-    enter every dot product as exact zeros (components 1..n-1 of an
-    axisymmetric grid). With every component live the arrays are used
-    as they are, since a column-indexed copy can make the dot products
-    round differently.
+    dW[s], so nu by dnu_s = (dV[s] - nu dW[s]) / w; slot 0 (the value of
+    rho) also moves X by dX_0 = x. Each slot's coefficient is one central
+    difference of f along (dX_s, dnu_s), with the per-node step
+    eps_s = 1e-6 / max(|dnu_s|, |dX_s| / (1 + |X|)): X moves by at most
+    1e-6 (1 + |X|) and nu by at most 1e-6.
     """
     x, nu, w = jet.raw["x"], jet.nu, jet.raw["w"]
-    live = np.any(x != 0, axis=0) | np.any(nu != 0, axis=0)
-    for dv in dV:
-        live |= np.any(dv != 0, axis=0)
-    cols = None
-    if not live.all():
-        cols = np.flatnonzero(live)
-        x, nu, dV = x[:, cols], nu[:, cols], [dv[:, cols] for dv in dV]
-    fx, fn = fd_data_derivs(data.f, (jet.X, jet.nu),
-                            ((0, True), (1, False)), cols)
-    coefs = []
+    xsize = 1.0 / (1.0 + jet.rho)       # |x| = 1 and |X| = rho
+    steps = []
     for s, dv in enumerate(dV):
         dnu = (dv - nu * dW[s][:, None]) / w[:, None]
-        coef = np.einsum("nc,nc->n", fn, dnu)
-        if s == 0:
-            coef += np.einsum("nc,nc->n", fx, x)
-        coefs.append(coef)
-    return jet.grid.slots.accumulate(coefs)
+        size = np.linalg.norm(dnu, axis=1)
+        eps = 1e-6 / (np.maximum(size, xsize) if s == 0 else size)
+        dx = x * eps[:, None] if s == 0 else None
+        steps.append(((dx, dnu * eps[:, None]), eps))
+    return jet.grid.slots.accumulate(
+        fd_data_derivs(data.f, (jet.X, jet.nu), steps))
 
 
 def _inv2(a):

@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etacurv import cli, flatcase, solver
+from etacurv import cli, flatcase, newton, solver
 from etacurv.errors import ConfigError
 from etacurv.newton import NewtonConfig
 
@@ -578,6 +578,39 @@ def test_singular_jacobian_exits_4(tmp_path, monkeypatch):
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "NewtonDiverged"
     assert "Jacobian not factored" in err["message"]
+    assert err["factorizations"] == 0
+    assert len(err["residual_history"]) == 1
+
+
+@pytest.mark.parametrize("command,cfg,unknowns", [
+    ("solve-flat", FLAT_CFG,
+     flatcase.build_flat_grid(2, "ball", h=0.125).ninterior),
+    ("solve-surface", SURFACE_CFG, 32 * 16),
+], ids=["flat", "surface"])
+def test_lu_out_of_memory_exits_4(tmp_path, monkeypatch, command, cfg,
+                                  unknowns):
+    # An LU too large for memory ends in exit 4 at its first factorization:
+    # a smaller homotopy step would factor a matrix of the same size.
+    calls = []
+
+    def splu(*args, **kw):
+        calls.append(1)
+        raise MemoryError
+
+    monkeypatch.setattr(newton, "splu", splu)
+    cfgp = tmp_path / "cfg.json"
+    write_cfg(cfgp, cfg)
+    out = tmp_path / "o"
+    r = CliRunner().invoke(cli.main, [command, "--config", str(cfgp),
+                                      "--out", str(out)])
+    assert r.exit_code == 4, (r.output, r.exception)
+    assert isinstance(r.exception, SystemExit)
+    assert "Traceback" not in r.output
+    assert len(calls) == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "LUOutOfMemory" and err["exit_code"] == 4
+    assert err["unknowns"] == unknowns
+    assert f"LU of {unknowns} unknowns ran out of memory" in err["message"]
     assert err["factorizations"] == 0
     assert len(err["residual_history"]) == 1
 

@@ -294,9 +294,10 @@ class TestDirichletSolve:
         # those the residual of the same phi built.
         assert calls["state"] == calls["residual"]
         # f: one call before Newton (initial guess), one per residual,
-        # 2 + 2 dim per Jacobian (differences in phi and in each gradient
-        # component) and none to rebuild f.
-        assert calls["f"] == 1 + calls["residual"] + 6 * calls["jacobian"]
+        # 1 + dim per Jacobian (a difference in phi and one along each
+        # gradient component, its up and down rows stacked in one call)
+        # and none to rebuild f.
+        assert calls["f"] == 1 + calls["residual"] + 3 * calls["jacobian"]
         fresh = real["build_flat_state"](g, state.phi)
         for name in ("grad", "hess", "lap_phi", "eta_spectrum"):
             assert getattr(state, name).tobytes() == \

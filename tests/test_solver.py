@@ -15,7 +15,7 @@ from etacurv import geometry, newton, solver
 from etacurv.errors import (ConeExit, ConfigError, ContinuationStuck,
                             NewtonDiverged, PreconditionError)
 from etacurv.newton import NewtonConfig, damped_newton, fd_data_derivs
-from fd_oracle import fd_jacobian
+from fd_oracle import component_derivs, f_term_oracle, fd_jacobian
 
 
 def power_decay(c, p):
@@ -270,56 +270,88 @@ class TestJacobian:
                              [(n, "axisym-1d", 33) for n in range(2, 7)]
                              + [(2, "full-2d", (40, 10))])
     def test_f_term_differences_live_components_only(self, n, mode, sizes):
-        calls = []
+        # One call of f per slot (the value of rho, then rho_theta and, on
+        # the sphere grid, rho_phi), on the up and down rows stacked.
+        rows = []
         f = aniso(1.25, 3, 0.2)
 
         def counted(x, nu):
-            calls.append(1)
+            rows.append((x.shape[0], nu.shape[0]))
             return f(x, nu)
 
         data = solver.PrescribedData(f=counted, r1=0.5, r2=2.0)
         g = geometry.build_grid(n, mode, sizes)
         rho = 1.1 + 0.05 * np.cos(g.theta) ** 2
         jet = geometry.surface_jet(g, rho)
-        raw = jet.raw
-        dV = [raw["x"], -raw["e_t"]]
-        dW = [rho / raw["w"], raw["rt"] / raw["w"]]
-        if mode == "full-2d":
-            st2 = raw["st"] ** 2
-            dV.append(-raw["e_p"] / st2[:, None])
-            dW.append(raw["rp"] / (st2 * raw["w"]))
-        got = solver._jac_f_term(jet, data, dV, dW)
-        # Axisymmetric grids difference only components 0 and n of X and
-        # nu; on the sphere grid all three are live.
-        assert len(calls) == 2 * 2 * (3 if mode == "full-2d" else 2)
-        # The same sum with f differenced along every component; with all
-        # components live it must not be formed on a column-indexed copy.
-        fx, fn = fd_data_derivs(f, (jet.X, jet.nu), ((0, True), (1, False)))
-        coefs = []
-        for s, dv in enumerate(dV):
-            dnu = (dv - jet.nu * dW[s][:, None]) / raw["w"][:, None]
-            coef = np.einsum("nc,nc->n", fn, dnu)
-            if s == 0:
-                coef += np.einsum("nc,nc->n", fx, raw["x"])
-            coefs.append(coef)
-        assert got.tobytes() == g.slots.accumulate(coefs).tobytes()
+        solver._jac_f_term(jet, data, *_f_term_slots(jet))
+        nslots = 3 if mode == "full-2d" else 2
+        assert rows == [(2 * g.nnodes, 2 * g.nnodes)] * nslots
 
-    def test_fd_data_derivs_columns(self):
+    def test_unit_steps_equal_the_component_differences(self):
+        # Unit-vector steps, the flat Jacobian's, give the component-wise
+        # central differences bit for bit: stacking the up and down rows
+        # into one call of f does not change how f rounds on a row.
         rng = np.random.default_rng(3)
         x = rng.normal(size=(20, 4))
-        nu = rng.normal(size=(20, 4))
+        phi = rng.normal(size=20)
+        grad = rng.normal(size=(20, 3))
 
-        def f(x, nu):
-            return (np.linalg.norm(x, axis=-1) ** -2.0
-                    * (1.0 + 0.3 * nu[:, 1] + 0.1 * nu[:, 3] ** 2))
+        def f(x, phi, grad):
+            return (np.linalg.norm(x, axis=-1) ** -2.0 * np.exp(0.3 * phi)
+                    * (1.0 + 0.3 * grad[:, 1] + 0.1 * grad[:, 2] ** 2))
 
-        slots = ((0, True), (1, False))
-        full = fd_data_derivs(f, (x, nu), slots)
-        for cols in ([0], [1, 3], [3, 0], [0, 1, 2, 3]):
-            part = fd_data_derivs(f, (x, nu), slots, cols)
-            for p, q in zip(part, full):
-                assert p.shape == (20, len(cols))
-                assert p.tobytes() == q[:, cols].tobytes()
+        hphi = 1e-6 * (1.0 + np.abs(phi))
+        steps = [((None, None, e), 1e-6) for e in 1e-6 * np.eye(3)]
+        steps.append(((None, hphi, None), hphi))
+        *fgrad, fphi = fd_data_derivs(f, (x, phi, grad), steps)
+        want_phi, want_grad = component_derivs(
+            f, (x, phi, grad), ((1, True), (2, False)))
+        assert fphi.tobytes() == want_phi.tobytes()
+        assert np.stack(fgrad, axis=1).tobytes() == want_grad.tobytes()
+
+
+def _f_term_slots(jet):
+    """The dV and dW of _jac_f_term's slots, as the Jacobians pass them."""
+    raw, rho = jet.raw, jet.rho
+    dV = [raw["x"], -raw["e_t"]]
+    dW = [rho / raw["w"], raw["rt"] / raw["w"]]
+    if jet.grid.mode == "full-2d":
+        st2 = raw["st"] ** 2
+        dV.append(-raw["e_p"] / st2[:, None])
+        dW.append(raw["rp"] / (st2 * raw["w"]))
+    return dV, dW
+
+
+@st.composite
+def f_term_cases(draw):
+    n = draw(st.integers(2, 6))
+    if n == 2 and draw(st.booleans()):
+        g = geometry.build_grid(2, "full-2d", (draw(st.integers(8, 24)),
+                                               2 * draw(st.integers(4, 12))))
+    else:
+        g = geometry.build_grid(n, "axisym-1d", draw(st.integers(8, 64)))
+    coefs = draw(st.lists(st.floats(-0.1, 0.1), min_size=4, max_size=4))
+    rho = (draw(st.floats(0.6, 1.8)) + coefs[0] * np.cos(g.theta)
+           + coefs[1] * np.sin(g.theta) ** 2)
+    if g.mode == "full-2d":
+        rho = rho + np.sin(g.theta) * (coefs[2] * np.cos(g.phi)
+                                       + coefs[3] * np.sin(2 * g.phi))
+    return g, rho, (draw(st.floats(0.5, 2.0)), draw(st.floats(1.0, 5.0)),
+                    draw(st.floats(-0.3, 0.3)), draw(st.sampled_from([0, -1])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=f_term_cases())
+def test_f_term_matches_the_gradient_oracle(case):
+    # One difference along each slot's direction gives the gradients of
+    # f dotted with that direction, to finite-difference truncation.
+    g, rho, (c, p, delta, axis) = case
+    data = solver.PrescribedData(f=aniso(c, p, delta, axis), r1=0.5, r2=2.0)
+    jet = geometry.surface_jet(g, rho)
+    dV, dW = _f_term_slots(jet)
+    got = solver._jac_f_term(jet, data, dV, dW)
+    want = f_term_oracle(jet, data.f, dV, dW)
+    assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))
 
 
 class TestNewtonSolve:
@@ -368,12 +400,12 @@ class TestNewtonSolve:
         g = geometry.build_grid(2, "axisym-1d", 32)
         jet, rep = solver.newton_solve(g, np.full(g.nnodes, 1.1), data, 2)
         assert rep.converged and rep.iterations == 9
-        # One f call per residual and 8 per Jacobian (central differences
-        # along components 0 and n of X and nu); none to rebuild f.
+        # One f call per residual and 2 per Jacobian (one central
+        # difference per slot, rho and rho_theta); none to rebuild f.
         residuals = len(rep.residual_history)
-        assert len(calls) == residuals + 8 * rep.factorizations == 26
+        assert len(calls) == residuals + 2 * rep.factorizations == 14
         assert hashlib.sha256(jet.rho.tobytes()).hexdigest() == (
-            "36dc0e33765e2e14387ad75bfca61fd391d92ba289b899b8db5df5fc060209de")
+            "6c282da3dc2815da9dc0254858a758ff125daeb259718eba73845afbc55a58c8")
 
     @pytest.mark.parametrize("mode,sizes", [("full-2d", (16, 16)),
                                             ("axisym-1d", 32)])
@@ -858,7 +890,8 @@ class TestContinuation:
         # floor. Relative to max f, every attempt is accepted. The steps
         # and the answer were recorded from the scaled stop test, with LU
         # factors kept across Newton iterations, under the default root
-        # form and the homotopy from t = 1 (dt0 = dt_max = 1).
+        # form and the homotopy from t = 1 (dt0 = dt_max = 1), with the
+        # data differenced once along each Jacobian slot.
         n, k, radius = 5, 4, 1.2
         const = math.comb(n, k) * (n - 1) ** k * radius
         data = solver.PrescribedData(f=power_decay(const, k + 1),
@@ -887,10 +920,10 @@ class TestContinuation:
                  for rec in run.trace]
         assert trace == [
             (0.0, 0, 0, 8.881784197001252e-16),
-            (1.0, 6, 3, 6.341593916658894e-13),
+            (1.0, 6, 3, 5.924150059399835e-13),
         ]
         assert hashlib.sha256(rho.tobytes()).hexdigest() == (
-            "3e3e0520890d0f7ff038216ad638d3f75335f0c161584cab6bc2b090c5e62b97")
+            "ed64800e9b7348dd641e39520dc41a8a9ca3ec622200f8b143fe6c90ac081c40")
         assert len(failed) == 0
         assert np.abs(rho - radius).max() < 1e-10
 

@@ -19,7 +19,7 @@ from .solver import (ConditionsReport, HomotopyRun, PrescribedData,
                      assemble_jacobian, continue_to_target, homotopy_f,
                      newton_solve, residual, validate_conditions)
 from .symm import (OperatorCoefficients, SpectrumVector, elem_sym_all,
-                   elem_sym_all_batch, operator_coefficients, sigma_brute)
+                   elem_sym_all_batch, operator_coefficients)
 from .verify import (curvature_bound, estimate_report, gradient_bound,
                      identity_check, q_monitor, w_monitor)
 

@@ -1,14 +1,13 @@
 """Command-line entry point.
 
 One subcommand per pipeline: ``solve-surface`` runs the continuity-method
-solve on a radial graph, ``solve-flat`` runs the Euclidean Dirichlet
-problem, and the ``oracle`` group exposes the brute-force symmetric
-function utilities for debugging. Reports are deterministic JSON (sorted
-keys, floats at 17 significant digits) and every artifact is written
-atomically (temp file + rename).
+solve on a radial graph and ``solve-flat`` runs the Euclidean Dirichlet
+problem. Reports are deterministic JSON (sorted keys, floats at 17
+significant digits) and every artifact is written atomically (temp file +
+rename).
 
 Exit codes: 0 converged, 2 configuration error, 3 precondition failed,
-4 Newton or continuation failure.
+4 Newton or continuation failure, or memory running out.
 """
 
 import json
@@ -20,7 +19,7 @@ import tempfile
 import click
 import numpy as np
 
-from . import flatcase, geometry, solver, symm
+from . import flatcase, geometry, solver
 from .errors import (ConfigError, ContinuationStuck, DomainError,
                      LUOutOfMemory, NewtonDiverged, PreconditionError)
 from .newton import NewtonConfig
@@ -315,10 +314,14 @@ def _run_command(config_path, outdir, overrides, setup):
             raise
         code, texts, message = 2, {}, f"config error: {exc}"
     # ConeExit is a NewtonDiverged; a ContinuationStuck carries the trace.
+    # Memory can run out in any array of a solve, not only in its LU.
     except (PreconditionError, ContinuationStuck, NewtonDiverged,
-            LUOutOfMemory) as exc:
+            LUOutOfMemory, MemoryError) as exc:
         code = 3 if isinstance(exc, PreconditionError) else 4
-        payload = {"error": type(exc).__name__, "message": str(exc),
+        # numpy raises a private subclass of MemoryError.
+        kind = ("MemoryError" if isinstance(exc, MemoryError)
+                else type(exc).__name__)
+        payload = {"error": kind, "message": str(exc) or "out of memory",
                    "exit_code": code}
         if code == 3 and getattr(run, "conditions", None) is not None:
             payload["conditions"] = run.conditions.as_dict()
@@ -332,7 +335,7 @@ def _run_command(config_path, outdir, overrides, setup):
         trace = getattr(exc, "trace", None)
         texts = {} if trace is None else {"trace.jsonl": _jsonl(trace)}
         texts["error.json"] = json_text(payload) + "\n"
-        message = f"error: {exc}"
+        message = f"error: {payload['message']}"
     for name, text in texts.items():
         atomic_write_text(os.path.join(outdir, name), text)
     click.echo(message, err=code != 0)
@@ -441,102 +444,6 @@ def cmd_solve_surface(config_path, outdir, overrides):
 def cmd_solve_flat(config_path, outdir, overrides):
     """Dirichlet solve of the flat problem; writes flat CSV and report."""
     _run_command(config_path, outdir, overrides, _flat_setup)
-
-
-# ---------------------------------------------------------------------------
-# oracle utilities
-
-
-@main.group()
-def oracle():
-    """Brute-force symmetric function utilities for debugging."""
-
-
-def _parse_values(tokens):
-    try:
-        vals = [float(t) for t in tokens]
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    if len(vals) < 2:
-        raise click.UsageError("need at least two eigenvalues")
-    if len(vals) > 12:
-        raise click.UsageError("enumeration oracle limited to n <= 12")
-    return np.asarray(vals)
-
-
-def _in_cone(lam, k):
-    """Gamma_k membership by enumeration; False for NaN values."""
-    return all(symm.sigma_brute(lam, j) > 0.0 for j in range(1, k + 1))
-
-
-@oracle.command("sigma",
-                context_settings={"ignore_unknown_options": True})
-@click.argument("values", nargs=-1, required=True)
-@click.option("--m", type=int, required=True, help="order of sigma_m")
-def oracle_sigma(values, m):
-    """sigma_m by explicit subset enumeration."""
-    lam = _parse_values(values)
-    if not 0 <= m <= lam.size:
-        raise click.UsageError(f"--m must lie in [0, {lam.size}]")
-    click.echo(_fmt_float(symm.sigma_brute(lam, m)))
-
-
-@oracle.command("cone",
-                context_settings={"ignore_unknown_options": True})
-@click.argument("values", nargs=-1, required=True)
-@click.option("--k", type=int, required=True, help="cone order")
-def oracle_cone(values, k):
-    """Gamma_k membership verdict by enumeration."""
-    lam = _parse_values(values)
-    if not 1 <= k <= lam.size:
-        raise click.UsageError(f"--k must lie in [1, {lam.size}]")
-    click.echo("inside" if _in_cone(lam, k) else "outside")
-
-
-@oracle.command("coeffs",
-                context_settings={"ignore_unknown_options": True})
-@click.argument("values", nargs=-1, required=True)
-@click.option("--k", type=int, required=True, help="operator order")
-@click.option("--step", type=float, default=1e-5, show_default=True,
-              help="finite difference step scale")
-def oracle_coeffs(values, k, step):
-    """G = sigma_k^(1/k) with gradient and Hessian by central differences."""
-    lam = _parse_values(values)
-    n = lam.size
-    if not 1 <= k <= n:
-        raise click.UsageError(f"--k must lie in [1, {n}]")
-    if not _in_cone(lam, k):
-        raise click.UsageError("point is outside Gamma_k")
-    if not 0.0 < step < math.inf:
-        raise click.UsageError(f"--step must be finite and positive, "
-                               f"got {step}")
-
-    def g(v):
-        # Off Gamma_k, sigma_k ** (1/k) can be complex.
-        if not _in_cone(v, k):
-            raise click.UsageError(
-                f"--step {step} puts a difference point outside Gamma_k; "
-                f"take a smaller --step")
-        return symm.sigma_brute(v, k) ** (1.0 / k)
-
-    hs = step * (1.0 + np.abs(lam))
-    grad = np.empty(n)
-    hess = np.empty((n, n))
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = hs[i]
-        grad[i] = (g(lam + ei) - g(lam - ei)) / (2.0 * hs[i])
-        for j in range(n):
-            ej = np.zeros(n)
-            ej[j] = hs[j]
-            hess[i, j] = (g(lam + ei + ej) - g(lam + ei - ej)
-                          - g(lam - ei + ej) + g(lam - ei - ej)) \
-                / (4.0 * hs[i] * hs[j])
-
-    click.echo(f"G = {_fmt_float(g(lam))}")
-    click.echo("grad = " + " ".join(_fmt_float(v) for v in grad))
-    for i in range(n):
-        click.echo("hess = " + " ".join(_fmt_float(v) for v in hess[i]))
 
 
 if __name__ == "__main__":

@@ -12,12 +12,10 @@ solvers; elem_sym_all_batch and sigma_excl_batch share the one recurrence
 step. newton_tensor_batch gives sigma_j and the Newton tensor of stacked
 matrices, the derivative rule of both matrix Jacobians. The one-vector
 entry points elem_sym_all and operator_coefficients are calls into the
-batch kernels; sigma_brute is the enumeration oracle.
+batch kernels.
 """
 
-import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -28,7 +26,6 @@ __all__ = [
     "OperatorCoefficients",
     "elem_sym_all",
     "elem_sym_all_batch",
-    "sigma_brute",
     "operator_coefficients",
 ]
 
@@ -97,16 +94,6 @@ def newton_tensor_batch(m, k):
 def elem_sym_all(values):
     """All sigma_0..sigma_n of one vector (a one-row batch call)."""
     return elem_sym_all_batch(np.asarray(values, dtype=float)[None, :])[0]
-
-
-def sigma_brute(values, m):
-    """sigma_m by explicit subset enumeration. Test oracle only."""
-    values = [float(v) for v in values]
-    if not 0 <= m <= len(values):
-        raise ValueError(f"m={m} outside [0, {len(values)}]")
-    if m == 0:
-        return 1.0
-    return float(sum(math.prod(c) for c in combinations(values, m)))
 
 
 def sigma_excl_batch(lam, m):

@@ -5,6 +5,8 @@ import math
 import os
 import re
 import signal
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -16,7 +18,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etacurv import cli, flatcase, newton, solver
+from etacurv import cli, flatcase, geometry, newton, solver
 from etacurv.errors import ConfigError
 from etacurv.newton import NewtonConfig
 
@@ -244,58 +246,6 @@ class TestBuiltinCatalog:
         x = np.zeros((1, 2))
         grad = np.array([[3.0, 4.0]])
         assert f(x, np.zeros(1), grad)[0] == pytest.approx(51.0)
-
-
-class TestOracleCommands:
-    def test_sigma(self):
-        r = CliRunner().invoke(cli.main, ["oracle", "sigma", "1", "2", "3",
-                                          "--m", "2"])
-        assert r.exit_code == 0
-        assert r.output.strip() == "11"
-
-    def test_cone_inside(self):
-        r = CliRunner().invoke(cli.main, ["oracle", "cone", "3", "3", "-1",
-                                          "--k", "2"])
-        assert r.exit_code == 0
-        assert r.output.strip() == "inside"
-
-    def test_cone_outside(self):
-        r = CliRunner().invoke(cli.main, ["oracle", "cone", "-1", "1", "1",
-                                          "--k", "2"])
-        assert r.exit_code == 0
-        assert r.output.strip() == "outside"
-
-    def test_coeffs_matches_analytic(self):
-        r = CliRunner().invoke(cli.main, ["oracle", "coeffs", "1", "2", "3",
-                                          "--k", "2"])
-        assert r.exit_code == 0
-        lines = r.output.strip().split("\n")
-        assert lines[0].startswith("G = ")
-        g = float(lines[0].split("=")[1])
-        assert g == pytest.approx(11.0**0.5, rel=1e-12)
-        grad = [float(v) for v in lines[1].split("=")[1].split()]
-        from etacurv import symm
-        co = symm.operator_coefficients(
-            symm.SpectrumVector((1.0, 2.0, 3.0), k=2))
-        assert np.allclose(grad, co.gradient, rtol=1e-6)
-
-    def test_coeffs_outside_cone(self):
-        r = CliRunner().invoke(cli.main, ["oracle", "coeffs", "-5", "1",
-                                          "1", "--k", "2"])
-        assert r.exit_code != 0
-
-    @pytest.mark.parametrize("args", [
-        ["1", "1e-7", "--k", "2"],
-        ["1", "2", "3", "--k", "2", "--step", "-1"],
-        ["1", "2", "3", "--k", "2", "--step", "0"],
-    ], ids=["stencil_leaves_the_cone", "step_negative", "step_zero"])
-    def test_coeffs_bad_step_is_a_usage_error(self, args):
-        # Off Gamma_k, sigma_k ** (1/k) can be complex; a zero step
-        # divides by zero.
-        r = CliRunner().invoke(cli.main, ["oracle", "coeffs", *args])
-        assert r.exit_code == 2, (r.output, r.exception)
-        assert "Traceback" not in r.output
-        assert "--step" in r.output
 
 
 @pytest.mark.parametrize("probe", sorted(CONFIG_PROBES))
@@ -613,6 +563,69 @@ def test_lu_out_of_memory_exits_4(tmp_path, monkeypatch, command, cfg,
     assert f"LU of {unknowns} unknowns ran out of memory" in err["message"]
     assert err["factorizations"] == 0
     assert len(err["residual_history"]) == 1
+
+
+class _ArrayMemoryError(MemoryError):
+    """Stands in for the private MemoryError subclass numpy raises."""
+
+
+@pytest.mark.parametrize("command,cfg,module,name,exc,message", [
+    ("solve-surface", SURFACE_CFG, solver, "validate_conditions",
+     _ArrayMemoryError("Unable to allocate 74.5 GiB"),
+     "Unable to allocate 74.5 GiB"),
+    ("solve-surface", SURFACE_CFG, geometry, "surface_jet", MemoryError(),
+     "out of memory"),
+    ("solve-flat", FLAT_CFG, flatcase, "build_flat_state",
+     _ArrayMemoryError("Unable to allocate 1.49 GiB"),
+     "Unable to allocate 1.49 GiB"),
+], ids=["surface_conditions", "surface_jet", "flat_state"])
+def test_memory_error_outside_the_lu_exits_4(tmp_path, monkeypatch, command,
+                                             cfg, module, name, exc,
+                                             message):
+    # Memory can run out in any array of a solve; that ends in exit 4
+    # with an error.json, not in a traceback.
+    def fail(*args, **kw):
+        raise exc
+
+    monkeypatch.setattr(module, name, fail)
+    cfgp = tmp_path / "cfg.json"
+    write_cfg(cfgp, cfg)
+    out = tmp_path / "o"
+    r = CliRunner().invoke(cli.main, [command, "--config", str(cfgp),
+                                      "--out", str(out)])
+    assert r.exit_code == 4, (r.output, r.exception)
+    assert isinstance(r.exception, SystemExit)
+    assert "Traceback" not in r.output
+    assert f"error: {message}" in r.output
+    err = json.loads((out / "error.json").read_text())
+    assert err == {"error": "MemoryError", "message": message,
+                   "exit_code": 4}
+
+
+def test_cli_as_a_process(tmp_path):
+    # pytest's pythonpath setting does not reach a child process, so the
+    # child is given the package's source directory.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfgp = tmp_path / "cfg.json"
+    write_cfg(cfgp, FLAT_CFG)
+    solve = ["solve-flat", "--config", str(cfgp), "--out", str(tmp_path)]
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "etacurv.cli", *args],
+                              capture_output=True, text=True, env=env,
+                              timeout=300)
+
+    ok = run(*solve)
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout.startswith("converged in ") and ok.stderr == ""
+    bad = run(*solve, "--override", "newton.tol=-1")
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert bad.stderr.startswith("config error:")
+    gone = run("oracle", "sigma", "1", "2", "3", "--m", "2")
+    assert gone.returncode == 2 and gone.stdout == ""
+    assert "No such command" in gone.stderr
 
 
 class TestSolveFlatCommand:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from eigen_oracle import eigen_coefficients, eta_spectrum_from_kappa
 from etacurv import symm
 from etacurv.errors import ConeViolationError
+from sigma_oracle import sigma_brute
 
 
 def cone_points(n, k, count, rng, margin=0.01):
@@ -37,14 +38,14 @@ class TestSigma:
 
     def test_vs_brute(self):
         assert symm.elem_sym_all((1.0, 2.0, 3.0))[2] \
-            == symm.sigma_brute([1, 2, 3], 2) == 11.0
+            == sigma_brute([1, 2, 3], 2) == 11.0
 
     def test_sigma_zero(self):
         assert symm.elem_sym_all((4.0, -1.0))[0] == 1.0
 
     def test_m_out_of_range(self):
         with pytest.raises(ValueError):
-            symm.sigma_brute((1.0, 2.0), 3)
+            sigma_brute((1.0, 2.0), 3)
 
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(7)
@@ -52,7 +53,7 @@ class TestSigma:
             vals = rng.standard_normal((200, n)) * 3
             e = symm.elem_sym_all_batch(vals)
             for m in range(n + 1):
-                brute = np.array([symm.sigma_brute(v, m) for v in vals])
+                brute = np.array([sigma_brute(v, m) for v in vals])
                 scale = np.maximum(np.abs(brute), 1.0)
                 assert np.all(np.abs(e[:, m] - brute) / scale < 1e-12)
 
@@ -79,7 +80,7 @@ class TestSigmaExcl:
             rest = np.delete(vals, i)
             for m in range(5):
                 assert sigma_excl(vals, m, i) == pytest.approx(
-                    symm.sigma_brute(rest, m), rel=1e-13)
+                    sigma_brute(rest, m), rel=1e-13)
 
 
 def in_cone(values, k):
@@ -280,7 +281,7 @@ def test_sigma_recurrence_matches_enumeration(values, m):
     if m > vals.size:
         m = vals.size
     got = symm.elem_sym_all(vals)[m]
-    want = symm.sigma_brute(vals, m)
+    want = sigma_brute(vals, m)
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
@@ -330,7 +331,7 @@ def test_sigma_excl_batch_matches_enumeration(values, m):
     m = min(m, n - 1)
     got = symm.sigma_excl_batch(vals[None, :], m)[0]
     for i in range(n):
-        want = symm.sigma_brute(np.delete(vals, i), m)
+        want = sigma_brute(np.delete(vals, i), m)
         assert abs(got[i] - want) <= 1e-12 * max(1.0, abs(want))
 
 

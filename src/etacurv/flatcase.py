@@ -9,6 +9,18 @@ rotated-diagonal identity phi_ab = (phi_dd - phi_ee)/2, with outside
 diagonal neighbors closed by first-order linear extrapolation through the
 snapped zero crossing. Newton needs no eigensolver: sigma_k of
 M = (lap phi) I - D^2 phi and its derivative come from the trace recursion.
+
+Every stencil reaches one lattice step along an axis or a plane diagonal,
+so a lattice plane separates its two sides. The grid orders its unknowns
+by nested dissection of the lattice, and the Jacobian is factored by a
+multifrontal LU over that dissection's tree (``FrontalPlan``): a leaf of
+at most 64 points or a separator plane is a front, factored by LAPACK's
+dense kernels. The plan is built with the grid and knows the bytes of
+its factors before any operator is assembled; a grid whose LU would take
+more than MAX_LU_BYTES is refused. At h = 1/12 on the 3-d ball the dense
+fronts hold 3.13 M doubles against SuperLU's 2.53 M L+U entries in the
+same order, but dense ``dgetrf`` and ``dgemm`` run at 26 and 63 GF/s on
+one thread where SuperLU reaches about 5: the LU takes 90 ms, not 160.
 """
 
 import math
@@ -22,8 +34,8 @@ import scipy.sparse as sp
 from . import symm
 from .errors import DomainError
 from .geometry import _csv_column
-from .newton import (MAX_NODES, SlotTable, damped_newton, fd_data_derivs,
-                     form_residual, solve_config)
+from .newton import (MAX_LU_BYTES, MAX_NODES, SlotTable, damped_newton,
+                     fd_data_derivs, form_residual, solve_config)
 
 __all__ = [
     "DomainGrid", "FlatState", "build_flat_grid", "lattice_dissection",
@@ -45,7 +57,7 @@ class DomainGrid:
     dmix: dict = field(repr=False)      # mixed operators keyed by (a, b), a < b
     lap: object = field(repr=False)     # sum of the axis second derivatives
     slots: SlotTable = field(repr=False)    # pattern of the Jacobian
-    perm: np.ndarray = field(repr=False)    # its LU order (new -> old)
+    plan: object = field(repr=False)    # its multifrontal LU, a FrontalPlan
 
     @property
     def ninterior(self):
@@ -61,37 +73,43 @@ def _rowdot(p, q):
     return (p[:, None, :] @ q[..., None])[:, 0, 0]
 
 
-def lattice_dissection(node, cuts=None):
-    """Nested-dissection order of lattice points, as a permutation (new ->
-    old) of the rows of ``node``, their integer lattice coordinates.
+def lattice_dissection(node):
+    """Nested-dissection order of lattice points and its tree.
 
-    Each cut splits a set of points at the median lattice plane across the
-    longest axis of their bounding box, orders the points below the plane,
-    then those above, then the plane itself, and recurses on both halves
-    down to sets of at most 64 points, kept in their given order (George,
+    ``node`` holds the points' integer lattice coordinates. Each cut
+    splits a set of points at the median lattice plane across the longest
+    axis of their bounding box, orders the points below the plane, then
+    those above, then the plane itself, and recurses on both halves down
+    to sets of at most 64 points, kept in their given order (George,
     Nested dissection of a regular finite element mesh, SIAM J. Numer.
     Anal. 10, 1973). A plane separates the halves of any stencil that
-    reaches one lattice step along each axis. ``cuts``, a list, receives
-    the index arrays (below, above) of every cut.
+    reaches one lattice step along each axis.
+
+    Returns the order, a permutation (new -> old) of the rows of
+    ``node``, and the tree: the number of points of each leaf set or
+    plane, in the order's postorder, and the index of the plane each one
+    was split off by (-1 at the root).
     """
-    order = []
+    order, sizes, parent = [], [], []
 
     def dissect(idx):
+        """Orders idx; returns the index of its tree node."""
         if idx.size <= 64:
             order.append(idx)
-            return
-        c = node[idx]
-        col = c[:, np.argmax(c.max(axis=0) - c.min(axis=0))]
-        mid = np.partition(col, col.size // 2)[col.size // 2]
-        below, above = idx[col < mid], idx[col > mid]
-        if cuts is not None:
-            cuts.append((below, above))
-        dissect(below)
-        dissect(above)
-        order.append(idx[col == mid])
+        else:
+            c = node[idx]
+            col = c[:, np.argmax(c.max(axis=0) - c.min(axis=0))]
+            mid = np.partition(col, col.size // 2)[col.size // 2]
+            halves = (dissect(idx[col < mid]), dissect(idx[col > mid]))
+            order.append(idx[col == mid])
+            for h in halves:
+                parent[h] = len(sizes)
+        sizes.append(order[-1].size)
+        parent.append(-1)
+        return len(sizes) - 1
 
     dissect(np.arange(len(node)))
-    return np.concatenate(order)
+    return np.concatenate(order), np.array(sizes), np.array(parent)
 
 
 def _check_scale(far, h):
@@ -175,8 +193,37 @@ def build_flat_grid(dim, shape="ball", h=1.0 / 16, radius=1.0, bounds=None):
     # lookup at a lattice step with entries in {-1, 0, 1} stays in bounds.
     node = keys[keep] - kmin + 1
     rows = np.arange(ni)
-    lattice = np.full(extent + 2, -1)
+    lattice = np.full(extent + 2, -1, dtype=np.int32)
     lattice[tuple(node.T)] = rows
+
+    # Each front's own block is dense: refuse an LU whose own blocks alone
+    # outgrow the limit before any more is built, and then one whose
+    # factors do.
+    def refuse_lu(doubles, least=""):
+        if doubles * 8 > MAX_LU_BYTES:
+            raise ValueError(f"LU of {ni} unknowns needs {least}"
+                             f"{doubles * 8:.4g} bytes of factors, past the "
+                             f"limit of {MAX_LU_BYTES}")
+
+    # Only flat grids use the plan's module: the curved pipeline never
+    # loads it.
+    from ._multifrontal import FrontalPlan
+
+    tree = lattice_dissection(node)
+    refuse_lu(float(np.sum(tree[1].astype(float) ** 2)), "at least ")
+    # The stencils couple each node to itself and to the nodes one lattice
+    # step away along an axis or a plane diagonal: the Jacobian's pattern,
+    # known before any operator is assembled. In lexicographic order of
+    # the steps, a row's columns increase, and steps t and -1 - t mirror.
+    axis = np.eye(dim, dtype=int)
+    steps = np.array(sorted({(0,) * dim} | {
+        tuple(sa * axis[a] + sb * axis[b])
+        for a in range(dim) for b in range(dim)
+        for sa in (-1, 1) for sb in ((0,) if a == b else (-1, 1))}))
+    strides = np.array(lattice.strides) // lattice.itemsize
+    table = lattice.ravel()[(node @ strides)[:, None] + steps @ strides]
+    plan = FrontalPlan(*tree, table)
+    refuse_lu(plan.storage)
 
     def arms(step):
         """Both arms of every node along the lattice direction ``step``.
@@ -190,7 +237,8 @@ def build_flat_grid(dim, shape="ball", h=1.0 / 16, radius=1.0, bounds=None):
         ell = h * norm
         out = []
         for sgn in (-1, 1):
-            col = lattice[tuple((node + sgn * step).T)]
+            # The table's column of the step.
+            col = table[:, np.flatnonzero((steps == sgn * step).all(1))[0]]
             out.append((col, np.where(col >= 0, ell,
                                       exit_dist(pts, sgn * step / norm))))
         return ell, out
@@ -219,7 +267,6 @@ def build_flat_grid(dim, shape="ball", h=1.0 / 16, radius=1.0, bounds=None):
                                 (1.0 - ell / d) / ell**2))
         return mk(np.stack(cols, axis=1), np.stack(dat, axis=1))
 
-    axis = np.eye(dim, dtype=int)
     d1, d2 = [], []
     for a in range(dim):
         # Unequal-arm 3-point stencils along the axis with arms snapped to
@@ -244,9 +291,10 @@ def build_flat_grid(dim, shape="ball", h=1.0 / 16, radius=1.0, bounds=None):
     # Jacobian slots: the Hessian operators, then those of grad phi and phi.
     slots = SlotTable(d2 + list(dmix.values()) + d1
                       + [sp.identity(ni, format="csr")])
+    plan.bind(slots.indptr, slots.indices)
     return DomainGrid(dim=dim, shape=shape, h=h, radius=rad, center=center,
                       pts=pts, d1=d1, d2=d2, dmix=dmix, lap=lap, slots=slots,
-                      perm=lattice_dissection(node))
+                      plan=plan)
 
 
 @dataclass
@@ -364,7 +412,7 @@ def dirichlet_solve(grid, f, k, config=None, beta=4.0, *, fields=None):
     Returns the converged FlatState and the NewtonReport; ``fields``, a
     dict, receives its sigma_k and f fields under "sigma" and "f".
     """
-    cfg = solve_config(config, grid.perm, k)
+    cfg = solve_config(config, grid.plan, k)
 
     def res_fn(phi):
         state = build_flat_state(grid, phi, beta=beta), {}

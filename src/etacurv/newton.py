@@ -48,8 +48,19 @@ and f fields and the Jacobian data of each. ``fd_data_derivs`` gives the
 derivatives of f along the moves a Jacobian makes in f's arguments, one
 central difference and one call of f per move.
 ``SlotTable`` is the sparsity pattern every Jacobian is assembled on, and
-``factor`` the one sparse LU every Newton step solves with, in the
-fill-reducing order each grid stores when it is built.
+``factor`` the one linear-solve entry point every Newton step uses, with
+the order each grid stores when it is built; the order picks the kernel.
+A flat grid stores a multifrontal plan over its lattice's
+nested-dissection tree: dense LAPACK LU, solve and update steps on each
+front (``_multifrontal``). On the 3-d ball at h = 1/12 its dense fronts
+hold 3.13 M doubles and take 9.6e8 flops, against SuperLU's 2.53 M L+U
+entries and 7.8e8 flops in the same order, but SuperLU runs at about
+5 GF/s where one-thread ``dgetrf`` reaches 26 GF/s at n = 450 and
+``dgemm`` 63 GF/s at n = 600: the plan factors in 90 ms against
+SuperLU's 160 ms. A full-2d sphere grid keeps SuperLU on its
+minimum-degree order: a lattice dissection there doubles the fill, as the
+periodic and across-pole couplings cross its planes. An axisym grid and
+a matrix given without an order get SuperLU's COLAMD.
 """
 
 import math
@@ -72,6 +83,8 @@ STALL_STEPS = 3         # accepted steps in a row without a decrease: stop
 REFACTOR_RATIO = 0.1
 # Largest sphere grid (ntheta * nphi) or flat lattice box a builder allocates.
 MAX_NODES = 2**22
+# Largest LU, in bytes of its factors, a flat grid's plan may call for.
+MAX_LU_BYTES = 2**30
 
 
 @dataclass
@@ -85,9 +98,10 @@ class NewtonConfig:
 
     tol: float = 1e-10
     max_iter: int = 40
-    # Fill-reducing order of the unknowns for the sparse LU (see factor);
-    # the pipelines set it to their grid's, no config key reads it.
-    perm: np.ndarray = field(default=None, repr=False, compare=False)
+    # Order of the unknowns for the LU, a permutation or a flat grid's
+    # multifrontal plan (see factor); the pipelines set it to their grid's,
+    # no config key reads it.
+    perm: object = field(default=None, repr=False, compare=False)
     # Size of the data the tolerance is relative to, a callable of the
     # first state; the pipelines set it with solve_config, no config key does.
     scale: object = field(default=None, repr=False, compare=False)
@@ -219,20 +233,24 @@ class SlotTable:
 def factor(jac, perm=None):
     """The solver of jac x = b, factored once: a function of b.
 
-    jac is a sparse matrix or a dense array. With a permutation ``perm``
-    (new -> old, as stored on the grid), SuperLU factors the transpose of
+    jac is a sparse matrix or a dense array. With a flat grid's
+    ``FrontalPlan`` as ``perm``, the plan factors jac front by front on
+    LAPACK's dense kernels, and raises RuntimeError where a front's own
+    block is exactly singular. With a permutation ``perm`` (new -> old,
+    as stored on a sphere grid), SuperLU factors the transpose of
     A = jac[perm][:, perm] with no further column reordering, and each b
     is solved with ``trans="T"``. The transpose of A in CSR is A's CSC
     form with no copy, and SuperLU, which factors column by column, runs
-    faster on the columns of Jᵀ than on those of J on the flat Jacobians,
-    whose patterns are not symmetric (exact zeros are dropped), for the
-    same fill. Without an order, jac is converted to CSC and gets
-    SuperLU's LU in its default COLAMD order (the factors ``spsolve``
-    would compute for every b). SuperLU raises RuntimeError on an exactly
-    singular matrix.
+    faster on the columns of Jᵀ than on those of J when the pattern is not
+    symmetric (exact zeros are dropped), for the same fill. Without an
+    order, jac is converted to CSC and gets SuperLU's LU in its default
+    COLAMD order (the factors ``spsolve`` would compute for every b).
+    SuperLU raises RuntimeError on an exactly singular matrix.
     """
     if perm is None:
         return splu(sp.csc_matrix(jac)).solve
+    if not isinstance(perm, np.ndarray):     # a flat grid's plan
+        return perm.factor(jac)
     # Unnamed CSR copies: only the permuted one is alive during splu.
     lu = splu(sp.csr_matrix(jac)[perm][:, perm].T, permc_spec="NATURAL")
 
@@ -266,9 +284,9 @@ def fd_data_derivs(f, args, steps):
 
 def solve_config(config, perm, k):
     """The settings of one pipeline solve: ``config`` (default
-    NewtonConfig()) with the grid's LU order ``perm`` and, as the scale,
-    max f^(1/k) over the f > 0 of the first state, a (jet or FlatState,
-    fields) pair with the f field in fields["f"].
+    NewtonConfig()) with the grid's LU order or plan ``perm`` and, as the
+    scale, max f^(1/k) over the f > 0 of the first state, a (jet or
+    FlatState, fields) pair with the f field in fields["f"].
     """
     def scale(state):
         return float(np.max(state[1]["f"])) ** (1.0 / k)
@@ -368,7 +386,7 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
         jac = jacobian_fn(state)
         try:
             solve = factor(jac, cfg.perm)
-        except RuntimeError as exc:     # SuperLU: exactly singular
+        except RuntimeError as exc:     # exactly singular
             raise diverged(f"Jacobian not factored: {exc}") from exc
         except MemoryError as exc:      # a smaller t step would not help
             raise LUOutOfMemory(f"LU of {x.size} unknowns ran out of memory",

@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from etacurv import cli, flatcase, geometry, newton, solver
+from etacurv import _multifrontal, cli, flatcase, geometry, newton, solver
 from etacurv.errors import ConfigError
 from etacurv.newton import NewtonConfig
 
@@ -110,6 +110,12 @@ CONFIG_PROBES = {
     # Far past the node cap: refused before any allocation.
     "surface_grid_huge": ("solve-surface", ["grid.sizes=[100000,100000]"]),
     "flat_h_tiny": ("solve-flat", ["grid.h=1e-5"]),
+    # Under the node cap, but its LU would take 1.7 GB of factors: refused
+    # before any difference operator is assembled.
+    "flat_lu_too_large": ("solve-flat", [
+        "n=3", 'grid={"shape": "ball", "h": 0.03}'],
+        "LU of 155331 unknowns needs 1.703e+09 bytes of factors, past the "
+        "limit of 1073741824"),
     "aniso_axis_7": ("solve-surface", [ANISO_F % 7]),
     "aniso_axis_minus_4": ("solve-surface", [ANISO_F % -4]),
     "tabulated_r_nested": ("solve-flat", [TABLE_F % ("[[0.1], [5.0]]",
@@ -267,9 +273,10 @@ def test_config_error_exits_2(tmp_path, probe):
 
 
 # Mutated configs for the exit-code property. Valid values keep each run
-# small: tiny grids or grids at least 100x past the node cap, never in
-# between, and schedule steps of at least 0.02, so that no draw takes more
-# than a few hundred homotopy attempts.
+# small: tiny grids, grids at least 100x past the node cap or, in three
+# dimensions, past the LU-size cap, never in between, and schedule steps of
+# at least 0.02, so that no draw takes more than a few hundred homotopy
+# attempts.
 INVALID = st.sampled_from([0, -1, "bogus", [], {}, None])
 SCHEDULE = st.floats(0.02, 1.0) | INVALID
 COMMON_KEYS = {
@@ -303,11 +310,12 @@ MUTATIONS = {
     },
     "solve-flat": {
         **COMMON_KEYS,
-        "n": st.sampled_from([1, 2]) | INVALID,
+        "n": st.sampled_from([1, 2, 3]) | INVALID,
         "grid": st.sampled_from([
             {"shape": "rect", "h": 0.125},
             {"shape": "ball", "h": 0.25, "radius": 0.5},
             {"shape": "ball", "h": 1e-5},
+            {"shape": "ball", "h": 0.03},
             {"shape": "rect", "h": 1e-300},
             {"shape": "bogus", "h": 0.125}]) | INVALID,
         "grid.h": st.floats(0.125, 4.0) | INVALID,
@@ -342,6 +350,7 @@ def _past_wall_bound(signum, frame):
 
 @settings(max_examples=60, deadline=None)
 @given(mutated_runs())
+@example(("solve-flat", [("n", 3), ("grid", {"shape": "ball", "h": 0.03})]))
 def test_mutated_config_exit_codes(run):
     command, mutations = run
     args = [command]
@@ -532,22 +541,24 @@ def test_singular_jacobian_exits_4(tmp_path, monkeypatch):
     assert len(err["residual_history"]) == 1
 
 
-@pytest.mark.parametrize("command,cfg,unknowns", [
+@pytest.mark.parametrize("command,cfg,unknowns,kernel", [
     ("solve-flat", FLAT_CFG,
-     flatcase.build_flat_grid(2, "ball", h=0.125).ninterior),
-    ("solve-surface", SURFACE_CFG, 32 * 16),
+     flatcase.build_flat_grid(2, "ball", h=0.125).ninterior,
+     (_multifrontal.FrontalPlan, "factor")),
+    ("solve-surface", SURFACE_CFG, 32 * 16, (newton, "splu")),
 ], ids=["flat", "surface"])
 def test_lu_out_of_memory_exits_4(tmp_path, monkeypatch, command, cfg,
-                                  unknowns):
+                                  unknowns, kernel):
     # An LU too large for memory ends in exit 4 at its first factorization:
-    # a smaller homotopy step would factor a matrix of the same size.
+    # a smaller homotopy step would factor a matrix of the same size. The
+    # flat factors by the multifrontal plan, the sphere grids by SuperLU.
     calls = []
 
-    def splu(*args, **kw):
+    def fail(*args, **kw):
         calls.append(1)
         raise MemoryError
 
-    monkeypatch.setattr(newton, "splu", splu)
+    monkeypatch.setattr(*kernel, fail)
     cfgp = tmp_path / "cfg.json"
     write_cfg(cfgp, cfg)
     out = tmp_path / "o"

@@ -1,11 +1,14 @@
 """Tests for the fill-reducing orders the grids store and ``newton.factor``.
 
-A flat grid orders its unknowns by nested dissection of the lattice, a
-full-2d sphere grid by SuperLU's minimum degree on its Jacobian pattern;
-``factor`` solves in that order and must agree with ``spsolve`` in the
-natural one. With an order, it factors the transpose, so each test
-checks that it solves J x = b and not Jᵀ x = b.
+A flat grid orders its unknowns by nested dissection of the lattice and
+factors by the multifrontal plan over that dissection's tree; a full-2d
+sphere grid orders them by SuperLU's minimum degree on its Jacobian
+pattern. ``factor`` solves in that order and must agree with ``spsolve``
+in the natural one. With a permutation, it factors the transpose, so
+each test checks that it solves J x = b and not Jᵀ x = b.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu, spsolve
 
-from etacurv import flatcase, geometry, solver
+from etacurv import _multifrontal, flatcase, geometry, solver
 from etacurv.errors import NewtonDiverged
 from etacurv.newton import NewtonConfig, damped_newton, factor
 
@@ -29,6 +32,26 @@ SPHERES = {
     "full16x16": lambda: geometry.build_grid(2, "full-2d", (16, 16)),
     "full128x64": lambda: geometry.build_grid(2, "full-2d", (128, 64)),
 }
+
+
+def order_of(grid):
+    """The grid's LU order, new -> old: a flat grid's is its plan's."""
+    return grid.plan.order if hasattr(grid, "plan") else grid.perm
+
+
+def lu_order(grid):
+    """What the grid hands ``factor``: its plan, or its permutation."""
+    return getattr(grid, "plan", None) or grid.perm
+
+
+def subtrees(sizes, parent):
+    """Range [first, end) of each front's subtree in the order."""
+    ends = np.cumsum(sizes)
+    first = (ends - sizes).tolist()
+    for f, p in enumerate(parent):     # postorder: children come first
+        if p >= 0:
+            first[p] = min(first[p], first[f])
+    return list(zip(first, ends.tolist()))
 
 
 def pattern(grid):
@@ -58,8 +81,8 @@ def sphere_jacobian(grid):
 
 
 def lu_fill(jac, perm=None):
-    """L + U nonzeros of the LU factor() makes: of the transposed
-    jac[perm][:, perm] with perm, of COLAMD's without."""
+    """L + U nonzeros of SuperLU's LU: of the transposed jac[perm][:, perm]
+    with a permutation perm, as factor() makes it, of COLAMD's without."""
     if perm is None:
         lu = splu(jac.tocsc())
     else:
@@ -72,10 +95,11 @@ def lu_fill(jac, perm=None):
 def test_order_is_a_reproducible_bijection(build):
     grid = build()
     n = grid.slots.shape[0]
-    assert np.array_equal(np.sort(grid.perm), np.arange(n))
-    again = build().perm
-    assert again.dtype == grid.perm.dtype
-    assert again.tobytes() == grid.perm.tobytes()
+    order = order_of(grid)
+    assert np.array_equal(np.sort(order), np.arange(n))
+    again = order_of(build())
+    assert again.dtype == order.dtype
+    assert again.tobytes() == order.tobytes()
 
 
 def test_min_degree_order_is_superlus():
@@ -97,9 +121,13 @@ def test_axisym_grid_has_no_order():
 def test_dissection_cuts_separate_the_pattern(name):
     grid = FLATS[name]()
     node = np.rint(grid.pts / grid.h).astype(int)
-    cuts = []
-    perm = flatcase.lattice_dissection(node, cuts=cuts)
-    assert np.array_equal(perm, grid.perm)
+    perm, sizes, parent = flatcase.lattice_dissection(node)
+    assert np.array_equal(perm, grid.plan.order)
+    # Each plane's two subtrees are the halves of its cut.
+    span = subtrees(sizes, parent)
+    kids = [np.flatnonzero(parent == f) for f in range(len(sizes))]
+    cuts = [tuple(perm[slice(*span[c])] for c in k) for k in kids if k.size]
+    assert all(k.size in (0, 2) for k in kids)
     assert len(cuts) >= 3
     pat = pattern(grid)
     pos = np.argsort(perm)
@@ -116,8 +144,9 @@ def test_dissection_cuts_separate_the_pattern(name):
 
 def test_small_sets_keep_their_order():
     node = np.indices((4, 4, 4)).reshape(3, -1).T
-    assert np.array_equal(flatcase.lattice_dissection(node),
-                          np.arange(64))
+    order, sizes, parent = flatcase.lattice_dissection(node)
+    assert np.array_equal(order, np.arange(64))
+    assert sizes.tolist() == [64] and parent.tolist() == [-1]
 
 
 @pytest.mark.parametrize("grid,jacobian", [
@@ -132,7 +161,7 @@ def test_factor_solves_like_spsolve(grid, jacobian):
     jac = jacobian(grid)
     b = np.random.default_rng(7).standard_normal(jac.shape[0])
     ref = spsolve(jac.tocsc(), b)
-    x = factor(jac, grid.perm)(b)
+    x = factor(jac, lu_order(grid))(b)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
     # Without an order, factor is spsolve in SuperLU's default order.
     assert factor(jac)(b).tobytes() == ref.tobytes()
@@ -169,10 +198,122 @@ def test_factor_solves_j_not_its_transpose(system, kind):
     assert np.max(np.abs(jac @ x - b)) <= 1e-12 * np.max(np.abs(b))
 
 
-def test_flat_order_halves_the_fill():
+FLAT_H = {2: (1 / 20, 1 / 3), 3: (1 / 8, 1 / 3), 4: (1 / 4, 1 / 2)}
+
+
+@st.composite
+def flat_systems(draw):
+    """(grid, J, b): a flat grid of dimension 2 to 4, a ball or a box, at
+    a drawn h; J random on the grid's slot pattern and row diagonally
+    dominant, with exact zeros that its CSR form drops in some draws."""
+    dim = draw(st.integers(2, 4))
+    grid = flatcase.build_flat_grid(dim, draw(st.sampled_from(["ball",
+                                                               "rect"])),
+                                    h=draw(st.floats(*FLAT_H[dim])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = grid.slots
+    data = rng.uniform(-1.0, 1.0, s.indices.size)
+    data[rng.random(data.size) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    off = s.matrix(data)
+    off.setdiag(0.0)
+    off.eliminate_zeros()
+    n = s.shape[0]
+    diag = np.abs(off).sum(axis=1).A1 + rng.uniform(1.0, 2.0, n)
+    return grid, (off + sp.diags(diag)).tocsr(), rng.standard_normal(n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(flat_systems())
+def test_plan_solves_flat_systems_like_spsolve(system):
+    grid, jac, b = system
+    ref = spsolve(jac.tocsc(), b)
+    x = factor(jac, grid.plan)(b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_small_grid_is_one_front():
+    # At most 64 points: the dissection makes one leaf, and the plan one
+    # dense LU of the whole matrix.
+    grid = flatcase.build_flat_grid(2, "ball", h=0.25)
+    n = grid.ninterior
+    assert n <= 64
+    assert grid.plan.storage == n * n and len(grid.plan.bnd) == 1
+    jac = flat_jacobian(grid)
+    b = np.random.default_rng(3).standard_normal(n)
+    x = factor(jac, grid.plan)(b)
+    ref = spsolve(jac.tocsc(), b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_singular_front_is_not_factored():
+    # The plan pivots inside each front only. Here the first unknown of
+    # the first leaf couples to one boundary unknown alone: the leaf's own
+    # block is exactly singular, though the matrix is not.
+    grid = FLATS["ball3d"]()
+    plan = grid.plan
+    own = plan.order[:plan.ends[0]]
+    later = pattern(grid)[own][:, plan.order[plan.bnd[0]]].tocoo()
+    p, q = own[later.row[0]], plan.order[plan.bnd[0][later.col[0]]]
+    jac = sp.identity(grid.ninterior, format="lil")
+    jac[p, p], jac[q, q], jac[p, q], jac[q, p] = 0.0, 0.0, 1.0, 1.0
+    jac = jac.tocsr()
+    b = np.ones(grid.ninterior)
+    assert np.allclose(jac @ spsolve(jac.tocsc(), b), b)
+    with pytest.raises(RuntimeError, match="exactly singular"):
+        factor(jac, plan)
+    cfg = NewtonConfig(perm=plan)
+    with pytest.raises(NewtonDiverged, match="Jacobian not factored"):
+        damped_newton(np.zeros(grid.ninterior), lambda x: (jac @ x - b, x),
+                      lambda x: jac, cfg)
+
+
+def test_plan_refuses_a_tree_that_does_not_separate():
+    # Three unknowns in a chain 0 - 1 - 2: unknown 1 separates the others.
+    jac = sp.csr_matrix(np.diag([2.0, 2.0, 2.0]) + np.diag([1.0, 1.0], 1)
+                        + np.diag([1.0, 1.0], -1))
+    table = np.array([[-1, 0, 1], [0, 1, 2], [1, 2, -1]])
+    for order, ok in (([0, 2, 1], True), ([0, 1, 2], False)):
+        plan = _multifrontal.FrontalPlan(np.array(order), np.ones(3, int),
+                                         np.array([2, 2, -1]), table)
+        plan.bind(jac.indptr, jac.indices)
+        if ok:
+            x = factor(jac, plan)(np.ones(3))
+            assert np.allclose(jac @ x, 1.0)
+            continue
+        with pytest.raises(ValueError, match="does not separate"):
+            factor(jac, plan)
+
+
+def test_lu_guard_fires_before_the_operators(monkeypatch):
+    grid = FLATS["ball3d"]()
+    need = 8 * grid.plan.storage
+    sizes = flatcase.lattice_dissection(
+        np.rint(grid.pts / grid.h).astype(int))[1]
+    own = 8 * int(np.sum(sizes**2))
+    # With scipy.sparse gone, assembling any operator raises.
+    monkeypatch.setattr(flatcase, "sp", None)
+    monkeypatch.setattr(flatcase, "MAX_LU_BYTES", need - 1)
+    with pytest.raises(ValueError, match=re.escape(
+            f"LU of {grid.ninterior} unknowns needs {need:.4g} bytes of "
+            f"factors, past the limit of {need - 1}")):
+        FLATS["ball3d"]()
+    # Own blocks past the limit are refused before the plan is built.
+    monkeypatch.setattr(_multifrontal, "FrontalPlan", None)
+    monkeypatch.setattr(flatcase, "MAX_LU_BYTES", own - 1)
+    with pytest.raises(ValueError,
+                       match=re.escape(f"needs at least {own:.4g} bytes")):
+        FLATS["ball3d"]()
+    monkeypatch.undo()
+    monkeypatch.setattr(flatcase, "MAX_LU_BYTES", need)
+    assert FLATS["ball3d"]().plan.storage == grid.plan.storage
+
+
+def test_flat_plan_stores_less_than_colamds_fill():
+    # The multifrontal factors are dense fronts: 3.13 M doubles at
+    # h = 1/12, where SuperLU's COLAMD LU holds 5.57 M entries.
     grid = flatcase.build_flat_grid(3, "ball", h=1 / 12)
     jac = flat_jacobian(grid)
-    assert lu_fill(jac, grid.perm) <= 0.5 * lu_fill(jac)
+    assert grid.plan.storage <= 0.6 * lu_fill(jac)
 
 
 def test_sphere_order_cuts_the_fill():

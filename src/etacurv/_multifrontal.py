@@ -1,8 +1,9 @@
 """Multifrontal LU over a dissection tree, on LAPACK's dense kernels.
 
-A plan is built once per pattern and factors any matrix on it (Duff and
-Reid, The multifrontal solution of unsymmetric sets of linear equations,
-SIAM J. Sci. Stat. Comput. 5, 1984). Each node of the tree is a front:
+A plan is built once per pattern and factors any matrix on exactly that
+pattern, explicit zeros included, whose entries it reads by position
+(Duff and Reid, The multifrontal solution of unsymmetric sets of linear
+equations, SIAM J. Sci. Stat. Comput. 5, 1984). Each node of the tree is a front:
 its own unknowns, consecutive in the order, and its boundary, the later
 unknowns that its subtree couples to. Entry (i, j) of the matrix belongs
 to the front that owns the earlier of i and j. In postorder, a front
@@ -82,9 +83,10 @@ class FrontalPlan:
     every path between two subtrees crosses an ancestor's own unknowns.
 
     The fronts and ``storage``, the number of doubles the factors take,
-    are known at once. ``bind`` gives the plan the CSR arrays of its
-    pattern; the first ``factor`` then places each entry of the pattern
-    in the storage and maps each child's update into its parent.
+    are known at once. The first ``factor`` derives the CSR arrays of the
+    pattern from the table, places each of its entries in the storage and
+    maps each child's update into its parent; every matrix is then read
+    by position on that pattern.
     """
 
     def __init__(self, order, sizes, parent, table):
@@ -126,24 +128,17 @@ class FrontalPlan:
         self.storage = int(self.offsets[-1])
         self.pattern = self.dest = self.maps = None
 
-    def bind(self, indptr, indices):
-        """Give the plan the CSR arrays of its pattern, which must be the
-        one its table gives; ``factor`` reads its matrices by position on
-        them."""
-        self.pattern = (indptr, indices)
-
     def _place(self):
-        """Storage position of each entry of the pattern, and the moves of
-        each child's update into its parent's front."""
+        """The CSR arrays of the pattern, the storage position of each of
+        its entries, and the moves of each child's update into its
+        parent's front."""
         nbr = self._nbr
         n, s, nf = *nbr.shape, len(self.bnd)
         ipos = np.empty(n, dtype=np.int32)
         ipos[self.order] = np.arange(n, dtype=np.int32)
         present = nbr[ipos] >= 0       # rows in the old order
-        indptr, indices = self.pattern
-        if not (np.array_equal(indptr[1:], np.cumsum(present.sum(axis=1)))
-                and np.array_equal(indices, self.order[nbr[ipos][present]])):
-            raise ValueError("CSR pattern differs from the plan's table")
+        self.pattern = (np.concatenate(([0], np.cumsum(present.sum(axis=1)))),
+                        self.order[nbr[ipos][present]])
         starts = np.asarray(self.starts, dtype=np.int64)
         ends = np.asarray(self.ends, dtype=np.int64)
         k = ends - starts
@@ -212,22 +207,6 @@ class FrontalPlan:
         self.dest, self.maps = dest, maps
         del self._nbr
 
-    def _positions(self, jac):
-        """Storage position of each entry of the canonical CSR matrix jac,
-        whose pattern lies within the plan's: at once if it is the whole
-        pattern, else by a merge of the two patterns, row by row."""
-        indptr, indices = self.pattern
-        if (jac.nnz == indices.size and np.array_equal(jac.indptr, indptr)
-                and np.array_equal(jac.indices, indices)):
-            return self.dest
-        where = sp.csr_matrix((np.arange(1.0, indices.size + 1), indices,
-                               indptr), shape=jac.shape)
-        found = where.multiply(sp.csr_matrix(
-            (np.ones(jac.nnz), jac.indices, jac.indptr), shape=jac.shape))
-        if found.nnz != jac.nnz:
-            raise ValueError("matrix entry outside the plan's pattern")
-        return self.dest[found.data.astype(np.intp) - 1]
-
     def _blocks(self, store, f):
         """Views of front f's [F11 F12], which become [LU of F11, X], and
         of its F21ᵀ."""
@@ -241,20 +220,19 @@ class FrontalPlan:
     def factor(self, jac):
         """The solver of jac x = b, factored once: a function of b.
 
-        jac is a sparse matrix or a dense array whose entries lie in the
-        plan's pattern. Raises RuntimeError where a front's own block is
-        exactly singular.
+        jac is a sparse matrix with exactly the plan's pattern: in CSR
+        form, the plan's indptr and indices, explicit zeros included.
+        Raises ValueError on any other pattern, and RuntimeError where a
+        front's own block is exactly singular.
         """
         if self.maps is None:
             self._place()
         jac = sp.csr_matrix(jac)
-        if not jac.has_canonical_format:
-            jac = jac.copy()
-            jac.sum_duplicates()
-        at = self._positions(jac)
+        if not all(map(np.array_equal, (jac.indptr, jac.indices),
+                       self.pattern)):
+            raise ValueError("matrix pattern differs from the plan's")
         store = np.zeros(self.storage)
-        store[at] = jac.data
-        del at
+        store[self.dest] = jac.data
         # Each update is added into its parent as soon as it is made; a
         # front's F22 is allocated when its first child's update arrives.
         pivots, f22 = [], {}

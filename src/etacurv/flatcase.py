@@ -55,7 +55,6 @@ class DomainGrid:
     d1: list = field(repr=False)        # first-derivative operators per axis
     d2: list = field(repr=False)        # second-derivative operators per axis
     dmix: dict = field(repr=False)      # mixed operators keyed by (a, b), a < b
-    lap: object = field(repr=False)     # sum of the axis second derivatives
     slots: SlotTable = field(repr=False)    # pattern of the Jacobian
     plan: object = field(repr=False)    # its multifrontal LU, a FrontalPlan
 
@@ -287,13 +286,11 @@ def build_flat_grid(dim, shape="ball", h=1.0 / 16, radius=1.0, bounds=None):
         dpm = diag_op(axis[a] - axis[b])
         dmix[(a, b)] = ((dpp - dpm) * 0.5).tocsr()
 
-    lap = sum(d2).tocsr()
     # Jacobian slots: the Hessian operators, then those of grad phi and phi.
     slots = SlotTable(d2 + list(dmix.values()) + d1
                       + [sp.identity(ni, format="csr")])
-    plan.bind(slots.indptr, slots.indices)
     return DomainGrid(dim=dim, shape=shape, h=h, radius=rad, center=center,
-                      pts=pts, d1=d1, d2=d2, dmix=dmix, lap=lap, slots=slots,
+                      pts=pts, d1=d1, d2=d2, dmix=dmix, slots=slots,
                       plan=plan)
 
 

@@ -47,9 +47,10 @@ G = sigma_k^(1/k) concave on Gamma_k; ``form_residual`` and
 and f fields and the Jacobian data of each. ``fd_data_derivs`` gives the
 derivatives of f along the moves a Jacobian makes in f's arguments, one
 central difference and one call of f per move.
-``SlotTable`` is the sparsity pattern every Jacobian is assembled on, and
-``factor`` the one linear-solve entry point every Newton step uses, with
-the order each grid stores when it is built; the order picks the kernel.
+``SlotTable`` is the one sparsity pattern every Jacobian of a grid has,
+whatever its values, and ``factor`` the one linear-solve entry point
+every Newton step uses, with the order each grid stores when it is built;
+the order picks the kernel, and only SuperLU drops exact zeros.
 A flat grid stores a multifrontal plan over its lattice's
 nested-dissection tree: dense LAPACK LU, solve and update steps on each
 front (``_multifrontal``). On the 3-d ball at h = 1/12 its dense fronts
@@ -143,10 +144,11 @@ class SlotTable:
     a grid's operators, so its pattern is known when the grid is built.
     ``accumulate`` gives the data array of such a sum on that pattern from
     array products, ``row_scale`` the per-entry form of a row factor, and
-    ``matrix`` the CSR matrix. Entry (i, j) is the left-to-right sum of
-    c_s[i] M_s[i, j] over the slots holding (i, j), and exact zeros are
-    dropped, as in scipy's sparse products and sums: the result equals
-    that sparse sum bit for bit.
+    ``matrix`` the CSR matrix on the whole pattern. Entry (i, j) is the
+    left-to-right sum of c_s[i] M_s[i, j] over the slots holding (i, j):
+    the values of that sparse sum bit for bit, with an explicit zero where
+    scipy's products and sums drop one. Every Jacobian of a grid thus has
+    the grid's pattern, whatever its values.
 
     The operators are never modified: a slot whose rows hold unsorted
     columns (a product such as t @ p) is sorted in a copy, because sorting
@@ -215,11 +217,9 @@ class SlotTable:
         return np.argsort(ilu.perm_c)
 
     def matrix(self, data):
-        """CSR matrix with this pattern and data, exact zeros dropped."""
-        out = sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
-                            shape=self.shape)
-        out.eliminate_zeros()
-        return out
+        """CSR matrix with this pattern and data, exact zeros kept."""
+        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
+                             shape=self.shape)
 
     def form_matrix(self, j_sig, j_f, sig, fv, k):
         """Jacobian matrix of ``form_residual`` from the data j_sig and j_f
@@ -233,26 +233,32 @@ class SlotTable:
 def factor(jac, perm=None):
     """The solver of jac x = b, factored once: a function of b.
 
-    jac is a sparse matrix or a dense array. With a flat grid's
-    ``FrontalPlan`` as ``perm``, the plan factors jac front by front on
-    LAPACK's dense kernels, and raises RuntimeError where a front's own
-    block is exactly singular. With a permutation ``perm`` (new -> old,
-    as stored on a sphere grid), SuperLU factors the transpose of
-    A = jac[perm][:, perm] with no further column reordering, and each b
-    is solved with ``trans="T"``. The transpose of A in CSR is A's CSC
-    form with no copy, and SuperLU, which factors column by column, runs
-    faster on the columns of Jᵀ than on those of J when the pattern is not
-    symmetric (exact zeros are dropped), for the same fill. Without an
-    order, jac is converted to CSC and gets SuperLU's LU in its default
-    COLAMD order (the factors ``spsolve`` would compute for every b).
-    SuperLU raises RuntimeError on an exactly singular matrix.
+    jac is a sparse matrix or a dense array, never modified. With a flat
+    grid's ``FrontalPlan`` as ``perm``, the plan factors jac, which must
+    have exactly its pattern, front by front on LAPACK's dense kernels,
+    and raises RuntimeError where a front's own block is exactly singular.
+    Otherwise SuperLU factors a copy of jac with its exact zeros dropped.
+    With a permutation ``perm`` (new -> old, as stored on a sphere grid),
+    the copy is the transpose of A = jac[perm][:, perm], factored with no
+    further column reordering, and each b is solved with ``trans="T"``.
+    The transpose of A in CSR is A's CSC form with no copy, and SuperLU,
+    which factors column by column, runs faster on the columns of Jᵀ than
+    on those of J when the pattern is not symmetric, for the same fill.
+    Without an order, the copy is jac's CSC form, factored in SuperLU's
+    default COLAMD order (the factors ``spsolve`` of jac's nonzeros would
+    compute for every b). SuperLU raises RuntimeError on an exactly
+    singular matrix.
     """
     if perm is None:
-        return splu(sp.csc_matrix(jac)).solve
+        jac = sp.csc_matrix(jac, copy=True)
+        jac.eliminate_zeros()
+        return splu(jac).solve
     if not isinstance(perm, np.ndarray):     # a flat grid's plan
         return perm.factor(jac)
     # Unnamed CSR copies: only the permuted one is alive during splu.
-    lu = splu(sp.csr_matrix(jac)[perm][:, perm].T, permc_spec="NATURAL")
+    a = sp.csr_matrix(jac)[perm][:, perm]
+    a.eliminate_zeros()
+    lu = splu(a.T, permc_spec="NATURAL")
 
     def solve(b):
         x = np.empty_like(b)
@@ -301,8 +307,8 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
     Jacobian at that state's x, a sparse matrix or a dense array. The
     scale is read once, on the first state; the tolerance it gives is kept
     in the report and named in every failure message. A residual not
-    finite at x0 raises NewtonDiverged. ``candidate_check(x)`` returns
-    None if x is admissible, else a short reason string; cone, domain and
+    finite at x0 raises NewtonDiverged. ``candidate_check(x)`` is true if
+    x is inadmissible and false if not, its value unread; cone, domain and
     data-positivity violations (ConeViolationError, DomainError,
     PreconditionError) raised by ``residual_fn`` at a candidate count as
     admissibility failures too, while at x0 they propagate. A candidate is

@@ -407,12 +407,8 @@ def newton_solve(grid, rho0, data, k, config=None):
         return assemble_jacobian(grid, jet.rho, data, k, jet=jet,
                                  fields=fields)
 
-    def check(rho):
-        if np.any(rho <= 0.0):
-            return "rho not positive"
-        if rho.min() < lo or rho.max() > hi:
-            return "rho outside barrier range"
-        return None
+    def check(rho):     # lo > 0: a rho not positive is below it
+        return rho.min() < lo or rho.max() > hi
 
     (jet, _), report = damped_newton(rho0, res_fn, jac_fn, cfg,
                                      candidate_check=check)

@@ -1,29 +1,61 @@
 """Tests for SlotTable, the pattern every analytic Jacobian is built on.
 
 The oracle is the sparse sum the Jacobians used to be written as,
-sum_s diag(c_s) @ M_s with scipy's products and sums; the table must give
-the same CSC arrays byte for byte: the same entries, explicit zeros
-included, in the same positions, which is the matrix the linear solve
-factors.
+sum_s diag(c_s) @ M_s with scipy's products and sums. The table's matrix
+always has the grid's whole pattern: it holds the sum's values bit for
+bit, and an explicit zero exactly where the sum, which drops exact zeros,
+has no entry. The copy SuperLU factors drops those zeros, and is the
+sum's CSC arrays byte for byte.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from etacurv import flatcase, geometry, solver
-from etacurv.newton import SlotTable
+from etacurv import flatcase, geometry, newton, solver
+from etacurv.newton import SlotTable, factor
 
 
 def sparse_sum(coefs, mats):
     return sum(sp.diags(c) @ m for c, m in zip(coefs, mats))
 
 
-def same_csc(a, b):
-    a, b = a.tocsc(), b.tocsc()
+def same_arrays(a, b):
     return all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
                for x, y in ((a.data, b.data), (a.indices, b.indices),
                             (a.indptr, b.indptr)))
+
+
+def same_csc(a, b):
+    return same_arrays(a.tocsc(), b.tocsc())
+
+
+def has_pattern(jac, table):
+    return (np.array_equal(jac.indptr, table.indptr)
+            and np.array_equal(jac.indices, table.indices))
+
+
+def on_the_pattern(got, want, table):
+    """got has the table's pattern and want's values bit for bit, with
+    data 0 exactly where want has no entry."""
+    want = want.tocsr()
+    rows = np.repeat(np.arange(got.shape[0]), np.diff(got.indptr))
+    held = sp.csr_matrix((np.ones(want.nnz), want.indices, want.indptr),
+                         shape=want.shape)[rows, got.indices]
+    return (has_pattern(got, table)
+            and got.toarray().tobytes() == want.toarray().tobytes()
+            and np.array_equal(got.data == 0.0, np.ravel(held) == 0.0))
+
+
+def superlu_inputs(monkeypatch):
+    """The list of matrices ``factor`` hands SuperLU from now on; none is
+    factored."""
+    seen = []
+    monkeypatch.setattr(newton, "splu", lambda a, **kw: seen.append(a)
+                        or SimpleNamespace(solve=None))
+    return seen
 
 
 def sphere_slots(grid):
@@ -76,7 +108,8 @@ class TestSlotTable:
         coefs = [rng.standard_normal(mats[0].shape[0]) * 10.0 ** s
                  for s in range(len(order))]
         got = table.matrix(table.accumulate(coefs, slots=order))
-        assert same_csc(got, sparse_sum(coefs, [mats[s] for s in order]))
+        assert on_the_pattern(got, sparse_sum(coefs, [mats[s] for s in order]),
+                              table)
 
     def test_row_factors(self, name, build, slots_of):
         # diag(a) @ A - diag(b) @ B, the root form of the residual.
@@ -93,23 +126,56 @@ class TestSlotTable:
                 - sp.diags(b) @ sparse_sum(cb, mats[:2]))
         assert same_csc(got, want)
 
-    def test_zero_coefficients_leave_no_explicit_zeros(self, name, build,
-                                                       slots_of):
+    def test_zero_coefficients_keep_the_slot_pattern(self, name, build,
+                                                     slots_of):
         grid = build()
         mats = slots_of(grid)
-        rng = np.random.default_rng(5)
-        coefs = []
-        for m in mats:
-            c = rng.standard_normal(m.shape[0])
-            c[rng.random(c.size) < 0.5] = 0.0
-            coefs.append(c)
-        coefs[0][:] = 0.0
-        got = grid.slots.matrix(grid.slots.accumulate(coefs))
-        assert np.all(got.data != 0.0)
-        assert same_csc(got, sparse_sum(coefs, mats))
-        empty = grid.slots.matrix(grid.slots.accumulate(
+        table = grid.slots
+        coefs = half_zero_coefficients(mats)
+        got = table.matrix(table.accumulate(coefs))
+        assert np.any(got.data == 0.0)
+        assert on_the_pattern(got, sparse_sum(coefs, mats), table)
+        empty = table.matrix(table.accumulate(
             [np.zeros(m.shape[0]) for m in mats]))
-        assert empty.nnz == 0
+        assert has_pattern(empty, table)
+        assert empty.nnz == table.indices.size
+        assert not np.any(empty.data)
+
+    def test_zero_coefficients_leave_no_explicit_zeros(self, name, build,
+                                                       slots_of, monkeypatch):
+        # ... in the copies SuperLU factors, with and without an order.
+        grid = build()
+        mats = slots_of(grid)
+        table = grid.slots
+        coefs = half_zero_coefficients(mats)
+        jac = table.matrix(table.accumulate(coefs))
+        want = sparse_sum(coefs, mats).tocsr()
+        perm = np.random.default_rng(5).permutation(table.shape[0])
+        seen = superlu_inputs(monkeypatch)
+        factor(jac)
+        factor(jac, perm)
+        plain, ordered = seen
+        assert np.all(plain.data != 0.0) and np.all(ordered.data != 0.0)
+        assert same_csc(plain, want)
+        nonzeros = jac.copy()
+        nonzeros.eliminate_zeros()
+        assert same_csc(nonzeros, want)
+        assert same_arrays(ordered, nonzeros[perm][:, perm].T)
+        factor(table.matrix(table.accumulate(
+            [np.zeros(m.shape[0]) for m in mats])))
+        assert seen[-1].nnz == 0
+
+
+def half_zero_coefficients(mats):
+    """Coefficients of which about half are zero, and all of the first."""
+    rng = np.random.default_rng(5)
+    coefs = []
+    for m in mats:
+        c = rng.standard_normal(m.shape[0])
+        c[rng.random(c.size) < 0.5] = 0.0
+        coefs.append(c)
+    coefs[0][:] = 0.0
+    return coefs
 
 
 def test_repeated_entries_rejected():
@@ -119,15 +185,47 @@ def test_repeated_entries_rejected():
         SlotTable([m])
 
 
-def test_round_sphere_jacobian_has_no_explicit_zeros():
+def round_data(t):
+    return solver.homotopy_f(solver.PrescribedData(
+        f=lambda x, nu: 1.25 * np.linalg.norm(x, axis=-1) ** -3,
+        r1=0.5, r2=2.0), 2, 2, 0.01, t)
+
+
+def test_round_sphere_zeros_are_dropped_only_for_superlu(monkeypatch):
     # At rho = 1 and t = 0 the gradient terms vanish identically.
     g = geometry.build_grid(2, "full-2d", (16, 16))
-    data = solver.homotopy_f(solver.PrescribedData(
-        f=lambda x, nu: 1.25 * np.linalg.norm(x, axis=-1) ** -3,
-        r1=0.5, r2=2.0), 2, 2, 0.01, 0.0)
-    jac = solver.assemble_jacobian(g, np.ones(g.nnodes), data, 2)
-    assert jac.nnz < g.slots.indices.size
-    assert np.all(jac.data != 0.0)
+    jac = solver.assemble_jacobian(g, np.ones(g.nnodes), round_data(0.0), 2)
+    assert has_pattern(jac, g.slots)
+    assert np.any(jac.data == 0.0)
+    seen = superlu_inputs(monkeypatch)
+    factor(jac, g.perm)
+    assert np.all(seen[0].data != 0.0)
+    assert seen[0].nnz == np.count_nonzero(jac.data)
+
+
+@pytest.mark.parametrize("mode,sizes", [("full-2d", (16, 16)),
+                                        ("axisym-1d", 9)])
+def test_sphere_jacobians_have_the_grid_pattern(mode, sizes):
+    g = geometry.build_grid(2, mode, sizes)
+    rho = 1.0 + 0.05 * np.cos(g.theta) ** 2
+    if mode == "full-2d":
+        rho = rho + 0.02 * np.sin(g.theta) * np.cos(g.phi)
+    for r, t in ((np.ones(g.nnodes), 0.0), (rho, 1.0)):
+        jac = solver.assemble_jacobian(g, r, round_data(t), 2)
+        assert has_pattern(jac, g.slots)
+
+
+def test_flat_jacobians_have_the_grid_pattern():
+    g = flatcase.build_flat_grid(3, "ball", h=1 / 6)
+
+    def f(x, phi, grad):
+        return 1.0 + np.einsum("ni,ni->n", grad, grad)
+
+    start = flatcase.build_flat_state(g, flatcase._initial_guess(g, f, 2))
+    done, report = flatcase.dirichlet_solve(g, f, 2)
+    assert report.converged
+    for state in (start, done):
+        assert has_pattern(flatcase.flat_jacobian(state, f, 2), g.slots)
 
 
 @pytest.mark.parametrize("mode,sizes,n", [("full-2d", (16, 16), 2),

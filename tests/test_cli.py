@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -523,11 +522,11 @@ def test_nonpositive_data_at_a_solve_start_exits_3(tmp_path, monkeypatch):
 
 
 def test_singular_jacobian_exits_4(tmp_path, monkeypatch):
-    # SuperLU raises RuntimeError on an exactly singular Jacobian; it must
+    # The LU raises RuntimeError on an exactly singular Jacobian; it must
     # end in exit 4, not a traceback.
     monkeypatch.setattr(flatcase, "flat_jacobian",
-                        lambda state, f, k, **kw: sp.csr_matrix(
-                            (state.phi.size, state.phi.size)))
+                        lambda state, f, k, **kw: state.grid.slots.matrix(
+                            np.zeros(state.grid.slots.indices.size)))
     cfgp = tmp_path / "cfg.json"
     write_cfg(cfgp, FLAT_CFG)
     out = tmp_path / "o"

@@ -80,9 +80,18 @@ def sphere_jacobian(grid):
     return solver.assemble_jacobian(grid, rho, data, 2)
 
 
+def nonzeros(jac):
+    """A copy of jac with its exact zeros dropped: what SuperLU factors."""
+    jac = jac.copy()
+    jac.eliminate_zeros()
+    return jac
+
+
 def lu_fill(jac, perm=None):
-    """L + U nonzeros of SuperLU's LU: of the transposed jac[perm][:, perm]
-    with a permutation perm, as factor() makes it, of COLAMD's without."""
+    """L + U nonzeros of SuperLU's LU of jac's nonzeros: of the transposed
+    jac[perm][:, perm] with a permutation perm, as factor() makes it, of
+    COLAMD's without."""
+    jac = nonzeros(jac)
     if perm is None:
         lu = splu(jac.tocsc())
     else:
@@ -160,10 +169,11 @@ def test_factor_solves_like_spsolve(grid, jacobian):
     grid = grid()
     jac = jacobian(grid)
     b = np.random.default_rng(7).standard_normal(jac.shape[0])
-    ref = spsolve(jac.tocsc(), b)
+    ref = spsolve(nonzeros(jac).tocsc(), b)
     x = factor(jac, lu_order(grid))(b)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
-    # Without an order, factor is spsolve in SuperLU's default order.
+    # Without an order, factor is spsolve of jac's nonzeros in SuperLU's
+    # default order.
     assert factor(jac)(b).tobytes() == ref.tobytes()
 
 
@@ -205,7 +215,7 @@ FLAT_H = {2: (1 / 20, 1 / 3), 3: (1 / 8, 1 / 3), 4: (1 / 4, 1 / 2)}
 def flat_systems(draw):
     """(grid, J, b): a flat grid of dimension 2 to 4, a ball or a box, at
     a drawn h; J random on the grid's slot pattern and row diagonally
-    dominant, with exact zeros that its CSR form drops in some draws."""
+    dominant, with explicit zeros on the pattern in some draws."""
     dim = draw(st.integers(2, 4))
     grid = flatcase.build_flat_grid(dim, draw(st.sampled_from(["ball",
                                                                "rect"])),
@@ -214,12 +224,13 @@ def flat_systems(draw):
     s = grid.slots
     data = rng.uniform(-1.0, 1.0, s.indices.size)
     data[rng.random(data.size) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
-    off = s.matrix(data)
-    off.setdiag(0.0)
-    off.eliminate_zeros()
     n = s.shape[0]
-    diag = np.abs(off).sum(axis=1).A1 + rng.uniform(1.0, 2.0, n)
-    return grid, (off + sp.diags(diag)).tocsr(), rng.standard_normal(n)
+    rows = np.repeat(np.arange(n), s.counts)
+    diag = rows == s.indices
+    data[diag] = 0.0
+    data[diag] = (np.bincount(rows, np.abs(data), n)
+                  + rng.uniform(1.0, 2.0, n))
+    return grid, s.matrix(data), rng.standard_normal(n)
 
 
 @settings(max_examples=25, deadline=None)
@@ -229,6 +240,49 @@ def test_plan_solves_flat_systems_like_spsolve(system):
     ref = spsolve(jac.tocsc(), b)
     x = factor(jac, grid.plan)(b)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("kind", ["csc", "csr"])
+@pytest.mark.parametrize("ordered", [False, True], ids=["colamd", "perm"])
+def test_factor_leaves_its_input_as_it_was(kind, ordered):
+    # SuperLU drops the exact zeros on its copy, not on jac.
+    grid = FLATS["ball3d"]()
+    jac = flat_jacobian(grid).asformat(kind)
+    assert np.any(jac.data == 0.0)
+    before = [a.copy() for a in (jac.data, jac.indices, jac.indptr)]
+    factor(jac, grid.plan.order if ordered else None)
+    after = (jac.data, jac.indices, jac.indptr)
+    assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+               for a, b in zip(before, after))
+
+
+@pytest.mark.parametrize("name", sorted(FLATS))
+def test_plan_pattern_is_the_grid_slot_pattern(name):
+    grid = FLATS[name]()
+    factor(flat_jacobian(grid), grid.plan)
+    indptr, indices = grid.plan.pattern
+    assert np.array_equal(indptr, grid.slots.indptr)
+    assert np.array_equal(indices, grid.slots.indices)
+
+
+def test_plan_refuses_any_other_pattern():
+    grid = FLATS["ball3d"]()
+    s, n = grid.slots, grid.ninterior
+    jac = s.matrix(np.random.default_rng(2).uniform(1.0, 2.0, s.indices.size))
+    solve = factor(jac, grid.plan)
+    assert np.allclose(jac @ solve(np.ones(n)), 1.0)
+    # One entry added, outside the pattern: row 0 reaches the last unknown.
+    assert n - 1 not in s.indices[s.indptr[0]:s.indptr[1]]
+    added = jac.tolil()
+    added[0, n - 1] = 1.0
+    # One entry removed.
+    removed = jac.copy()
+    removed.data[s.indptr[1]] = 0.0
+    removed.eliminate_zeros()
+    for other in (added.tocsr(), removed):
+        assert abs(other.nnz - jac.nnz) == 1
+        with pytest.raises(ValueError, match="differs from the plan's"):
+            factor(other, grid.plan)
 
 
 def test_small_grid_is_one_front():
@@ -254,9 +308,10 @@ def test_singular_front_is_not_factored():
     own = plan.order[:plan.ends[0]]
     later = pattern(grid)[own][:, plan.order[plan.bnd[0]]].tocoo()
     p, q = own[later.row[0]], plan.order[plan.bnd[0][later.col[0]]]
-    jac = sp.identity(grid.ninterior, format="lil")
+    jac = grid.slots.matrix(np.zeros(grid.slots.indices.size))
+    jac.setdiag(1.0)
     jac[p, p], jac[q, q], jac[p, q], jac[q, p] = 0.0, 0.0, 1.0, 1.0
-    jac = jac.tocsr()
+    assert jac.nnz == grid.slots.indices.size
     b = np.ones(grid.ninterior)
     assert np.allclose(jac @ spsolve(jac.tocsc(), b), b)
     with pytest.raises(RuntimeError, match="exactly singular"):
@@ -275,7 +330,6 @@ def test_plan_refuses_a_tree_that_does_not_separate():
     for order, ok in (([0, 2, 1], True), ([0, 1, 2], False)):
         plan = _multifrontal.FrontalPlan(np.array(order), np.ones(3, int),
                                          np.array([2, 2, -1]), table)
-        plan.bind(jac.indptr, jac.indices)
         if ok:
             x = factor(jac, plan)(np.ones(3))
             assert np.allclose(jac @ x, 1.0)
@@ -310,7 +364,8 @@ def test_lu_guard_fires_before_the_operators(monkeypatch):
 
 def test_flat_plan_stores_less_than_colamds_fill():
     # The multifrontal factors are dense fronts: 3.13 M doubles at
-    # h = 1/12, where SuperLU's COLAMD LU holds 5.57 M entries.
+    # h = 1/12, where SuperLU's COLAMD LU of the nonzeros holds 5.57 M
+    # entries.
     grid = flatcase.build_flat_grid(3, "ball", h=1 / 12)
     jac = flat_jacobian(grid)
     assert grid.plan.storage <= 0.6 * lu_fill(jac)

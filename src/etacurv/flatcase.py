@@ -18,9 +18,11 @@ at most 64 points or a separator plane is a front, factored by LAPACK's
 dense kernels. The plan is built with the grid and knows the bytes of
 its factors before any operator is assembled; a grid whose LU would take
 more than MAX_LU_BYTES is refused. At h = 1/12 on the 3-d ball the dense
-fronts hold 3.13 M doubles against SuperLU's 2.53 M L+U entries in the
-same order, but dense ``dgetrf`` and ``dgemm`` run at 26 and 63 GF/s on
-one thread where SuperLU reaches about 5: the LU takes 90 ms, not 160.
+fronts hold 3.13 M doubles and take 9.6e8 flops, against SuperLU's
+2.53 M L+U entries and 7.8e8 flops in the same order, but one-thread
+``dgetrf`` reaches 26 GF/s at n = 450 and ``dgemm`` 63 GF/s at n = 600
+where SuperLU runs at about 5 GF/s: the LU takes 90 ms against
+SuperLU's 160 ms.
 """
 
 import math

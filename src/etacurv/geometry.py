@@ -96,7 +96,8 @@ def build_grid(n, mode, resolution):
     slots = SlotTable([sp.identity(theta.size, format="csr")]
                       + [ops[d] for d in ("t", "p", "tt", "tp", "pp")
                          if d in ops])
-    # The axisym Jacobians are tridiagonal and need no fill-reducing order.
+    # An axisym grid stores no order: factor gives its tridiagonal
+    # Jacobians SuperLU's default COLAMD order.
     perm = slots.min_degree_order() if full else None
     return SphereGrid(n=n, mode=mode, ntheta=ntheta, nphi=nphi,
                       theta=theta, phi=phi, ops=ops, slots=slots, perm=perm)

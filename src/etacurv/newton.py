@@ -53,12 +53,8 @@ every Newton step uses, with the order each grid stores when it is built;
 the order picks the kernel, and only SuperLU drops exact zeros.
 A flat grid stores a multifrontal plan over its lattice's
 nested-dissection tree: dense LAPACK LU, solve and update steps on each
-front (``_multifrontal``). On the 3-d ball at h = 1/12 its dense fronts
-hold 3.13 M doubles and take 9.6e8 flops, against SuperLU's 2.53 M L+U
-entries and 7.8e8 flops in the same order, but SuperLU runs at about
-5 GF/s where one-thread ``dgetrf`` reaches 26 GF/s at n = 450 and
-``dgemm`` 63 GF/s at n = 600: the plan factors in 90 ms against
-SuperLU's 160 ms. A full-2d sphere grid keeps SuperLU on its
+front (``_multifrontal``; the flatcase docstring gives why it is faster
+than SuperLU there). A full-2d sphere grid keeps SuperLU on its
 minimum-degree order: a lattice dissection there doubles the fill, as the
 periodic and across-pole couplings cross its planes. An axisym grid and
 a matrix given without an order get SuperLU's COLAMD.
@@ -150,9 +146,11 @@ class SlotTable:
     scipy's products and sums drop one. Every Jacobian of a grid thus has
     the grid's pattern, whatever its values.
 
-    The operators are never modified: a slot whose rows hold unsorted
-    columns (a product such as t @ p) is sorted in a copy, because sorting
-    a live operator changes how its products with vectors round.
+    A slot is used as it is, also one whose rows hold unsorted columns
+    (a product such as t @ p): each entry finds its pattern position by
+    its own key, and the operators are never modified, because sorting a
+    live operator changes how its products with vectors round. A slot
+    that repeats an entry is refused (ValueError).
     """
 
     def __init__(self, mats):
@@ -163,12 +161,9 @@ class SlotTable:
         for m in map(sp.csr_matrix, mats):
             count = np.diff(m.indptr)
             key = np.repeat(rowkey, count) + m.indices
-            if np.any(np.diff(key) <= 0):
-                m = m.copy()
-                m.sort_indices()
-                key = np.repeat(rowkey, count) + m.indices
-                if np.any(np.diff(key) == 0):
-                    raise ValueError("slot operators must not repeat an entry")
+            if (np.any(np.diff(key) <= 0)
+                    and np.any(np.diff(np.sort(key)) == 0)):
+                raise ValueError("slot operators must not repeat an entry")
             keys.append(key)
             parts.append((count, m.data))
         union = np.sort(np.concatenate(keys))

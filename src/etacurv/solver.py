@@ -55,6 +55,8 @@ RHO_MARGIN = 0.1        # Newton iterates may leave [r1, r2] by this fraction
 # Grow dt after a Newton solve with at most this many LUs (for exact
 # Newton, one per iteration).
 EASY_FACTORIZATIONS = 3
+# Random directions validate_conditions samples, besides the 2(n + 1) axes.
+CONDITION_SAMPLES = 64
 
 
 @dataclass
@@ -67,10 +69,12 @@ class HomotopyRun:
     dt_min: float = 1e-4
     dt_max: float = 1.0
     newton: NewtonConfig = field(default_factory=NewtonConfig)
-    monitor_A: float = 2.0
-    monitor_alpha: float = None    # default 2 * max|X|^2, set per state
     trace: list = field(default_factory=list)
     conditions: object = None      # ConditionsReport of the last solve
+    # The monitors' proof constants: verify.estimate_report's defaults,
+    # fixed rather than settings.
+    monitor_A = 2.0
+    monitor_alpha = None           # 2 * max|X|^2, set per state
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
@@ -132,7 +136,7 @@ def _sphere_sigma_k(data, n, k):
     return const
 
 
-def validate_conditions(data, n, k, samples=64):
+def validate_conditions(data, n, k):
     """Report-only check of the barrier and monotonicity inequalities.
 
     Fails where a sampled value of f, a difference quotient or the scale
@@ -140,7 +144,7 @@ def validate_conditions(data, n, k, samples=64):
     there, and its margin may be NaN or infinite.
     """
     const = _sphere_sigma_k(data, n, k)
-    dirs = _sample_directions(n, samples)
+    dirs = _sample_directions(n, CONDITION_SAMPLES)
 
     # d/drho (rho^k f(rho w, nu)) over sample rays, central differences with
     # one call of f per side for all radii: both sides at once use 2x memory.
@@ -260,7 +264,12 @@ def _jac_full(grid, jet, data, k):
     operator, so d sigma_k = tr(C dA) for C = tr(T) I - T and T the Newton
     tensor T_(k-1)(H I - A), as in flatcase.flat_jacobian. With
     dA = g^-1 dh - g^-1 dg A, the coefficients of dh and dg are
-    m_h = C g^-1 and m_g = -A m_h.
+    m_h = C g^-1 and m_g = -A m_h. Slot s (rho, then its t, p, tt, tp
+    and pp differences) moves g by dg_s and h = N / w by
+    dh_s = (dN_s - h dW_s) / w, N being h's numerator in
+    geometry._fundamental_forms. dg_s and dN_s are symmetric, so each
+    slot's coefficient is m00 d00 + (m01 + m10) d01 + m11 d11 written out,
+    and q = <m_h, h> carries the dW terms.
     """
     raw = jet.raw
     rho = jet.rho
@@ -269,7 +278,6 @@ def _jac_full(grid, jet, data, k):
     w = raw["w"]
     g, h = raw["g"], raw["h"]
     s_tt, s_tp, s_pp = raw["s_tt"], raw["s_tp"], raw["s_pp"]
-    npts = rho.size
 
     eye = np.eye(2)
     ginv = _inv2(g)
@@ -279,44 +287,22 @@ def _jac_full(grid, jet, data, k):
     m_h = (np.einsum("naa->n", t)[:, None, None] * eye - t) @ ginv
     m_g = -a @ m_h
 
-    zeros = np.zeros(npts)
-
-    def mat(a11, a12, a22):
-        out = np.empty((npts, 2, 2))
-        out[:, 0, 0] = a11
-        out[:, 0, 1] = out[:, 1, 0] = a12
-        out[:, 1, 1] = a22
-        return out
-
-    dg = {
-        0: mat(2 * rho, zeros, 2 * rho * st**2),
-        1: mat(2 * rt, rp, zeros),
-        2: mat(zeros, rt, 2 * rp),
-    }
-    dT = {
-        0: mat(2 * rho - s_tt, -s_tp, 2 * rho * st**2 - s_pp),
-        1: mat(4 * rt, 2 * rp, -rho * st * ct),
-        2: mat(zeros, 2 * rt + rho * ct / st, 4 * rp),
-        3: mat(-rho, zeros, zeros),
-        4: mat(zeros, -rho, zeros),
-        5: mat(zeros, zeros, -rho),
-    }
-    dW = {0: rho / w, 1: rt / w, 2: rp / (st**2 * w)}
-
-    coef_sig = {}
-    for s in range(6):
-        dh = dT[s].copy()
-        if s in dW:
-            dh -= h * dW[s][:, None, None]
-        dh /= w[:, None, None]
-        coef = np.einsum("nab,nab->n", m_h, dh)
-        if s in dg:
-            coef += np.einsum("nab,nab->n", m_g, dg[s])
-        coef_sig[s] = coef
-
-    j_sig = grid.slots.accumulate([coef_sig[s] for s in range(6)])
-    dV = [raw["x"], -raw["e_t"], -raw["e_p"] / st[:, None] ** 2]
-    return j_sig, _jac_f_term(jet, data, dV, dW)
+    h00, h11, h01 = m_h[:, 0, 0], m_h[:, 1, 1], m_h[:, 0, 1] + m_h[:, 1, 0]
+    g00, g11, g01 = m_g[:, 0, 0], m_g[:, 1, 1], m_g[:, 0, 1] + m_g[:, 1, 0]
+    q = np.einsum("nab,nab->n", m_h, h)
+    st2 = st**2
+    dW = [rho / w, rt / w, rp / (st2 * w)]
+    coefs = [
+        (h00 * (2 * rho - s_tt) - h01 * s_tp + h11 * (2 * rho * st2 - s_pp)
+         - q * dW[0]) / w + 2 * rho * (g00 + g11 * st2),
+        (4 * rt * h00 + 2 * rp * h01 - rho * st * ct * h11 - q * dW[1]) / w
+        + 2 * rt * g00 + rp * g01,
+        ((2 * rt + rho * ct / st) * h01 + 4 * rp * h11 - q * dW[2]) / w
+        + rt * g01 + 2 * rp * g11,
+        -rho * h00 / w, -rho * h01 / w, -rho * h11 / w,
+    ]
+    dV = [raw["x"], -raw["e_t"], -raw["e_p"] / st2[:, None]]
+    return grid.slots.accumulate(coefs), _jac_f_term(jet, data, dV, dW)
 
 
 def _jac_axisym(grid, jet, data, k):
@@ -339,31 +325,24 @@ def _jac_axisym(grid, jet, data, k):
     s = symm.sigma_excl_batch(kap.sum(axis=1, keepdims=True) - kap, k - 1)
     cm, cp = (s.sum(axis=1, keepdims=True) - s)[:, :2].T
 
+    # Slots rho, rt, rtt: kap_m = num_m / w^3 and kap_p = num_p / (rho w)
+    # move with all three and with the first two.
     num_m = rho**2 + 2 * rt**2 - rho * rtt
     cot = ct / st
     num_p = rho - rt * cot
-
-    dkm = {
-        0: (2 * rho - rtt) / w**3 - 3 * rho * num_m / w**5,
-        1: 4 * rt / w**3 - 3 * rt * num_m / w**5,
-        2: -rho / w**3,
-    }
     d_rw_drho = w + rho**2 / w
     d_rw_drt = rho * rt / w
-    dkp = {
-        0: 1.0 / (rho * w) - num_p * d_rw_drho / (rho * w) ** 2,
-        1: -cot / (rho * w) - num_p * d_rw_drt / (rho * w) ** 2,
-    }
-
-    coef_sig = {
-        0: cm * dkm[0] + (n - 1) * cp * dkp[0],
-        1: cm * dkm[1] + (n - 1) * cp * dkp[1],
-        2: cm * dkm[2],
-    }
-
-    j_sig = grid.slots.accumulate([coef_sig[s] for s in range(3)])
-    return j_sig, _jac_f_term(jet, data, [raw["x"], -raw["e_t"]],
-                              [rho / w, rt / w])
+    coefs = [
+        cm * ((2 * rho - rtt) / w**3 - 3 * rho * num_m / w**5)
+        + (n - 1) * cp * (1.0 / (rho * w)
+                          - num_p * d_rw_drho / (rho * w) ** 2),
+        cm * (4 * rt / w**3 - 3 * rt * num_m / w**5)
+        + (n - 1) * cp * (-cot / (rho * w)
+                          - num_p * d_rw_drt / (rho * w) ** 2),
+        cm * (-rho / w**3),
+    ]
+    return grid.slots.accumulate(coefs), _jac_f_term(
+        jet, data, [raw["x"], -raw["e_t"]], [rho / w, rt / w])
 
 
 def assemble_jacobian(grid, rho, data, k, *, jet=None, fields=None):
@@ -441,8 +420,7 @@ def continue_to_target(grid, data, run, k):
         of its jet, and returns its rho and NewtonReport."""
         data_t = homotopy_f(data, n, k, run.epsilon, t_val)
         jet, report = newton_solve(grid, rho0, data_t, k, config=run.newton)
-        monitors = verify.estimate_report(jet, data_t, k, A=run.monitor_A,
-                                          alpha=run.monitor_alpha)
+        monitors = verify.estimate_report(jet, data_t, k)
         run.trace.append({
             "t": t_val,
             "newton_iterations": report.iterations,

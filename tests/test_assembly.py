@@ -181,8 +181,16 @@ def half_zero_coefficients(mats):
 def test_repeated_entries_rejected():
     m = sp.csr_matrix((np.ones(2), np.array([0, 0]), np.array([0, 2, 2])),
                       shape=(2, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must not repeat an entry"):
         SlotTable([m])
+
+
+def test_repeated_entry_in_an_unsorted_row_rejected():
+    # Row 0 holds columns 1, 0, 1: the repeat is not adjacent.
+    m = sp.csr_matrix((np.ones(3), np.array([1, 0, 1]), np.array([0, 3, 3])),
+                      shape=(2, 2))
+    with pytest.raises(ValueError, match="must not repeat an entry"):
+        SlotTable([sp.identity(2, format="csr"), m])
 
 
 def round_data(t):
@@ -237,6 +245,11 @@ def test_operators_untouched(mode, sizes, n):
     place would change how ops["tp"] @ rho rounds and so every jet.
     """
     g = geometry.build_grid(n, mode, sizes)
+    if "tp" in g.ops:       # the table took it as an unsorted slot
+        tp = g.ops["tp"]
+        rows = np.repeat(np.arange(tp.shape[0]), np.diff(tp.indptr))
+        step = np.diff(tp.indices)
+        assert np.any((step <= 0) & (rows[1:] == rows[:-1]))
     fresh = geometry._build_ops(g.ntheta, g.nphi, np.pi / g.ntheta,
                                 2 * np.pi / g.nphi)
     data = solver.PrescribedData(

@@ -248,6 +248,20 @@ class TestJacobian:
         jf = _fd_jacobian(g, rho, round_data, k)
         assert np.abs(ja - jf).max() / (1 + np.abs(jf).max()) < 1e-7
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_full_2d_matches_fd_off_umbilics(self, round_data, k):
+        # Degree-2 terms make the covariant Hessian's s_tp nonzero and
+        # C g^-1 unsymmetric, which a sphere moved by degree-1 terms, nearly
+        # umbilic, leaves unchecked.
+        g = geometry.build_grid(2, "full-2d", (16, 8))
+        st, ct = np.sin(g.theta), np.cos(g.theta)
+        rho = (1.2 + 0.05 * st**2 * np.sin(2 * g.phi)
+               + 0.04 * st * ct * np.cos(g.phi) + 0.03 * ct**2)
+        ja = solver.assemble_jacobian(g, rho, round_data, k)
+        ja = np.asarray(ja.todense())
+        jf = _fd_jacobian(g, rho, round_data, k)
+        assert np.abs(ja - jf).max() / (1 + np.abs(jf).max()) < 1e-7
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_axisym_matches_fd(self, round_data, n):
         g = geometry.build_grid(n, "axisym-1d", (48,))

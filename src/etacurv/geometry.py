@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainError
-from .newton import MAX_NODES, SlotTable
+from .newton import MAX_NODES, SlotTable, TridiagonalPlan
 from . import symm
 
 __all__ = ["SphereGrid", "SurfaceJet", "build_grid", "surface_jet",
@@ -43,7 +43,8 @@ class SphereGrid:
     phi: np.ndarray            # per-node longitude (zeros in axisym mode)
     ops: dict = field(repr=False)   # sparse differentiation matrices
     slots: SlotTable = field(repr=False)    # pattern of the Jacobians
-    perm: np.ndarray = field(repr=False)    # their LU order, None in axisym
+    # Their LU order (full-2d) or tridiagonal LU plan (axisym-1d).
+    perm: object = field(repr=False)
 
     @property
     def nnodes(self):
@@ -96,9 +97,9 @@ def build_grid(n, mode, resolution):
     slots = SlotTable([sp.identity(theta.size, format="csr")]
                       + [ops[d] for d in ("t", "p", "tt", "tp", "pp")
                          if d in ops])
-    # An axisym grid stores no order: factor gives its tridiagonal
-    # Jacobians SuperLU's default COLAMD order.
-    perm = slots.min_degree_order() if full else None
+    # An axisym grid's Jacobians are tridiagonal (the pole ghost is the
+    # node itself): factor gives them LAPACK's banded LU through its plan.
+    perm = slots.min_degree_order() if full else TridiagonalPlan(slots)
     return SphereGrid(n=n, mode=mode, ntheta=ntheta, nphi=nphi,
                       theta=theta, phi=phi, ops=ops, slots=slots, perm=perm)
 

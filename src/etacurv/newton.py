@@ -56,8 +56,12 @@ nested-dissection tree: dense LAPACK LU, solve and update steps on each
 front (``_multifrontal``; the flatcase docstring gives why it is faster
 than SuperLU there). A full-2d sphere grid keeps SuperLU on its
 minimum-degree order: a lattice dissection there doubles the fill, as the
-periodic and across-pole couplings cross its planes. An axisym grid and
-a matrix given without an order get SuperLU's COLAMD.
+periodic and across-pole couplings cross its planes. An axisym grid's
+Jacobians are tridiagonal, and it stores a ``TridiagonalPlan``: LAPACK's
+banded LU with partial pivoting (``dgttrf``/``dgttrs``; Anderson et al.,
+LAPACK Users' Guide, 3rd ed., 1999), which factors a 128-node Jacobian
+in about a seventh of SuperLU's time: SuperLU's cost there is its
+per-call set-up. A matrix given without an order gets SuperLU's COLAMD.
 """
 
 import math
@@ -65,14 +69,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import spilu, splu
 
 from .errors import (ConeViolationError, ConfigError, DomainError,
                      LUOutOfMemory, NewtonDiverged, ConeExit,
                      PreconditionError)
 
-__all__ = ["NewtonConfig", "NewtonReport", "SlotTable", "damped_newton",
-           "factor", "fd_data_derivs", "form_residual", "solve_config"]
+__all__ = ["NewtonConfig", "NewtonReport", "SlotTable", "TridiagonalPlan",
+           "damped_newton", "factor", "fd_data_derivs", "form_residual",
+           "solve_config"]
 
 MAX_BACKTRACKS = 6      # smallest step fraction tried is 2**-6 = 1/64
 STALL_STEPS = 3         # accepted steps in a row without a decrease: stop
@@ -95,9 +101,9 @@ class NewtonConfig:
 
     tol: float = 1e-10
     max_iter: int = 40
-    # Order of the unknowns for the LU, a permutation or a flat grid's
-    # multifrontal plan (see factor); the pipelines set it to their grid's,
-    # no config key reads it.
+    # Order of the unknowns for the LU, a permutation or a grid's plan, a
+    # flat grid's multifrontal or an axisym grid's tridiagonal one (see
+    # factor); the pipelines set it to their grid's, no config key reads it.
     perm: object = field(default=None, repr=False, compare=False)
     # Size of the data the tolerance is relative to, a callable of the
     # first state; the pipelines set it with solve_config, no config key does.
@@ -225,13 +231,58 @@ class SlotTable:
         return self.matrix(j_sig - j_f)
 
 
+class TridiagonalPlan:
+    """LAPACK's tridiagonal LU of matrices on one full band pattern.
+
+    The pattern is a ``SlotTable``'s, and it must hold every entry (i, j)
+    with |i - j| <= 1 and no other: 3 n - 2 entries (ValueError if not).
+    ``factor`` reads the three diagonals by position on it.
+    """
+
+    def __init__(self, slots):
+        n = slots.shape[0]
+        rows = np.repeat(np.arange(n), slots.counts)
+        off = slots.indices - rows
+        if slots.indices.size != 3 * n - 2 or np.any(np.abs(off) > 1):
+            raise ValueError(f"pattern is not the full tridiagonal band of "
+                             f"{3 * n - 2} entries")
+        self.pattern = slots.indptr, slots.indices
+        # Pattern positions of the sub-, main and super-diagonal, in order.
+        self.diagonals = [np.flatnonzero(off == d) for d in (-1, 0, 1)]
+
+    def factor(self, jac):
+        """The solver of jac x = b, factored once: a function of b.
+
+        jac is a sparse matrix with exactly the plan's pattern: in CSR
+        form, the plan's indptr and indices, explicit zeros included.
+        Raises ValueError on any other pattern, and RuntimeError on an
+        exactly singular matrix.
+        """
+        jac = sp.csr_matrix(jac)
+        if not all(map(np.array_equal, (jac.indptr, jac.indices),
+                       self.pattern)):
+            raise ValueError("matrix pattern differs from the plan's")
+        # Indexing copies: dgttrf overwrites the copies, never jac.
+        dl, d, du = (jac.data[pos] for pos in self.diagonals)
+        *lu, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1,
+                           overwrite_du=1)
+        if info > 0:
+            raise RuntimeError("Factor is exactly singular")
+
+        def solve(b):
+            return dgttrs(*lu, b)[0]
+        return solve
+
+
 def factor(jac, perm=None):
     """The solver of jac x = b, factored once: a function of b.
 
-    jac is a sparse matrix or a dense array, never modified. With a flat
-    grid's ``FrontalPlan`` as ``perm``, the plan factors jac, which must
-    have exactly its pattern, front by front on LAPACK's dense kernels,
-    and raises RuntimeError where a front's own block is exactly singular.
+    jac is a sparse matrix or a dense array, never modified. With a
+    grid's plan as ``perm``, the plan factors jac, which must have exactly
+    its pattern: a flat grid's ``FrontalPlan`` front by front on LAPACK's
+    dense kernels, raising RuntimeError where a front's own block is
+    exactly singular, and an axisym grid's ``TridiagonalPlan`` by LAPACK's
+    ``dgttrf``, raising RuntimeError on an exactly singular matrix.
     Otherwise SuperLU factors a copy of jac with its exact zeros dropped.
     With a permutation ``perm`` (new -> old, as stored on a sphere grid),
     the copy is the transpose of A = jac[perm][:, perm], factored with no
@@ -248,7 +299,7 @@ def factor(jac, perm=None):
         jac = sp.csc_matrix(jac, copy=True)
         jac.eliminate_zeros()
         return splu(jac).solve
-    if not isinstance(perm, np.ndarray):     # a flat grid's plan
+    if not isinstance(perm, np.ndarray):     # a grid's plan
         return perm.factor(jac)
     # Unnamed CSR copies: only the permuted one is alive during splu.
     a = sp.csr_matrix(jac)[perm][:, perm]

@@ -11,6 +11,7 @@ Admissibility of the data is checked first: the inner/outer barrier
 inequalities on |X| = r1, r2 and the radial monotonicity of rho^k f.
 """
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field, replace
 
@@ -104,13 +105,17 @@ class ConditionsReport:
         return asdict(self)
 
 
+@functools.cache
 def _sample_directions(n, samples):
-    """Deterministic direction sample on S^n in R^(n+1), axes included."""
+    """Deterministic direction sample on S^n in R^(n+1), axes included;
+    made once per (n, samples) and read-only."""
     rng = np.random.default_rng(20240817)
     dirs = rng.standard_normal((samples, n + 1))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     axes = np.vstack([np.eye(n + 1), -np.eye(n + 1)])
-    return np.vstack([axes, dirs])
+    out = np.vstack([axes, dirs])
+    out.setflags(write=False)
+    return out
 
 
 def _sphere_sigma_k(data, n, k):
@@ -182,7 +187,8 @@ def validate_conditions(data, n, k):
 
 
 def homotopy_f(data, n, k, epsilon, t):
-    """Blend the target data with the solvable round-sphere problem."""
+    """Blend the target data with the solvable round-sphere problem; at
+    t = 1 that is ``data`` itself, once t and epsilon are checked."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"homotopy parameter t={t} outside [0, 1]")
     const = _sphere_sigma_k(data, n, k)
@@ -196,6 +202,8 @@ def homotopy_f(data, n, k, epsilon, t):
             f"epsilon={epsilon} too large: homotopy factor reaches "
             f"{floor:.3g} at rho={data.r2}"
         )
+    if t == 1.0:
+        return data
     target = data.f
 
     def blended(x, nu):

@@ -540,17 +540,41 @@ def test_singular_jacobian_exits_4(tmp_path, monkeypatch):
     assert len(err["residual_history"]) == 1
 
 
+AXISYM_CFG = dict(SURFACE_CFG, grid={"mode": "axisym-1d", "sizes": [32]})
+
+
+def test_singular_axisym_jacobian_exits_4(tmp_path, monkeypatch):
+    # The tridiagonal LU raises RuntimeError on an exactly singular
+    # Jacobian; it must end in exit 4, not a traceback. At k = 1 the round
+    # start's residual is 4.4e-16, not 0: a tolerance below it makes the
+    # t = 0 solve factor a Jacobian, where no smaller t step can retry.
+    monkeypatch.setattr(solver, "assemble_jacobian",
+                        lambda grid, rho, data, k, **kw: grid.slots.matrix(
+                            np.zeros(grid.slots.indices.size)))
+    cfg = dict(AXISYM_CFG, k=1, newton={"tol": 1e-300, "max_iter": 40})
+    r, out = _solve_surface(tmp_path, cfg)
+    assert r.exit_code == 4, (r.output, r.exception)
+    assert "Traceback" not in r.output
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "NewtonDiverged"
+    assert "Jacobian not factored" in err["message"]
+    assert err["factorizations"] == 0
+    assert len(err["residual_history"]) == 1
+
+
 @pytest.mark.parametrize("command,cfg,unknowns,kernel", [
     ("solve-flat", FLAT_CFG,
      flatcase.build_flat_grid(2, "ball", h=0.125).ninterior,
      (_multifrontal.FrontalPlan, "factor")),
     ("solve-surface", SURFACE_CFG, 32 * 16, (newton, "splu")),
-], ids=["flat", "surface"])
+    ("solve-surface", AXISYM_CFG, 32, (newton, "dgttrf")),
+], ids=["flat", "surface", "axisym"])
 def test_lu_out_of_memory_exits_4(tmp_path, monkeypatch, command, cfg,
                                   unknowns, kernel):
     # An LU too large for memory ends in exit 4 at its first factorization:
     # a smaller homotopy step would factor a matrix of the same size. The
-    # flat factors by the multifrontal plan, the sphere grids by SuperLU.
+    # flat factors by the multifrontal plan, the full-2d grid by SuperLU
+    # and the axisym grid by LAPACK's tridiagonal LU.
     calls = []
 
     def fail(*args, **kw):

@@ -3,9 +3,10 @@
 A flat grid orders its unknowns by nested dissection of the lattice and
 factors by the multifrontal plan over that dissection's tree; a full-2d
 sphere grid orders them by SuperLU's minimum degree on its Jacobian
-pattern. ``factor`` solves in that order and must agree with ``spsolve``
-in the natural one. With a permutation, it factors the transpose, so
-each test checks that it solves J x = b and not Jᵀ x = b.
+pattern; an axisym grid factors its tridiagonal Jacobians by LAPACK's
+banded LU. ``factor`` solves in that order and must agree with
+``spsolve`` in the natural one. With a permutation, it factors the
+transpose, so each test checks that it solves J x = b and not Jᵀ x = b.
 """
 
 import re
@@ -19,7 +20,8 @@ from scipy.sparse.linalg import splu, spsolve
 
 from etacurv import _multifrontal, flatcase, geometry, solver
 from etacurv.errors import NewtonDiverged
-from etacurv.newton import NewtonConfig, damped_newton, factor
+from etacurv.newton import (NewtonConfig, SlotTable, TridiagonalPlan,
+                            damped_newton, factor)
 
 FLATS = {
     "ball2d": lambda: flatcase.build_flat_grid(2, "ball", h=1 / 16),
@@ -122,8 +124,116 @@ def test_min_degree_order_is_superlus():
     assert np.array_equal(grid.perm, np.argsort(lu.perm_c))
 
 
-def test_axisym_grid_has_no_order():
-    assert geometry.build_grid(3, "axisym-1d", 32).perm is None
+def test_axisym_grid_stores_a_tridiagonal_plan():
+    grid = geometry.build_grid(3, "axisym-1d", 32)
+    assert isinstance(grid.perm, TridiagonalPlan)
+    indptr, indices = grid.perm.pattern
+    assert np.array_equal(indptr, grid.slots.indptr)
+    assert np.array_equal(indices, grid.slots.indices)
+
+
+def band(n):
+    """The full tridiagonal band of n unknowns, in CSR."""
+    return sp.diags([np.ones(n - 1), np.ones(n), np.ones(n - 1)],
+                    [-1, 0, 1], format="csr")
+
+
+@pytest.mark.parametrize("ntheta", [8, 9, 128])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_axisym_pattern_is_the_full_band(n, ntheta):
+    # The pole rows' ghost is the node itself: no entry leaves the band.
+    slots = geometry.build_grid(n, "axisym-1d", ntheta).slots
+    want = band(ntheta)
+    assert slots.indices.size == 3 * ntheta - 2
+    assert np.array_equal(slots.indptr, want.indptr)
+    assert np.array_equal(slots.indices, want.indices)
+
+
+def test_tridiagonal_plan_refuses_other_patterns():
+    full = SPHERES["full16x16"]().slots
+    short = SlotTable([sp.identity(8, format="csr")])
+    for slots in (full, short):
+        with pytest.raises(ValueError, match="not the full tridiagonal band"):
+            TridiagonalPlan(slots)
+
+
+@st.composite
+def band_systems(draw):
+    """(grid, J, b): an axisym grid of drawn n and ntheta, J on its slot
+    pattern with explicit zeros in some draws, and b a random right-hand
+    side. Rows of disjoint pairs (i, i + 1) hold [[d, c], [c', e]] with a
+    zero or tiny d and |c|, |c'| in [2, 3]: partial pivoting must swap
+    the rows. The other rows are diagonally dominant, so J stays well
+    conditioned."""
+    grid = geometry.build_grid(draw(st.integers(2, 6)), "axisym-1d",
+                               draw(st.integers(8, 200)))
+    n = grid.ntheta
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = sp.diags([rng.uniform(-0.3, 0.3, n - 1), np.zeros(n),
+                  rng.uniform(-0.3, 0.3, n - 1)], [-1, 0, 1]).toarray()
+    a[np.abs(a) < draw(st.sampled_from([0.0, 0.1]))] = 0.0
+    weak = np.zeros(n, dtype=bool)
+    pairs = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    i = 0
+    while i < n - 1:
+        if rng.random() < pairs:
+            a[i, i] = rng.choice([0.0, rng.uniform(-1e-3, 1e-3)])
+            a[i, i + 1], a[i + 1, i] = rng.choice([-1, 1], 2) * rng.uniform(
+                2.0, 3.0, 2)
+            a[i + 1, i + 1] = rng.uniform(-0.5, 0.5)
+            weak[i:i + 2] = True
+            i += 2
+        else:
+            i += 1
+    dominant = np.abs(a).sum(axis=1) + rng.uniform(1.0, 2.0, n)
+    a[~weak, ~weak] = dominant[~weak]
+    s = grid.slots
+    rows = np.repeat(np.arange(n), s.counts)
+    return grid, s.matrix(a[rows, s.indices]), rng.standard_normal(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(band_systems())
+def test_tridiagonal_plan_solves_like_spsolve(system):
+    grid, jac, b = system
+    before = [a.copy() for a in (jac.data, jac.indices, jac.indptr)]
+    ref = spsolve(jac.tocsc(), b)
+    x = factor(jac, grid.perm)(b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    # The factors are taken from copies: jac is as it was.
+    assert all(p.tobytes() == q.tobytes()
+               for p, q in zip(before, (jac.data, jac.indices, jac.indptr)))
+
+
+def test_tridiagonal_plan_refuses_any_other_pattern():
+    grid = geometry.build_grid(3, "axisym-1d", 16)
+    s, n = grid.slots, grid.ntheta
+    jac = s.matrix(np.random.default_rng(2).uniform(1.0, 2.0, s.indices.size))
+    solve = factor(jac, grid.perm)
+    assert np.allclose(jac @ solve(np.ones(n)), 1.0)
+    added = jac.tolil()
+    added[0, n - 1] = 1.0
+    removed = jac.copy()
+    removed.data[s.indptr[1]] = 0.0
+    removed.eliminate_zeros()
+    for other in (added.tocsr(), removed):
+        assert abs(other.nnz - jac.nnz) == 1
+        with pytest.raises(ValueError, match="differs from the plan's"):
+            factor(other, grid.perm)
+
+
+def test_singular_band_is_not_factored():
+    # Row 5 is all explicit zeros, the rest the identity.
+    grid = geometry.build_grid(2, "axisym-1d", 12)
+    jac = grid.slots.matrix(np.zeros(grid.slots.indices.size))
+    jac.setdiag(1.0)
+    jac.data[jac.indptr[5]:jac.indptr[6]] = 0.0
+    assert jac.nnz == 3 * 12 - 2
+    with pytest.raises(RuntimeError, match="exactly singular"):
+        factor(jac, grid.perm)
+    with pytest.raises(NewtonDiverged, match="Jacobian not factored"):
+        damped_newton(np.zeros(12), lambda x: (jac @ x - 1.0, x),
+                      lambda x: jac, NewtonConfig(perm=grid.perm))
 
 
 @pytest.mark.parametrize("name", sorted(FLATS))

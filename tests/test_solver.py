@@ -174,6 +174,13 @@ def test_stacked_conditions_equal_the_loop(case):
     assert repr(got) == repr(_conditions_by_loop(data, n, k))
 
 
+def test_condition_sample_is_made_once_and_read_only():
+    dirs = solver._sample_directions(3, 64)
+    assert dirs is solver._sample_directions(3, 64)
+    assert dirs.shape == (2 * 4 + 64, 4) and not dirs.flags.writeable
+    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
+
+
 class TestHomotopy:
     def test_t0_round_is_exact(self, round_data):
         g = geometry.build_grid(2, "full-2d", (16, 16))
@@ -182,11 +189,14 @@ class TestHomotopy:
         assert np.abs(res).max() < 1e-12
 
     def test_t1_is_target(self, round_data):
-        data1 = solver.homotopy_f(round_data, 2, 2, 0.01, 1.0)
-        x = np.array([[1.3, 0.0, 0.0]])
-        nu = np.array([[1.0, 0.0, 0.0]])
-        assert data1.f(x, nu) == pytest.approx(round_data.f(x, nu),
-                                               rel=1e-14)
+        # The round-sphere term's weight is 0 at t = 1: no blend is made.
+        assert solver.homotopy_f(round_data, 2, 2, 0.01, 1.0) is round_data
+
+    def test_t1_still_checks_epsilon(self):
+        data = solver.PrescribedData(f=power_decay(1.25, 3),
+                                     r1=0.5, r2=4.0)
+        with pytest.raises(ConfigError):
+            solver.homotopy_f(data, 2, 2, 0.2, 1.0)
 
     def test_midpoint_blend_value(self, round_data):
         # at |X| = 1 the epsilon term vanishes; C(2,2)*1^2 = 1
@@ -905,7 +915,8 @@ class TestContinuation:
         # and the answer were recorded from the scaled stop test, with LU
         # factors kept across Newton iterations, under the default root
         # form and the homotopy from t = 1 (dt0 = dt_max = 1), with the
-        # data differenced once along each Jacobian slot.
+        # data differenced once along each Jacobian slot and the Jacobians
+        # factored by LAPACK's tridiagonal LU.
         n, k, radius = 5, 4, 1.2
         const = math.comb(n, k) * (n - 1) ** k * radius
         data = solver.PrescribedData(f=power_decay(const, k + 1),
@@ -937,7 +948,7 @@ class TestContinuation:
             (1.0, 6, 3, 5.924150059399835e-13),
         ]
         assert hashlib.sha256(rho.tobytes()).hexdigest() == (
-            "ed64800e9b7348dd641e39520dc41a8a9ca3ec622200f8b143fe6c90ac081c40")
+            "a64b419864f6ed3759a7b60303db7796c40936f2297c409c2d546cf28a94c138")
         assert len(failed) == 0
         assert np.abs(rho - radius).max() < 1e-10
 

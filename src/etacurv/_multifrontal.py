@@ -19,9 +19,10 @@ which the plan knows before any arithmetic.
 """
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.blas import dgemm, dtrsm
 from scipy.linalg.lapack import dgetrf, dgetrs
+
+from .newton import on_pattern
 
 
 NOT_SEPARATED = ("a child's boundary leaves its parent's front: the tree "
@@ -227,10 +228,7 @@ class FrontalPlan:
         """
         if self.maps is None:
             self._place()
-        jac = sp.csr_matrix(jac)
-        if not all(map(np.array_equal, (jac.indptr, jac.indices),
-                       self.pattern)):
-            raise ValueError("matrix pattern differs from the plan's")
+        jac = on_pattern(jac, self.pattern)
         store = np.zeros(self.storage)
         store[self.dest] = jac.data
         # Each update is added into its parent as soon as it is made; a

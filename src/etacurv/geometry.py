@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainError
-from .newton import MAX_NODES, SlotTable, TridiagonalPlan
+from .newton import MAX_NODES, SlotTable, SuperLUPlan, TridiagonalPlan
 from . import symm
 
 __all__ = ["SphereGrid", "SurfaceJet", "build_grid", "surface_jet",
@@ -43,8 +43,9 @@ class SphereGrid:
     phi: np.ndarray            # per-node longitude (zeros in axisym mode)
     ops: dict = field(repr=False)   # sparse differentiation matrices
     slots: SlotTable = field(repr=False)    # pattern of the Jacobians
-    # Their LU order (full-2d) or tridiagonal LU plan (axisym-1d).
-    perm: object = field(repr=False)
+    # Their LU plan: SuperLU in minimum-degree order (full-2d), LAPACK's
+    # tridiagonal LU (axisym-1d).
+    plan: object = field(repr=False)
 
     @property
     def nnodes(self):
@@ -97,11 +98,13 @@ def build_grid(n, mode, resolution):
     slots = SlotTable([sp.identity(theta.size, format="csr")]
                       + [ops[d] for d in ("t", "p", "tt", "tp", "pp")
                          if d in ops])
-    # An axisym grid's Jacobians are tridiagonal (the pole ghost is the
-    # node itself): factor gives them LAPACK's banded LU through its plan.
-    perm = slots.min_degree_order() if full else TridiagonalPlan(slots)
+    # Full-2d keeps SuperLU: a lattice dissection doubles the fill, as the
+    # periodic and across-pole couplings cross its planes. Axisym Jacobians
+    # are tridiagonal: the pole ghost is the node itself.
+    plan = (SuperLUPlan(slots.min_degree_order()) if full
+            else TridiagonalPlan(slots))
     return SphereGrid(n=n, mode=mode, ntheta=ntheta, nphi=nphi,
-                      theta=theta, phi=phi, ops=ops, slots=slots, perm=perm)
+                      theta=theta, phi=phi, ops=ops, slots=slots, plan=plan)
 
 
 def _build_ops(ntheta, nphi, dth, dph):

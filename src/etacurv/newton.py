@@ -48,20 +48,10 @@ and f fields and the Jacobian data of each. ``fd_data_derivs`` gives the
 derivatives of f along the moves a Jacobian makes in f's arguments, one
 central difference and one call of f per move.
 ``SlotTable`` is the one sparsity pattern every Jacobian of a grid has,
-whatever its values, and ``factor`` the one linear-solve entry point
-every Newton step uses, with the order each grid stores when it is built;
-the order picks the kernel, and only SuperLU drops exact zeros.
-A flat grid stores a multifrontal plan over its lattice's
-nested-dissection tree: dense LAPACK LU, solve and update steps on each
-front (``_multifrontal``; the flatcase docstring gives why it is faster
-than SuperLU there). A full-2d sphere grid keeps SuperLU on its
-minimum-degree order: a lattice dissection there doubles the fill, as the
-periodic and across-pole couplings cross its planes. An axisym grid's
-Jacobians are tridiagonal, and it stores a ``TridiagonalPlan``: LAPACK's
-banded LU with partial pivoting (``dgttrf``/``dgttrs``; Anderson et al.,
-LAPACK Users' Guide, 3rd ed., 1999), which factors a 128-node Jacobian
-in about a seventh of SuperLU's time: SuperLU's cost there is its
-per-call set-up. A matrix given without an order gets SuperLU's COLAMD.
+whatever its values. Each grid stores an LU plan when it is built, and
+every Newton step factors its Jacobian with the plan's ``factor``: a
+``SuperLUPlan`` on a full-2d sphere grid, a ``TridiagonalPlan`` on an
+axisym one and a ``FrontalPlan`` (``_multifrontal``) on a flat one.
 """
 
 import math
@@ -76,9 +66,9 @@ from .errors import (ConeViolationError, ConfigError, DomainError,
                      LUOutOfMemory, NewtonDiverged, ConeExit,
                      PreconditionError)
 
-__all__ = ["NewtonConfig", "NewtonReport", "SlotTable", "TridiagonalPlan",
-           "damped_newton", "factor", "fd_data_derivs", "form_residual",
-           "solve_config"]
+__all__ = ["NewtonConfig", "NewtonReport", "SlotTable", "SuperLUPlan",
+           "TridiagonalPlan", "damped_newton", "fd_data_derivs",
+           "form_residual", "on_pattern", "solve_config"]
 
 MAX_BACKTRACKS = 6      # smallest step fraction tried is 2**-6 = 1/64
 STALL_STEPS = 3         # accepted steps in a row without a decrease: stop
@@ -88,6 +78,44 @@ REFACTOR_RATIO = 0.1
 MAX_NODES = 2**22
 # Largest LU, in bytes of its factors, a flat grid's plan may call for.
 MAX_LU_BYTES = 2**30
+
+
+class SuperLUPlan:
+    """SuperLU's LU of any sparse matrix or dense array, in ``order`` (a
+    permutation, new -> old) or, without one, in SuperLU's COLAMD order.
+
+    ``factor`` takes a copy of jac with its exact zeros dropped and never
+    modifies jac. With an order, the copy is the transpose of
+    A = jac[order][:, order], factored with no further column reordering,
+    and each b is solved with ``trans="T"``: the transpose of A in CSR is
+    A's CSC form with no copy, and SuperLU, which factors column by
+    column, runs faster on the columns of Jᵀ than on those of J when the
+    pattern is not symmetric, for the same fill. Without one, the copy is
+    jac's CSC form, factored as ``spsolve`` of jac's nonzeros would factor
+    it for every b. SuperLU raises RuntimeError on an exactly singular
+    matrix.
+    """
+
+    def __init__(self, order=None):
+        self.order = order
+
+    def factor(self, jac):
+        """The solver of jac x = b, factored once: a function of b."""
+        order = self.order
+        if order is None:
+            jac = sp.csc_matrix(jac, copy=True)
+            jac.eliminate_zeros()
+            return splu(jac).solve
+        # Unnamed CSR copies: only the permuted one is alive during splu.
+        a = sp.csr_matrix(jac)[order][:, order]
+        a.eliminate_zeros()
+        lu = splu(a.T, permc_spec="NATURAL")
+
+        def solve(b):
+            x = np.empty_like(b)
+            x[order] = lu.solve(b[order], trans="T")
+            return x
+        return solve
 
 
 @dataclass
@@ -101,10 +129,10 @@ class NewtonConfig:
 
     tol: float = 1e-10
     max_iter: int = 40
-    # Order of the unknowns for the LU, a permutation or a grid's plan, a
-    # flat grid's multifrontal or an axisym grid's tridiagonal one (see
-    # factor); the pipelines set it to their grid's, no config key reads it.
-    perm: object = field(default=None, repr=False, compare=False)
+    # The LU plan that factors each Jacobian; the pipelines set it to their
+    # grid's, no config key reads it.
+    plan: object = field(default_factory=SuperLUPlan, repr=False,
+                         compare=False)
     # Size of the data the tolerance is relative to, a callable of the
     # first state; the pipelines set it with solve_config, no config key does.
     scale: object = field(default=None, repr=False, compare=False)
@@ -200,7 +228,7 @@ class SlotTable:
 
     def min_degree_order(self):
         """SuperLU's multiple-minimum-degree order of this pattern, as a
-        permutation (new -> old) for ``factor``.
+        permutation (new -> old) for a ``SuperLUPlan``.
 
         SuperLU orders a matrix by its pattern alone, before any
         arithmetic, so the order is read from a factorization of a
@@ -231,8 +259,19 @@ class SlotTable:
         return self.matrix(j_sig - j_f)
 
 
+def on_pattern(jac, pattern):
+    """jac in CSR form, which must have exactly the (indptr, indices)
+    ``pattern``, explicit zeros included; raises ValueError if not."""
+    jac = sp.csr_matrix(jac)
+    if not all(map(np.array_equal, (jac.indptr, jac.indices), pattern)):
+        raise ValueError("matrix pattern differs from the plan's")
+    return jac
+
+
 class TridiagonalPlan:
-    """LAPACK's tridiagonal LU of matrices on one full band pattern.
+    """LAPACK's tridiagonal LU of matrices on one full band pattern, with
+    partial pivoting (Anderson et al., LAPACK Users' Guide, 3rd ed., 1999):
+    on 128 nodes, a seventh of SuperLU's time, which is per-call set-up.
 
     The pattern is a ``SlotTable``'s, and it must hold every entry (i, j)
     with |i - j| <= 1 and no other: 3 n - 2 entries (ValueError if not).
@@ -258,10 +297,7 @@ class TridiagonalPlan:
         Raises ValueError on any other pattern, and RuntimeError on an
         exactly singular matrix.
         """
-        jac = sp.csr_matrix(jac)
-        if not all(map(np.array_equal, (jac.indptr, jac.indices),
-                       self.pattern)):
-            raise ValueError("matrix pattern differs from the plan's")
+        jac = on_pattern(jac, self.pattern)
         # Indexing copies: dgttrf overwrites the copies, never jac.
         dl, d, du = (jac.data[pos] for pos in self.diagonals)
         *lu, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1,
@@ -272,45 +308,6 @@ class TridiagonalPlan:
         def solve(b):
             return dgttrs(*lu, b)[0]
         return solve
-
-
-def factor(jac, perm=None):
-    """The solver of jac x = b, factored once: a function of b.
-
-    jac is a sparse matrix or a dense array, never modified. With a
-    grid's plan as ``perm``, the plan factors jac, which must have exactly
-    its pattern: a flat grid's ``FrontalPlan`` front by front on LAPACK's
-    dense kernels, raising RuntimeError where a front's own block is
-    exactly singular, and an axisym grid's ``TridiagonalPlan`` by LAPACK's
-    ``dgttrf``, raising RuntimeError on an exactly singular matrix.
-    Otherwise SuperLU factors a copy of jac with its exact zeros dropped.
-    With a permutation ``perm`` (new -> old, as stored on a sphere grid),
-    the copy is the transpose of A = jac[perm][:, perm], factored with no
-    further column reordering, and each b is solved with ``trans="T"``.
-    The transpose of A in CSR is A's CSC form with no copy, and SuperLU,
-    which factors column by column, runs faster on the columns of Jᵀ than
-    on those of J when the pattern is not symmetric, for the same fill.
-    Without an order, the copy is jac's CSC form, factored in SuperLU's
-    default COLAMD order (the factors ``spsolve`` of jac's nonzeros would
-    compute for every b). SuperLU raises RuntimeError on an exactly
-    singular matrix.
-    """
-    if perm is None:
-        jac = sp.csc_matrix(jac, copy=True)
-        jac.eliminate_zeros()
-        return splu(jac).solve
-    if not isinstance(perm, np.ndarray):     # a grid's plan
-        return perm.factor(jac)
-    # Unnamed CSR copies: only the permuted one is alive during splu.
-    a = sp.csr_matrix(jac)[perm][:, perm]
-    a.eliminate_zeros()
-    lu = splu(a.T, permc_spec="NATURAL")
-
-    def solve(b):
-        x = np.empty_like(b)
-        x[perm] = lu.solve(b[perm], trans="T")
-        return x
-    return solve
 
 
 def fd_data_derivs(f, args, steps):
@@ -334,26 +331,27 @@ def fd_data_derivs(f, args, steps):
     return out
 
 
-def solve_config(config, perm, k):
+def solve_config(config, plan, k):
     """The settings of one pipeline solve: ``config`` (default
-    NewtonConfig()) with the grid's LU order or plan ``perm`` and, as the
+    NewtonConfig()) with the grid's LU plan ``plan`` and, as the
     scale, max f^(1/k) over the f > 0 of the first state, a (jet or
     FlatState, fields) pair with the f field in fields["f"].
     """
     def scale(state):
         return float(np.max(state[1]["f"])) ** (1.0 / k)
 
-    return replace(config or NewtonConfig(), perm=perm, scale=scale)
+    return replace(config or NewtonConfig(), plan=plan, scale=scale)
 
 
 def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
     """Drive x to max|F(x)| <= cfg.tol * max(1, cfg.scale(state)).
 
     ``residual_fn(x)`` returns (F, state), and ``jacobian_fn(state)`` the
-    Jacobian at that state's x, a sparse matrix or a dense array. The
-    scale is read once, on the first state; the tolerance it gives is kept
-    in the report and named in every failure message. A residual not
-    finite at x0 raises NewtonDiverged. ``candidate_check(x)`` is true if
+    Jacobian at that state's x, a matrix ``cfg.plan.factor`` takes; one it
+    finds exactly singular (RuntimeError) raises NewtonDiverged. The scale
+    is read once, on the first state; the tolerance it gives is kept in
+    the report and named in every failure message. A residual not finite
+    at x0 raises NewtonDiverged. ``candidate_check(x)`` is true if
     x is inadmissible and false if not, its value unread; cone, domain and
     data-positivity violations (ConeViolationError, DomainError,
     PreconditionError) raised by ``residual_fn`` at a candidate count as
@@ -437,7 +435,7 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
         solve = None    # two LUs are never alive at once
         jac = jacobian_fn(state)
         try:
-            solve = factor(jac, cfg.perm)
+            solve = cfg.plan.factor(jac)
         except RuntimeError as exc:     # exactly singular
             raise diverged(f"Jacobian not factored: {exc}") from exc
         except MemoryError as exc:      # a smaller t step would not help

@@ -376,11 +376,11 @@ def newton_solve(grid, rho0, data, k, config=None):
     Returns the SurfaceJet of the converged rho and the NewtonReport. The
     residual's state is the (jet, fields) pair it builds, from which the
     Jacobian at the same rho is assembled. The linear solves use the
-    grid's LU order, and the tolerance is relative to max f^(1/k) at rho0.
+    grid's LU plan, and the tolerance is relative to max f^(1/k) at rho0.
     Raises PreconditionError if f is not positive at rho0; a trial iterate
     where it is not positive is inadmissible.
     """
-    cfg = solve_config(config, grid.perm, k)
+    cfg = solve_config(config, grid.plan, k)
     lo = data.r1 * (1.0 - RHO_MARGIN)
     hi = data.r2 * (1.0 + RHO_MARGIN)
 
@@ -409,8 +409,8 @@ def continue_to_target(grid, data, run, k):
     failure and grown by 1.5x after cheap successes; monitors are
     recorded at every accepted t. The barrier/monotonicity report is kept
     in ``run.conditions``. Raises ContinuationStuck (with the partial
-    trace and the NewtonReport of the last attempt) on step underflow and
-    PreconditionError when that report fails.
+    trace, and the NewtonReport and message of the last attempt) on step
+    underflow and PreconditionError when that report fails.
     """
     n = grid.n
     run.conditions = conditions = validate_conditions(data, n, k)
@@ -448,7 +448,8 @@ def continue_to_target(grid, data, run, k):
             dt *= 0.5
             if dt < run.dt_min:
                 raise ContinuationStuck(
-                    f"homotopy step underflow below {run.dt_min} at t={t:.6g}",
+                    f"homotopy step underflow below {run.dt_min} at "
+                    f"t={t:.6g}: {exc}",
                     trace=run.trace, last_rho=rho, report=exc.report,
                 ) from exc
             continue

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import symm
+from . import geometry, symm
 
 __all__ = [
     "MonitorResult", "curvature_bound", "gradient_bound",
@@ -90,7 +90,7 @@ def identity_check(jet, data, k):
     G(lambda) by degree-1 homogeneity, so the defect tracks the residual.
     """
     lam = jet.eta
-    sig_k = symm.require_cone_batch(symm.elem_sym_all_batch(lam, k), k)[:, k]
+    sig_k = geometry.sigma_k_of_eta(jet, k)
     s_excl = symm.sigma_excl_batch(lam, k - 1)
     grad = symm.g_gradient_batch(sig_k, s_excl, k)
     f_coeffs = grad.sum(axis=1, keepdims=True) - grad

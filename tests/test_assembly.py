@@ -15,7 +15,7 @@ import pytest
 import scipy.sparse as sp
 
 from etacurv import flatcase, geometry, newton, solver
-from etacurv.newton import SlotTable, factor
+from etacurv.newton import SlotTable, SuperLUPlan
 
 
 def sparse_sum(coefs, mats):
@@ -50,8 +50,8 @@ def on_the_pattern(got, want, table):
 
 
 def superlu_inputs(monkeypatch):
-    """The list of matrices ``factor`` hands SuperLU from now on; none is
-    factored."""
+    """The list of matrices a ``SuperLUPlan`` hands SuperLU from now on;
+    none is factored."""
     seen = []
     monkeypatch.setattr(newton, "splu", lambda a, **kw: seen.append(a)
                         or SimpleNamespace(solve=None))
@@ -152,8 +152,8 @@ class TestSlotTable:
         want = sparse_sum(coefs, mats).tocsr()
         perm = np.random.default_rng(5).permutation(table.shape[0])
         seen = superlu_inputs(monkeypatch)
-        factor(jac)
-        factor(jac, perm)
+        SuperLUPlan().factor(jac)
+        SuperLUPlan(perm).factor(jac)
         plain, ordered = seen
         assert np.all(plain.data != 0.0) and np.all(ordered.data != 0.0)
         assert same_csc(plain, want)
@@ -161,7 +161,7 @@ class TestSlotTable:
         nonzeros.eliminate_zeros()
         assert same_csc(nonzeros, want)
         assert same_arrays(ordered, nonzeros[perm][:, perm].T)
-        factor(table.matrix(table.accumulate(
+        SuperLUPlan().factor(table.matrix(table.accumulate(
             [np.zeros(m.shape[0]) for m in mats])))
         assert seen[-1].nnz == 0
 
@@ -206,7 +206,7 @@ def test_round_sphere_zeros_are_dropped_only_for_superlu(monkeypatch):
     assert has_pattern(jac, g.slots)
     assert np.any(jac.data == 0.0)
     seen = superlu_inputs(monkeypatch)
-    factor(jac, g.perm)
+    g.plan.factor(jac)
     assert np.all(seen[0].data != 0.0)
     assert seen[0].nnz == np.count_nonzero(jac.data)
 

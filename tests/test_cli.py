@@ -562,6 +562,23 @@ def test_singular_axisym_jacobian_exits_4(tmp_path, monkeypatch):
     assert len(err["residual_history"]) == 1
 
 
+def test_step_underflow_names_the_newton_failure(tmp_path, monkeypatch):
+    # An exactly singular Jacobian fails the attempt at t = 1 and every
+    # halved one after it: the underflow message names that failure.
+    monkeypatch.setattr(solver, "assemble_jacobian",
+                        lambda grid, rho, data, k, **kw: grid.slots.matrix(
+                            np.zeros(grid.slots.indices.size)))
+    cfg = {key: v for key, v in AXISYM_CFG.items() if key != "t_schedule"}
+    cfg["f"] = {"builtin": "aniso_power", "c": 1.25, "p": 3, "delta": 0.2}
+    r, out = _solve_surface(tmp_path, cfg)
+    assert r.exit_code == 4, (r.output, r.exception)
+    assert "Traceback" not in r.output
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ContinuationStuck"
+    assert "homotopy step underflow below 0.0001 at t=0" in err["message"]
+    assert "Jacobian not factored" in err["message"]
+
+
 @pytest.mark.parametrize("command,cfg,unknowns,kernel", [
     ("solve-flat", FLAT_CFG,
      flatcase.build_flat_grid(2, "ball", h=0.125).ninterior,

@@ -1,12 +1,13 @@
-"""Tests for the fill-reducing orders the grids store and ``newton.factor``.
+"""Tests for the LU plans the grids store and their ``factor``.
 
 A flat grid orders its unknowns by nested dissection of the lattice and
 factors by the multifrontal plan over that dissection's tree; a full-2d
-sphere grid orders them by SuperLU's minimum degree on its Jacobian
-pattern; an axisym grid factors its tridiagonal Jacobians by LAPACK's
-banded LU. ``factor`` solves in that order and must agree with
-``spsolve`` in the natural one. With a permutation, it factors the
-transpose, so each test checks that it solves J x = b and not Jᵀ x = b.
+sphere grid's ``SuperLUPlan`` orders them by SuperLU's minimum degree on
+its Jacobian pattern; an axisym grid's ``TridiagonalPlan`` factors its
+tridiagonal Jacobians by LAPACK's banded LU. Each plan's ``factor`` must
+agree with ``spsolve`` in the natural order. With an order, a
+``SuperLUPlan`` factors the transpose, so each test checks that it solves
+J x = b and not Jᵀ x = b.
 """
 
 import re
@@ -20,8 +21,8 @@ from scipy.sparse.linalg import splu, spsolve
 
 from etacurv import _multifrontal, flatcase, geometry, solver
 from etacurv.errors import NewtonDiverged
-from etacurv.newton import (NewtonConfig, SlotTable, TridiagonalPlan,
-                            damped_newton, factor)
+from etacurv.newton import (NewtonConfig, SlotTable, SuperLUPlan,
+                            TridiagonalPlan, damped_newton)
 
 FLATS = {
     "ball2d": lambda: flatcase.build_flat_grid(2, "ball", h=1 / 16),
@@ -34,16 +35,6 @@ SPHERES = {
     "full16x16": lambda: geometry.build_grid(2, "full-2d", (16, 16)),
     "full128x64": lambda: geometry.build_grid(2, "full-2d", (128, 64)),
 }
-
-
-def order_of(grid):
-    """The grid's LU order, new -> old: a flat grid's is its plan's."""
-    return grid.plan.order if hasattr(grid, "plan") else grid.perm
-
-
-def lu_order(grid):
-    """What the grid hands ``factor``: its plan, or its permutation."""
-    return getattr(grid, "plan", None) or grid.perm
 
 
 def subtrees(sizes, parent):
@@ -77,8 +68,11 @@ def sphere_jacobian(grid):
         f=lambda x, nu: (1.25 * (1.0 + 0.2 * nu[..., 2])
                          * np.linalg.norm(x, axis=-1) ** -3.0),
         r1=0.5, r2=2.0)
-    rho = (1.2 + 0.05 * np.sin(grid.theta) * np.cos(grid.phi)
-           + 0.03 * np.cos(grid.theta))
+    # x on a full grid; an axisym profile must be even at the poles, so
+    # there z^2 stands in for it.
+    wave = (np.sin(grid.theta) * np.cos(grid.phi) if grid.mode == "full-2d"
+            else np.cos(grid.theta) ** 2)
+    rho = 1.2 + 0.05 * wave + 0.03 * np.cos(grid.theta)
     return solver.assemble_jacobian(grid, rho, data, 2)
 
 
@@ -91,7 +85,7 @@ def nonzeros(jac):
 
 def lu_fill(jac, perm=None):
     """L + U nonzeros of SuperLU's LU of jac's nonzeros: of the transposed
-    jac[perm][:, perm] with a permutation perm, as factor() makes it, of
+    jac[perm][:, perm] with a permutation perm, as a SuperLUPlan makes it, of
     COLAMD's without."""
     jac = nonzeros(jac)
     if perm is None:
@@ -106,9 +100,9 @@ def lu_fill(jac, perm=None):
 def test_order_is_a_reproducible_bijection(build):
     grid = build()
     n = grid.slots.shape[0]
-    order = order_of(grid)
+    order = grid.plan.order
     assert np.array_equal(np.sort(order), np.arange(n))
-    again = order_of(build())
+    again = build().plan.order
     assert again.dtype == order.dtype
     assert again.tobytes() == order.tobytes()
 
@@ -121,13 +115,13 @@ def test_min_degree_order_is_superlus():
     sym.setdiag(100.0)
     lu = splu(sym, permc_spec="MMD_AT_PLUS_A",
               options={"SymmetricMode": True})
-    assert np.array_equal(grid.perm, np.argsort(lu.perm_c))
+    assert np.array_equal(grid.plan.order, np.argsort(lu.perm_c))
 
 
 def test_axisym_grid_stores_a_tridiagonal_plan():
     grid = geometry.build_grid(3, "axisym-1d", 32)
-    assert isinstance(grid.perm, TridiagonalPlan)
-    indptr, indices = grid.perm.pattern
+    assert isinstance(grid.plan, TridiagonalPlan)
+    indptr, indices = grid.plan.pattern
     assert np.array_equal(indptr, grid.slots.indptr)
     assert np.array_equal(indices, grid.slots.indices)
 
@@ -198,7 +192,7 @@ def test_tridiagonal_plan_solves_like_spsolve(system):
     grid, jac, b = system
     before = [a.copy() for a in (jac.data, jac.indices, jac.indptr)]
     ref = spsolve(jac.tocsc(), b)
-    x = factor(jac, grid.perm)(b)
+    x = grid.plan.factor(jac)(b)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
     # The factors are taken from copies: jac is as it was.
     assert all(p.tobytes() == q.tobytes()
@@ -209,7 +203,7 @@ def test_tridiagonal_plan_refuses_any_other_pattern():
     grid = geometry.build_grid(3, "axisym-1d", 16)
     s, n = grid.slots, grid.ntheta
     jac = s.matrix(np.random.default_rng(2).uniform(1.0, 2.0, s.indices.size))
-    solve = factor(jac, grid.perm)
+    solve = grid.plan.factor(jac)
     assert np.allclose(jac @ solve(np.ones(n)), 1.0)
     added = jac.tolil()
     added[0, n - 1] = 1.0
@@ -219,7 +213,7 @@ def test_tridiagonal_plan_refuses_any_other_pattern():
     for other in (added.tocsr(), removed):
         assert abs(other.nnz - jac.nnz) == 1
         with pytest.raises(ValueError, match="differs from the plan's"):
-            factor(other, grid.perm)
+            grid.plan.factor(other)
 
 
 def test_singular_band_is_not_factored():
@@ -230,10 +224,10 @@ def test_singular_band_is_not_factored():
     jac.data[jac.indptr[5]:jac.indptr[6]] = 0.0
     assert jac.nnz == 3 * 12 - 2
     with pytest.raises(RuntimeError, match="exactly singular"):
-        factor(jac, grid.perm)
+        grid.plan.factor(jac)
     with pytest.raises(NewtonDiverged, match="Jacobian not factored"):
         damped_newton(np.zeros(12), lambda x: (jac @ x - 1.0, x),
-                      lambda x: jac, NewtonConfig(perm=grid.perm))
+                      lambda x: jac, NewtonConfig(plan=grid.plan))
 
 
 @pytest.mark.parametrize("name", sorted(FLATS))
@@ -274,17 +268,19 @@ def test_small_sets_keep_their_order():
     (lambda: flatcase.build_flat_grid(4, "ball", h=1 / 5), flat_jacobian),
     (FLATS["rect3d"], flat_jacobian),
     (SPHERES["full128x64"], sphere_jacobian),
-], ids=["ball3d", "ball3d_k3", "ball4d", "rect3d", "full128x64"])
+    (lambda: geometry.build_grid(2, "axisym-1d", 128), sphere_jacobian),
+], ids=["ball3d", "ball3d_k3", "ball4d", "rect3d", "full128x64",
+        "axisym128"])
 def test_factor_solves_like_spsolve(grid, jacobian):
     grid = grid()
     jac = jacobian(grid)
     b = np.random.default_rng(7).standard_normal(jac.shape[0])
     ref = spsolve(nonzeros(jac).tocsc(), b)
-    x = factor(jac, lu_order(grid))(b)
+    x = grid.plan.factor(jac)(b)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
-    # Without an order, factor is spsolve of jac's nonzeros in SuperLU's
-    # default order.
-    assert factor(jac)(b).tobytes() == ref.tobytes()
+    # Without an order, a SuperLUPlan is spsolve of jac's nonzeros in
+    # SuperLU's default order.
+    assert SuperLUPlan().factor(jac)(b).tobytes() == ref.tobytes()
 
 
 @st.composite
@@ -314,7 +310,7 @@ def test_factor_solves_j_not_its_transpose(system, kind):
     jac, perm, b = system
     assert (jac != jac.T).nnz > 0
     given_as = {"csr": jac, "csc": jac.tocsc(), "dense": jac.toarray()}[kind]
-    x = factor(given_as, perm)(b)
+    x = SuperLUPlan(perm).factor(given_as)(b)
     assert np.max(np.abs(jac @ x - b)) <= 1e-12 * np.max(np.abs(b))
 
 
@@ -348,7 +344,7 @@ def flat_systems(draw):
 def test_plan_solves_flat_systems_like_spsolve(system):
     grid, jac, b = system
     ref = spsolve(jac.tocsc(), b)
-    x = factor(jac, grid.plan)(b)
+    x = grid.plan.factor(jac)(b)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -360,7 +356,7 @@ def test_factor_leaves_its_input_as_it_was(kind, ordered):
     jac = flat_jacobian(grid).asformat(kind)
     assert np.any(jac.data == 0.0)
     before = [a.copy() for a in (jac.data, jac.indices, jac.indptr)]
-    factor(jac, grid.plan.order if ordered else None)
+    SuperLUPlan(grid.plan.order if ordered else None).factor(jac)
     after = (jac.data, jac.indices, jac.indptr)
     assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
                for a, b in zip(before, after))
@@ -369,7 +365,7 @@ def test_factor_leaves_its_input_as_it_was(kind, ordered):
 @pytest.mark.parametrize("name", sorted(FLATS))
 def test_plan_pattern_is_the_grid_slot_pattern(name):
     grid = FLATS[name]()
-    factor(flat_jacobian(grid), grid.plan)
+    grid.plan.factor(flat_jacobian(grid))
     indptr, indices = grid.plan.pattern
     assert np.array_equal(indptr, grid.slots.indptr)
     assert np.array_equal(indices, grid.slots.indices)
@@ -379,7 +375,7 @@ def test_plan_refuses_any_other_pattern():
     grid = FLATS["ball3d"]()
     s, n = grid.slots, grid.ninterior
     jac = s.matrix(np.random.default_rng(2).uniform(1.0, 2.0, s.indices.size))
-    solve = factor(jac, grid.plan)
+    solve = grid.plan.factor(jac)
     assert np.allclose(jac @ solve(np.ones(n)), 1.0)
     # One entry added, outside the pattern: row 0 reaches the last unknown.
     assert n - 1 not in s.indices[s.indptr[0]:s.indptr[1]]
@@ -392,7 +388,7 @@ def test_plan_refuses_any_other_pattern():
     for other in (added.tocsr(), removed):
         assert abs(other.nnz - jac.nnz) == 1
         with pytest.raises(ValueError, match="differs from the plan's"):
-            factor(other, grid.plan)
+            grid.plan.factor(other)
 
 
 def test_small_grid_is_one_front():
@@ -404,7 +400,7 @@ def test_small_grid_is_one_front():
     assert grid.plan.storage == n * n and len(grid.plan.bnd) == 1
     jac = flat_jacobian(grid)
     b = np.random.default_rng(3).standard_normal(n)
-    x = factor(jac, grid.plan)(b)
+    x = grid.plan.factor(jac)(b)
     ref = spsolve(jac.tocsc(), b)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -425,8 +421,8 @@ def test_singular_front_is_not_factored():
     b = np.ones(grid.ninterior)
     assert np.allclose(jac @ spsolve(jac.tocsc(), b), b)
     with pytest.raises(RuntimeError, match="exactly singular"):
-        factor(jac, plan)
-    cfg = NewtonConfig(perm=plan)
+        plan.factor(jac)
+    cfg = NewtonConfig(plan=plan)
     with pytest.raises(NewtonDiverged, match="Jacobian not factored"):
         damped_newton(np.zeros(grid.ninterior), lambda x: (jac @ x - b, x),
                       lambda x: jac, cfg)
@@ -441,11 +437,11 @@ def test_plan_refuses_a_tree_that_does_not_separate():
         plan = _multifrontal.FrontalPlan(np.array(order), np.ones(3, int),
                                          np.array([2, 2, -1]), table)
         if ok:
-            x = factor(jac, plan)(np.ones(3))
+            x = plan.factor(jac)(np.ones(3))
             assert np.allclose(jac @ x, 1.0)
             continue
         with pytest.raises(ValueError, match="does not separate"):
-            factor(jac, plan)
+            plan.factor(jac)
 
 
 def test_lu_guard_fires_before_the_operators(monkeypatch):
@@ -484,7 +480,7 @@ def test_flat_plan_stores_less_than_colamds_fill():
 def test_sphere_order_cuts_the_fill():
     grid = SPHERES["full128x64"]()
     jac = sphere_jacobian(grid)
-    assert lu_fill(jac, grid.perm) < lu_fill(jac)
+    assert lu_fill(jac, grid.plan.order) < lu_fill(jac)
 
 
 def test_singular_jacobian_ends_newton():
@@ -494,6 +490,6 @@ def test_singular_jacobian_ends_newton():
     def jac(x):
         return sp.csr_matrix((2, 2))
 
-    cfg = NewtonConfig(perm=np.array([1, 0]))
+    cfg = NewtonConfig(plan=SuperLUPlan(np.array([1, 0])))
     with pytest.raises(NewtonDiverged, match="Jacobian not factored"):
         damped_newton(np.zeros(2), res, jac, cfg)

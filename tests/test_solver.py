@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from etacurv import geometry, newton, solver
 from etacurv.errors import (ConeExit, ConfigError, ContinuationStuck,
                             NewtonDiverged, PreconditionError)
-from etacurv.newton import NewtonConfig, damped_newton, fd_data_derivs
+from etacurv.newton import (NewtonConfig, SuperLUPlan, damped_newton,
+                            fd_data_derivs)
 from fd_oracle import component_derivs, f_term_oracle, fd_jacobian
 
 
@@ -584,7 +586,8 @@ class TestDampedNewtonCore:
                           lambda x: np.array([[2.0 * x[0]]]), NewtonConfig())
 
     def test_singular_dense_jacobian_diverges(self):
-        # factor converts a dense Jacobian for SuperLU, which raises on it.
+        # The default SuperLUPlan converts a dense Jacobian for SuperLU,
+        # which raises on it.
         with pytest.raises(NewtonDiverged, match="Jacobian not factored"):
             damped_newton(np.zeros(2), lambda x: (x - 1, x),
                           lambda x: np.zeros((2, 2)), NewtonConfig())
@@ -647,7 +650,7 @@ def _failing_newton(kind):
                                   "inadmissible", "no decrease", "max_iter"])
 def test_failed_report_holds_one_residual_per_iterate(kind):
     x0, res, jac, check = _failing_newton(kind)
-    cfg = NewtonConfig(max_iter=3, perm=np.array([0]))
+    cfg = NewtonConfig(max_iter=3, plan=SuperLUPlan(np.array([0])))
     with pytest.raises(NewtonDiverged) as exc:
         damped_newton(x0, with_x(res), jac, cfg, candidate_check=check)
     rep = exc.value.report
@@ -668,15 +671,16 @@ def _cubic_jac(x):
     return np.diag(3.0 * x**2) + 0.1 * np.roll(np.eye(3), 1, axis=1)
 
 
-def _logged_newton(x0, monkeypatch):
+def _logged_newton(x0):
     """damped_newton on _cubic with its calls logged in order: ("residual",
     x, max|F|), ("jacobian", x) and ("solve", i), a solve on the factors
-    of the i-th Jacobian. The residual's state is a copy of x, which the
-    Jacobian logs; no x has its residual evaluated twice."""
-    events, real_factor = [], newton.factor
+    of the i-th Jacobian, which a logging plan makes. The residual's state
+    is a copy of x, which the Jacobian logs; no x has its residual
+    evaluated twice."""
+    events = []
 
-    def factor(jac, perm=None):
-        solve, i = real_factor(jac, perm), len(events)
+    def factor(jac):
+        solve, i = SuperLUPlan().factor(jac), len(events)
 
         def logged(b):
             events.append(("solve", i))
@@ -692,8 +696,8 @@ def _logged_newton(x0, monkeypatch):
         events.append(("jacobian", x))
         return _cubic_jac(x)
 
-    monkeypatch.setattr(newton, "factor", factor)
-    x, rep = damped_newton(np.array(x0), res, jac, NewtonConfig())
+    x, rep = damped_newton(np.array(x0), res, jac, NewtonConfig(
+        plan=SimpleNamespace(factor=factor)))
     evaluated = [e[1].tobytes() for e in events if e[0] == "residual"]
     assert len(set(evaluated)) == len(evaluated)
     return x, rep, events
@@ -702,22 +706,22 @@ def _logged_newton(x0, monkeypatch):
 class TestKeptFactors:
     """The LU of a Jacobian is kept while the residual contracts."""
 
-    def test_fewer_factorizations_than_iterations(self, monkeypatch):
-        _, rep, events = _logged_newton([3.0, -2.0, 0.5], monkeypatch)
+    def test_fewer_factorizations_than_iterations(self):
+        _, rep, events = _logged_newton([3.0, -2.0, 0.5])
         assert rep.converged
         jacobians = sum(e[0] == "jacobian" for e in events)
         assert jacobians == rep.factorizations < rep.iterations
 
-    def test_residual_never_increases(self, monkeypatch):
-        _, rep, _ = _logged_newton([3.0, -2.0, 0.5], monkeypatch)
+    def test_residual_never_increases(self):
+        _, rep, _ = _logged_newton([3.0, -2.0, 0.5])
         hist = rep.residual_history
         assert all(b <= a for a, b in zip(hist, hist[1:]))
 
-    def test_rising_kept_step_refactors_at_the_same_x(self, monkeypatch):
+    def test_rising_kept_step_refactors_at_the_same_x(self):
         # From this start, one full step on kept factors raises the
         # residual; the iterate stays, and gets its own Jacobian from its
         # own state, without a second residual at x.
-        _, rep, events = _logged_newton([-1.5, 1.5, 0.5], monkeypatch)
+        _, rep, events = _logged_newton([-1.5, 1.5, 0.5])
         assert rep.converged
         solved, rising = set(), 0
         for i, event in enumerate(events):

@@ -20,8 +20,9 @@ import click
 import numpy as np
 
 from . import flatcase, geometry, solver
-from .errors import (ConfigError, ContinuationStuck, DomainError,
-                     LUOutOfMemory, NewtonDiverged, PreconditionError)
+from .errors import (ConeViolationError, ConfigError, ContinuationStuck,
+                     DomainError, LUOutOfMemory, NewtonDiverged,
+                     PreconditionError)
 from .newton import NewtonConfig
 
 __all__ = ["main", "json_text", "atomic_write_text", "load_config"]
@@ -314,9 +315,11 @@ def _run_command(config_path, outdir, overrides, setup):
             raise
         code, texts, message = 2, {}, f"config error: {exc}"
     # ConeExit is a NewtonDiverged; a ContinuationStuck carries the trace.
+    # A cone violation escapes Newton only at its first iterate, the flat
+    # pipeline's initial guess: the program's start, not the data, failed.
     # Memory can run out in any array of a solve, not only in its LU.
     except (PreconditionError, ContinuationStuck, NewtonDiverged,
-            LUOutOfMemory, MemoryError) as exc:
+            ConeViolationError, LUOutOfMemory, MemoryError) as exc:
         code = 3 if isinstance(exc, PreconditionError) else 4
         # numpy raises a private subclass of MemoryError.
         kind = ("MemoryError" if isinstance(exc, MemoryError)
@@ -327,6 +330,8 @@ def _run_command(config_path, outdir, overrides, setup):
             payload["conditions"] = run.conditions.as_dict()
         if isinstance(exc, LUOutOfMemory):
             payload["unknowns"] = exc.unknowns
+        if isinstance(exc, ConeViolationError):
+            payload.update(node=exc.node, order=exc.j)
         rep = getattr(exc, "report", None)      # the failed Newton solve's
         if rep is not None:
             payload.update(residual_history=rep.residual_history,

@@ -35,8 +35,7 @@ class ConfigError(EtacurvError):
 
 
 class NewtonDiverged(EtacurvError):
-    """Damped Newton could not decrease the residual, or its step no
-    longer changes the iterate.
+    """Damped Newton could not decrease the residual.
 
     ``last_iterate`` holds the last accepted state so callers can inspect
     or restart from it.

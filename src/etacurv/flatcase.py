@@ -407,9 +407,10 @@ def dirichlet_solve(grid, f, k, config=None, beta=4.0, *, fields=None):
     The residual's state is the (FlatState, fields) pair it builds, from
     which the Jacobian of the same phi is assembled. The linear solves use
     the grid's LU order, and the tolerance is relative to max f^(1/k) at
-    the initial guess, where f not positive raises PreconditionError.
-    Returns the converged FlatState and the NewtonReport; ``fields``, a
-    dict, receives its sigma_k and f fields under "sigma" and "f".
+    the initial guess, where f not positive raises PreconditionError and
+    a node outside the cone ConeViolationError. Returns the converged
+    FlatState and the NewtonReport; ``fields``, a dict, receives its
+    sigma_k and f fields under "sigma" and "f".
     """
     cfg = solve_config(config, grid.plan, k)
 

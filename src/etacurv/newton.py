@@ -17,29 +17,24 @@ Globalization is backtracking on the max-norm residual with step
 fractions 1, 1/2, 1/4, ..., 1/64; every candidate is pre-checked for
 admissibility (cone membership, positivity, range) before its residual
 is accepted, and a candidate where the residual is not defined (a cone
-exit, or data that is not positive there) is inadmissible too. An
-admissible candidate equal to the iterate bit for bit ends the
-iteration: the correction has fallen below roundoff, and every later
-iteration would repeat the same step. So do STALL_STEPS accepted steps in
-a row that do not decrease the residual: the step test accepts an equal
-residual, and below its roundoff floor the iteration can move among
-iterates of the same residual until ``max_iter``.
+exit, or data that is not positive there) is inadmissible too. Every
+step, backtracked or on kept factors, is accepted only if it lowers the
+max-norm residual strictly. At the residual's roundoff floor, or at an
+exact fixed point, every step fraction is then refused, and the
+iteration ends there instead of running on to ``max_iter``.
 
 The LU of a Jacobian is kept across iterations (simplified Newton with
 Shamanskii's refresh rule; Kelley, Solving Nonlinear Equations with
 Newton's Method, 2003, sec. 2.3). After a step that cut the residual by at
 least REFACTOR_RATIO, the next full step is taken on the kept factors; it
-is accepted only if it is admissible, changes the iterate and decreases
-the residual. Otherwise, and after any step that contracted less, the
-Jacobian at the iterate is built and factored afresh, and the step is
-backtracked as above. When the stop test is first met after a step on
-kept factors, one more step on them is taken and kept if it lowers the
-residual: kept factors converge linearly, and that step restores the
-margin below tol that exact Newton's last step leaves. A closing step
-that leaves the residual as it is, at its roundoff floor, is dropped, so
-the iteration count does not turn on the residual's last bit.
-Factors are freed as soon as no step will use them, so that two LUs are
-never alive at once.
+is accepted only if it is admissible and decreases the residual.
+Otherwise, and after any step that contracted less, the Jacobian at the
+iterate is built and factored afresh, and the step is backtracked as
+above. When the stop test is first met after a step on kept factors, one
+more step on them is taken and kept if it lowers the residual: kept
+factors converge linearly, and that step restores the margin below tol
+that exact Newton's last step leaves. Factors are freed as soon as no
+step will use them, so that two LUs are never alive at once.
 
 Both pipelines solve sigma_k = f in the root form G - f^(1/k), with
 G = sigma_k^(1/k) concave on Gamma_k; ``form_residual`` and
@@ -71,7 +66,6 @@ __all__ = ["NewtonConfig", "NewtonReport", "SlotTable", "SuperLUPlan",
            "form_residual", "on_pattern", "solve_config"]
 
 MAX_BACKTRACKS = 6      # smallest step fraction tried is 2**-6 = 1/64
-STALL_STEPS = 3         # accepted steps in a row without a decrease: stop
 # Refactor after a step that leaves more than this share of the residual.
 REFACTOR_RATIO = 0.1
 # Largest sphere grid (ntheta * nphi) or flat lattice box a builder allocates.
@@ -356,17 +350,12 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
     data-positivity violations (ConeViolationError, DomainError,
     PreconditionError) raised by ``residual_fn`` at a candidate count as
     admissibility failures too, while at x0 they propagate. A candidate is
-    accepted only if its max-norm residual does not exceed the current
-    one. An admissible candidate equal to x bit for bit raises
-    NewtonDiverged at once: with deterministic callbacks, accepting it
-    would repeat the same iteration until ``max_iter``. So does an iterate
-    not yet converged after STALL_STEPS accepted steps in a row that did
-    not decrease the residual. An LU that runs out of memory raises
-    LUOutOfMemory. The factors of a Jacobian are kept, and
-    refreshed, as the module docstring describes; the closing step on kept
-    factors, taken once the stop test holds, is accepted only if it lowers
-    the residual, and otherwise the converged iterate is returned as it
-    was. Returns the state of the converged iterate and the NewtonReport.
+    accepted only if its max-norm residual is below the current one. An
+    LU that runs out of memory raises LUOutOfMemory. The factors of a
+    Jacobian are kept, and refreshed, as the module docstring describes;
+    if the closing step on kept factors, taken once the stop test holds,
+    is refused, the converged iterate is returned as it was. Returns the
+    state of the converged iterate and the NewtonReport.
     """
     x = np.asarray(x0, dtype=float).copy()
     res, state = residual_fn(x)
@@ -378,14 +367,10 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
     solve = None        # the kept factors, a function of the right-hand side
     reuse = False       # the last step contracted enough to step on them
     kept = False        # the last step was taken on them
-    stalled = 0         # accepted steps in a row that left rnorm as it was
 
     def diverged(why, cls=NewtonDiverged):
         return cls(f"{why} (residual {rnorm:.3e}, tol {tol:.3e})",
                    last_iterate=x, report=report)
-
-    def same(cand):
-        return np.array_equal(cand.view(np.int64), x.view(np.int64))
 
     def admissible(cand):
         return candidate_check is None or not candidate_check(cand)
@@ -401,9 +386,8 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
         return (cand, cres, cstate, cnorm) if np.isfinite(cnorm) else None
 
     def accept(step, frac):
-        nonlocal x, res, state, rnorm, reuse, stalled
+        nonlocal x, res, state, rnorm, reuse
         reuse = step[3] <= REFACTOR_RATIO * rnorm
-        stalled = stalled + 1 if step[3] >= rnorm else 0
         x, res, state, rnorm = step
         report.iterations += 1
         report.residual_history.append(rnorm)
@@ -411,19 +395,15 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
 
     def full_step():
         """The evaluated full step on the kept factors, or None if its
-        candidate is inadmissible or x itself."""
+        candidate is inadmissible."""
         cand = x + solve(-res)
-        if not admissible(cand) or same(cand):
-            return None
-        return evaluate(cand)
+        return evaluate(cand) if admissible(cand) else None
 
     if not np.isfinite(rnorm):
         raise diverged("residual not finite at the first iterate")
     while rnorm > tol:
         if report.iterations == cfg.max_iter:
             raise diverged(f"no convergence in {cfg.max_iter} iterations")
-        if stalled == STALL_STEPS:
-            raise diverged(f"residual not decreased in {STALL_STEPS} steps")
         kept = False
         if reuse:
             step = full_step()
@@ -451,13 +431,11 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
             cand = x + frac * delta
             if not admissible(cand):
                 continue
-            if same(cand):
-                raise diverged("step no longer changes the iterate")
             step = evaluate(cand)
             if step is None:
                 continue
             inadmissible_only = False
-            if step[3] <= rnorm:
+            if step[3] < rnorm:
                 accept(step, frac)
                 break
         else:

@@ -33,10 +33,12 @@ SURFACE_CFG = {
     "seed": 0,
 }
 
+ONE = {"builtin": "constant", "value": 1.0}
+
 FLAT_CFG = {
     "n": 2, "k": 2,
     "grid": {"shape": "ball", "h": 0.125},
-    "f": {"builtin": "constant", "value": 1.0},
+    "f": ONE,
     "newton": {"tol": 1e-10, "max_iter": 40},
 }
 
@@ -312,6 +314,7 @@ MUTATIONS = {
         "n": st.sampled_from([1, 2, 3]) | INVALID,
         "grid": st.sampled_from([
             {"shape": "rect", "h": 0.125},
+            {"shape": "rect", "h": 0.0625},
             {"shape": "ball", "h": 0.25, "radius": 0.5},
             {"shape": "ball", "h": 1e-5},
             {"shape": "ball", "h": 0.03},
@@ -380,7 +383,7 @@ def test_mutated_config_exit_codes(run):
 
 def test_flat_newton_stall_exits_4_in_root_form(tmp_path, monkeypatch):
     # tol = 1e-16 lies below the residual's roundoff floor: Newton must
-    # stop once its step no longer changes the iterate, well before
+    # stop once no step fraction lowers the residual, well before
     # max_iter = 40 Jacobians. The surface stalls on its round data instead
     # (test_root_form_stagnation_exits_4).
     real, jacobians = flatcase.flat_jacobian, []
@@ -400,7 +403,7 @@ def test_flat_newton_stall_exits_4_in_root_form(tmp_path, monkeypatch):
     err = json.loads((out / "error.json").read_text())
     assert err["exit_code"] == 4
     assert err["error"] == "NewtonDiverged"
-    assert "step no longer changes the iterate" in err["message"]
+    assert "no step fraction down to 1/64 decreased" in err["message"]
     assert 0 < len(jacobians) < 10
 
 
@@ -473,14 +476,14 @@ def test_stall_error_names_the_applied_tol(tmp_path):
 
 
 def test_root_form_stagnation_exits_4(tmp_path):
-    # Below its roundoff floor the root residual stays at 8.882e-16 while
-    # the steps move rho (fractions 1, 1/4, 1/4, ...): Newton must stop on
-    # the stagnation, not use up max_iter = 40 Jacobians.
+    # The start already sits at the root residual's roundoff floor,
+    # 8.882e-16: no step fraction lowers it, and Newton must stop there,
+    # not use up max_iter = 40 Jacobians.
     r, out = _solve_surface(tmp_path, ROUND_66_CFG, "newton.tol=1e-16")
     assert r.exit_code == 4, (r.output, r.exception)
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "NewtonDiverged"
-    assert "residual not decreased in 3 steps" in err["message"]
+    assert "no step fraction down to 1/64 decreased" in err["message"]
     assert err["factorizations"] <= 3
 
 
@@ -755,6 +758,57 @@ class TestSolveFlatCommand:
                 for line in (out / "flat.csv").read_text().splitlines()]
         assert rows[0][-1] == "pogorelov"
         assert "inf" in [row[-1] for row in rows[1:]]
+
+    @pytest.mark.parametrize("n,grid,f", [
+        (2, {"shape": "rect", "h": 0.0625}, ONE),
+        (2, {"shape": "rect", "h": 0.125, "bounds": [[-2, 1], [-2, 1]]}, ONE),
+        (2, {"shape": "rect", "h": 0.0625, "bounds": [[-2, 1], [-2, 1]]},
+         ONE),
+        (2, {"shape": "rect", "h": 0.125, "bounds": [[0, 3], [0, 1]]}, ONE),
+        (2, {"shape": "rect", "h": 0.0625, "bounds": [[0, 3], [0, 1]]}, ONE),
+        (2, {"shape": "rect", "h": 0.0625},
+         {"builtin": "tabulated", "r": [0, 2], "values": [1, 2]}),
+        (3, {"shape": "rect", "h": 0.0625,
+             "bounds": [[0, 3], [0, 1], [0, 1]]}, ONE),
+    ], ids=["square", "offset_square_h8", "offset_square_h16", "strip_h8",
+            "strip_h16", "tabulated", "box_3d"])
+    def test_rectangles_with_k_equal_n_exit_cleanly(self, tmp_path, n, grid,
+                                                    f):
+        # The bowl start is negative on a rectangle's edges and can leave
+        # the cone near a corner for k = n. The start is the program's, so
+        # a cone violation there is a Newton failure: exit 4, with
+        # error.json naming the node and the order.
+        cfgp = tmp_path / "cfg.json"
+        write_cfg(cfgp, {"n": n, "k": n, "grid": grid, "f": f})
+        out = tmp_path / "out"
+        r = CliRunner().invoke(cli.main, ["solve-flat", "--config",
+                                          str(cfgp), "--out", str(out)])
+        assert r.exit_code in (0, 2, 3, 4), (r.output, r.exception)
+        assert r.exit_code == 0 or isinstance(r.exception, SystemExit)
+        assert "Traceback" not in r.output
+        assert (out / "error.json").exists() == (r.exit_code in (3, 4))
+        if r.exit_code == 4:
+            err = json.loads((out / "error.json").read_text())
+            if err["error"] == "ConeViolationError":
+                assert f"at node {err['node']}: " in err["message"]
+                assert f"sigma_{err['order']} = " in err["message"]
+                assert 1 <= err["order"] <= n
+
+    def test_start_outside_the_cone_exits_4(self, tmp_path):
+        cfgp = tmp_path / "cfg.json"
+        write_cfg(cfgp, {"n": 2, "k": 2, "grid": {"shape": "rect",
+                                                  "h": 0.0625}, "f": ONE})
+        out = tmp_path / "out"
+        r = CliRunner().invoke(cli.main, ["solve-flat", "--config",
+                                          str(cfgp), "--out", str(out)])
+        assert r.exit_code == 4, (r.output, r.exception)
+        assert "Traceback" not in r.output
+        err = json.loads((out / "error.json").read_text())
+        assert err == {"error": "ConeViolationError", "exit_code": 4,
+                       "message": "cone violation at node 1: "
+                                  "sigma_2 = -18 <= 0",
+                       "node": 1, "order": 2}
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
     def test_k_greater_than_n(self, tmp_path):
         cfgp = tmp_path / "cfg.json"

@@ -318,6 +318,37 @@ class TestConsistency:
         kf = jetf.kappa.reshape(64, 16, 2)[:, 0, :]
         assert np.abs(kf - jeta.kappa).max() < 1e-8
 
+    def test_axisym_normal_is_the_full_2d_one_at_phi_0(self):
+        # The axisym profile lies in the x-z plane, the full-2d meridian
+        # phi = 0. kappa, |nu| = 1 and u do not see a sign error in nu's
+        # tangent part; nu itself does.
+        ga = geometry.build_grid(2, "axisym-1d", (32,))
+        gf = geometry.build_grid(2, "full-2d", (32, 8))
+        profile = 1.1 + 0.2 * np.cos(ga.theta) + 0.05 * np.cos(3 * ga.theta)
+        nua = geometry.surface_jet(ga, profile).nu
+        nuf = geometry.surface_jet(gf, np.repeat(profile, 8)).nu
+        assert np.all(gf.phi.reshape(32, 8)[:, 0] == 0.0)
+        assert np.array_equal(nua, nuf.reshape(32, 8, 3)[:, 0])
+
+    def test_full_2d_normal_against_the_closed_form(self):
+        # rho = 1.2 + 0.1 sin^2(theta) sin(2 phi), with nu = (rho x -
+        # grad rho) / w from its exact derivatives. A reversed phi or a
+        # sign error in the tangent part moves nu by about 0.3.
+        g = geometry.build_grid(2, "full-2d", (128, 64))
+        st, ct = np.sin(g.theta), np.cos(g.theta)
+        sp, cp = np.sin(g.phi), np.cos(g.phi)
+        rho = 1.2 + 0.1 * st**2 * np.sin(2 * g.phi)
+        rt = 0.2 * st * ct * np.sin(2 * g.phi)
+        rp_st = 0.2 * st * np.cos(2 * g.phi)     # rho_phi / sin(theta)
+        x = np.stack([st * cp, st * sp, ct], axis=1)
+        e_t = np.stack([ct * cp, ct * sp, -st], axis=1)
+        e_p = np.stack([-sp, cp, np.zeros_like(sp)], axis=1)
+        w = np.sqrt(rho**2 + rt**2 + rp_st**2)
+        exact = (rho[:, None] * x - rt[:, None] * e_t
+                 - rp_st[:, None] * e_p) / w[:, None]
+        nu = geometry.surface_jet(g, rho).nu
+        assert np.abs(nu - exact).max() < 2e-3
+
     def test_round_sphere_exact_reproduction(self):
         # stencils are exact on constants, so the round sphere carries no
         # truncation error; convergence order is measured on the spheroid

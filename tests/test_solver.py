@@ -217,6 +217,22 @@ class TestHomotopy:
         with pytest.raises(ConfigError):
             solver.homotopy_f(data, 2, 2, 0.2, 0.5)
 
+    @pytest.mark.parametrize("side", [-1, 1], ids=["inside", "outside"])
+    def test_epsilon_at_the_bound(self, side):
+        # The factor (1 + eps) / r2^k - eps at r2 = 4, k = 2 is
+        # (1 - 15 eps) / 16: zero at eps = 1/15, 1e-6 / 16 just inside.
+        data = solver.PrescribedData(f=power_decay(1.25, 3),
+                                     r1=0.5, r2=4.0)
+        epsilon = (1.0 + side * 1e-6) / 15.0
+        if side > 0:
+            with pytest.raises(ConfigError):
+                solver.homotopy_f(data, 2, 2, epsilon, 0.0)
+            return
+        blended = solver.homotopy_f(data, 2, 2, epsilon, 0.0)
+        x = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 4.0]])
+        f_one, f_r2 = blended.f(x, x / np.linalg.norm(x, axis=1)[:, None])
+        assert f_r2 / f_one == pytest.approx(1e-6 / 16, rel=1e-6)
+
 
 class TestResidual:
     def test_round_solution_zero(self, round_data):
@@ -244,9 +260,12 @@ class TestResidual:
             solver.residual(g, np.ones(g.nnodes), data, 2)
 
 
-def _fd_jacobian(g, rho, data, k):
-    return fd_jacobian(lambda r: solver.residual(g, r, data, k), rho,
-                       step=1e-7)
+def _jacobian_error(g, rho, data, k):
+    """Max |assemble_jacobian - fd_jacobian| over 1 + max |fd_jacobian|."""
+    ja = np.asarray(solver.assemble_jacobian(g, rho, data, k).todense())
+    jf = fd_jacobian(lambda r: solver.residual(g, r, data, k), rho,
+                     step=1e-7)
+    return np.abs(ja - jf).max() / (1 + np.abs(jf).max())
 
 
 class TestJacobian:
@@ -255,10 +274,7 @@ class TestJacobian:
         g = geometry.build_grid(2, "full-2d", (16, 8))
         rho = (1.2 + 0.05 * np.sin(g.theta) * np.cos(g.phi)
                + 0.03 * np.cos(g.theta))
-        ja = solver.assemble_jacobian(g, rho, round_data, k)
-        ja = np.asarray(ja.todense())
-        jf = _fd_jacobian(g, rho, round_data, k)
-        assert np.abs(ja - jf).max() / (1 + np.abs(jf).max()) < 1e-7
+        assert _jacobian_error(g, rho, round_data, k) < 1e-7
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_full_2d_matches_fd_off_umbilics(self, round_data, k):
@@ -269,28 +285,36 @@ class TestJacobian:
         st, ct = np.sin(g.theta), np.cos(g.theta)
         rho = (1.2 + 0.05 * st**2 * np.sin(2 * g.phi)
                + 0.04 * st * ct * np.cos(g.phi) + 0.03 * ct**2)
-        ja = solver.assemble_jacobian(g, rho, round_data, k)
-        ja = np.asarray(ja.todense())
-        jf = _fd_jacobian(g, rho, round_data, k)
-        assert np.abs(ja - jf).max() / (1 + np.abs(jf).max()) < 1e-7
+        assert _jacobian_error(g, rho, round_data, k) < 1e-7
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_axisym_matches_fd(self, round_data, n):
         g = geometry.build_grid(n, "axisym-1d", (48,))
         rho = 1.2 + 0.05 * np.cos(g.theta)
-        ja = solver.assemble_jacobian(g, rho, round_data, 2)
-        ja = np.asarray(ja.todense())
-        jf = _fd_jacobian(g, rho, round_data, 2)
-        assert np.abs(ja - jf).max() / (1 + np.abs(jf).max()) < 1e-7
+        assert _jacobian_error(g, rho, round_data, 2) < 1e-7
 
     def test_anisotropic_f_derivatives(self):
         data = solver.PrescribedData(f=aniso(1.25, 3, 0.2), r1=0.5, r2=2.0)
         g = geometry.build_grid(2, "full-2d", (16, 8))
         rho = 1.2 + 0.04 * np.sin(g.theta) * np.sin(g.phi)
-        ja = np.asarray(
-            solver.assemble_jacobian(g, rho, data, 2).todense())
-        jf = _fd_jacobian(g, rho, data, 2)
-        assert np.abs(ja - jf).max() / (1 + np.abs(jf).max()) < 1e-7
+        assert _jacobian_error(g, rho, data, 2) < 1e-7
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_f_of_a_horizontal_normal_component(self, axis):
+        # f of nu_x or nu_y also sees the phi slot, which moves nu along
+        # e_p: e_p has no z component, so nu_z leaves that slot unchecked.
+        data = solver.PrescribedData(f=aniso(1.25, 3, 0.2, axis), r1=0.5,
+                                     r2=2.0)
+        g = geometry.build_grid(2, "full-2d", (16, 8))
+        rho = 1.2 + 0.04 * np.sin(g.theta) * np.sin(g.phi)
+        assert _jacobian_error(g, rho, data, 2) < 1e-7
+
+    def test_axisym_anisotropic_f_derivatives(self):
+        # f of nu_z checks the slots' moves of nu in the meridian plane.
+        data = solver.PrescribedData(f=aniso(1.25, 3, 0.2), r1=0.5, r2=2.0)
+        g = geometry.build_grid(3, "axisym-1d", (48,))
+        rho = 1.2 + 0.05 * np.cos(g.theta)
+        assert _jacobian_error(g, rho, data, 2) < 1e-7
 
     @pytest.mark.parametrize("n,mode,sizes",
                              [(n, "axisym-1d", 33) for n in range(2, 7)]
@@ -308,8 +332,10 @@ class TestJacobian:
         data = solver.PrescribedData(f=counted, r1=0.5, r2=2.0)
         g = geometry.build_grid(n, mode, sizes)
         rho = 1.1 + 0.05 * np.cos(g.theta) ** 2
-        jet = geometry.surface_jet(g, rho)
-        solver._jac_f_term(jet, data, *_f_term_slots(jet))
+        jet, fields = geometry.surface_jet(g, rho), {}
+        solver.residual(g, rho, data, 2, jet=jet, fields=fields)
+        rows.clear()
+        solver.assemble_jacobian(g, rho, data, 2, jet=jet, fields=fields)
         nslots = 3 if mode == "full-2d" else 2
         assert rows == [(2 * g.nnodes, 2 * g.nnodes)] * nslots
 
@@ -336,18 +362,6 @@ class TestJacobian:
         assert np.stack(fgrad, axis=1).tobytes() == want_grad.tobytes()
 
 
-def _f_term_slots(jet):
-    """The dV and dW of _jac_f_term's slots, as the Jacobians pass them."""
-    raw, rho = jet.raw, jet.rho
-    dV = [raw["x"], -raw["e_t"]]
-    dW = [rho / raw["w"], raw["rt"] / raw["w"]]
-    if jet.grid.mode == "full-2d":
-        st2 = raw["st"] ** 2
-        dV.append(-raw["e_p"] / st2[:, None])
-        dW.append(raw["rp"] / (st2 * raw["w"]))
-    return dV, dW
-
-
 @st.composite
 def f_term_cases(draw):
     n = draw(st.integers(2, 6))
@@ -370,11 +384,16 @@ def f_term_cases(draw):
 @given(case=f_term_cases())
 def test_f_term_matches_the_gradient_oracle(case):
     # One difference along each slot's direction gives the gradients of
-    # f dotted with that direction, to finite-difference truncation.
+    # f dotted with that direction, to finite-difference truncation. Any
+    # directions will do: the Jacobians' own are checked through
+    # assemble_jacobian (TestJacobian).
     g, rho, (c, p, delta, axis) = case
     data = solver.PrescribedData(f=aniso(c, p, delta, axis), r1=0.5, r2=2.0)
     jet = geometry.surface_jet(g, rho)
-    dV, dW = _f_term_slots(jet)
+    rng = np.random.default_rng(g.nnodes)
+    nslots = 3 if g.mode == "full-2d" else 2
+    dV = list(rng.normal(size=(nslots, g.nnodes, g.n + 1)))
+    dW = list(rng.normal(size=(nslots, g.nnodes)))
     got = solver._jac_f_term(jet, data, dV, dW)
     want = f_term_oracle(jet, data.f, dV, dW)
     assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))
@@ -545,7 +564,7 @@ class TestDampedNewtonCore:
 
     def test_stall_at_exact_fixed_point(self):
         # The correction -1e-33 is lost in 1 + frac * delta for every frac:
-        # each iteration would repeat the first, so Newton stops there.
+        # no step lowers the residual, so Newton stops after one LU.
         jacobians = []
 
         def res(x):
@@ -559,7 +578,7 @@ class TestDampedNewtonCore:
             damped_newton(np.array([1.0]), res, jac, NewtonConfig())
         assert not isinstance(exc.value, ConeExit)
         assert len(jacobians) == 1
-        assert "no longer changes the iterate" in str(exc.value)
+        assert "no step fraction down to 1/64 decreased" in str(exc.value)
         assert exc.value.report.iterations == 0
         assert exc.value.last_iterate[0] == 1.0
 
@@ -594,7 +613,8 @@ class TestDampedNewtonCore:
 
     def test_stall_at_a_residual_floor(self):
         # x^2 - 4 cut off at a floor of 1e-3: below it every step moves x
-        # and leaves the residual equal, so Newton would run on to max_iter.
+        # and leaves the residual equal, so Newton stops at the first
+        # iterate on the floor instead of moving on to max_iter.
         jacobians = []
 
         def res(x):
@@ -607,13 +627,16 @@ class TestDampedNewtonCore:
         with pytest.raises(NewtonDiverged) as exc:
             damped_newton(np.array([3.0]), res, jac, NewtonConfig())
         assert not isinstance(exc.value, ConeExit)
-        assert "residual not decreased in 3 steps" in str(exc.value)
+        assert "no step fraction down to 1/64 decreased" in str(exc.value)
         rep = exc.value.report
-        assert rep.residual_history[-4:] == [1e-3] * 4
-        assert rep.residual_history[-5] > 1e-3
+        assert rep.residual_history[-1] == 1e-3
+        assert rep.residual_history[-2] > 1e-3
         assert rep.iterations < 10
-        # The stalled steps moved x: the bit-for-bit stop did not fire.
-        assert len({x.tobytes() for x in jacobians[-3:]}) == 3
+        # The refused full step moved x: the last Jacobian is at an iterate
+        # on the floor, and its correction is not lost in x.
+        x = jacobians[-1][0]
+        assert x**2 - 4.0 <= 1e-3
+        assert x - 1e-3 / (2.0 * x) != x
 
 
 def _failing_newton(kind):
@@ -627,22 +650,22 @@ def _failing_newton(kind):
 
     if kind == "not factored":      # singular sparse Jacobian
         return (np.array([0.0]), lambda x: x - 1.0,
-                lambda x: sp.csr_matrix(count(0.5 if not jacobians else 0.0)),
+                lambda x: sp.csr_matrix(count(2.0 if not jacobians else 0.0)),
                 None)
     if kind == "singular dense":
         return (np.array([0.0]), lambda x: x - 1.0,
-                lambda x: count(0.5 if not jacobians else 0.0), None)
+                lambda x: count(2.0 if not jacobians else 0.0), None)
     if kind == "stalled":           # the correction is lost in x + delta
-        return (np.array([1.0]), lambda x: np.array([1e-3]),
-                lambda x: count(1.0 if not jacobians else 1e30), None)
+        return (np.array([1.0]), lambda x: x,
+                lambda x: count(2.0 if not jacobians else 1e30), None)
     if kind == "inadmissible":      # ConeExit
         return (np.array([0.0]), lambda x: x - 10.0, lambda x: count(2.0),
                 lambda x: "blocked" if len(jacobians) > 1 else None)
     if kind == "no decrease":       # a wrong slope overshoots
         return (np.array([1.0]), lambda x: 1.0 + x**2, lambda x: count(1.0),
                 None)
-    # "max_iter": a constant residual is accepted but never decreases
-    return (np.array([0.0]), lambda x: np.array([1.0]), lambda x: count(1.0),
+    # "max_iter": every step lowers the residual, too slowly for max_iter
+    return (np.array([0.0]), lambda x: 2.0**x, lambda x: count(1.0),
             None)
 
 

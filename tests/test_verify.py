@@ -151,6 +151,15 @@ class TestIdentityCheck:
         defect = verify.identity_check(jet, data, 2)
         assert 0.01 < defect < 1.0
 
+    def test_unconverged_state_defect_by_hand(self):
+        # On the sphere of radius 0.8 in R^4 (n = 3) the eta spectrum is
+        # 2 / 0.8 three times, so sum_i F^ii h_ii = sigma_2^(1/2) =
+        # sqrt(3) * 2.5, against f^(1/2) = (1.25 / 0.8^3)^(1/2) = 1.5625.
+        jet = round_jet(0.8, n=3)
+        lhs, rhs = math.sqrt(3.0) * 2.5, math.sqrt(1.25 / 0.8**3)
+        assert verify.identity_check(jet, round_data(), 2) == pytest.approx(
+            abs(lhs - rhs) / rhs, rel=1e-12)
+
 
 class TestEstimateReport:
     def test_field_names_and_purity(self):

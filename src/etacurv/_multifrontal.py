@@ -15,7 +15,7 @@ by ``dgetrs`` and y_bnd -= F21 y_own, then backward by y_own -= X y_bnd.
 
 Each front keeps [LU of F11, X] and F21ᵀ in one flat array of
 sum k^2 + 2 k b doubles over fronts of k own and b boundary unknowns,
-which the plan knows before any arithmetic.
+which the plan sizes, and places every entry in, when it is built.
 """
 
 import numpy as np
@@ -25,8 +25,19 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 from .newton import on_pattern
 
 
+# Largest LU, in bytes of its factors, a flat grid's plan may call for.
+MAX_LU_BYTES = 2**30
 NOT_SEPARATED = ("a child's boundary leaves its parent's front: the tree "
                  "does not separate the pattern")
+
+
+def refuse_lu(n, doubles, least=""):
+    """Raise ValueError if factors of ``least`` the given doubles, for an
+    LU of n unknowns, pass MAX_LU_BYTES."""
+    if doubles * 8 > MAX_LU_BYTES:
+        raise ValueError(f"LU of {n} unknowns needs {least}"
+                         f"{doubles * 8:.4g} bytes of factors, past the "
+                         f"limit of {MAX_LU_BYTES}")
 
 
 def _unique(x):
@@ -80,34 +91,37 @@ class FrontalPlan:
     included, -1 where absent; along a row, the columns increase with the
     table's column, and column s - 1 - t is the mirror of column t, so
     that (i, table[i, t]) and (table[i, t], i) are mirror entries. A
-    child's boundary must lie in its parent's front, as it does when
-    every path between two subtrees crosses an ancestor's own unknowns.
+    child's boundary must lie in its parent's front (else ValueError), as
+    it does when every path between two subtrees crosses an ancestor's
+    own unknowns.
 
-    The fronts and ``storage``, the number of doubles the factors take,
-    are known at once. The first ``factor`` derives the CSR arrays of the
-    pattern from the table, places each of its entries in the storage and
-    maps each child's update into its parent; every matrix is then read
-    by position on that pattern.
+    The constructor sizes the fronts and ``storage``, the doubles the
+    factors take, refuses them past MAX_LU_BYTES, derives the pattern's
+    CSR arrays from the table, places each entry in the storage and maps
+    each child's update into its parent; ``factor`` reads every matrix by
+    position on that pattern.
     """
 
     def __init__(self, order, sizes, parent, table):
-        n, nf = order.size, len(sizes)
+        n, s, nf = *table.shape, len(sizes)
         self.order = order.astype(np.int32)
         self.parent = parent.tolist()
-        ends = np.cumsum(sizes)
-        self.starts, self.ends = (ends - sizes).tolist(), ends.tolist()
+        k = np.asarray(sizes, dtype=np.int64)
+        ends = np.cumsum(k)
+        starts = ends - k
+        self.starts, self.ends = starts.tolist(), ends.tolist()
         ipos = np.empty(n + 1, dtype=np.int32)
         ipos[self.order] = np.arange(n, dtype=np.int32)
         ipos[n] = -1
         # Neighbors in the new numbering, rows in the new order.
-        self._nbr = nbr = ipos[table[self.order]]
-        owner = np.repeat(np.arange(nf, dtype=np.int32), sizes)
+        nbr = ipos[table[self.order]]
+        owner = np.repeat(np.arange(nf, dtype=np.int32), k)
 
         # Boundaries: the later neighbors of a front's rows, and those of
         # its children's boundaries that lie past the front.
         far_r, far_t = np.nonzero(nbr >= ends[owner][:, None])
-        direct = _unique(owner[far_r].astype(np.int64) * n
-                         + nbr[far_r, far_t])
+        far_q, far_f = nbr[far_r, far_t], owner[far_r]
+        direct = _unique(far_f.astype(np.int64) * n + far_q)
         cut = np.searchsorted(direct, np.arange(nf + 1) * n).tolist()
         direct = (direct % n).astype(np.int32)
         children = [[] for _ in range(nf)]
@@ -123,40 +137,23 @@ class FrontalPlan:
                     [bnd] + [self.bnd[c][self.bnd[c] >= e]
                              for c in children[f]]))
             self.bnd.append(bnd)
-        k = np.asarray(sizes, dtype=np.int64)
         b = np.array([x.size for x in self.bnd], dtype=np.int64)
         self.offsets = np.concatenate(([0], np.cumsum(k * k + 2 * k * b)))
         self.storage = int(self.offsets[-1])
-        self.pattern = self.dest = self.maps = None
+        refuse_lu(n, self.storage)
 
-    def _place(self):
-        """The CSR arrays of the pattern, the storage position of each of
-        its entries, and the moves of each child's update into its
-        parent's front."""
-        nbr = self._nbr
-        n, s, nf = *nbr.shape, len(self.bnd)
-        ipos = np.empty(n, dtype=np.int32)
-        ipos[self.order] = np.arange(n, dtype=np.int32)
-        present = nbr[ipos] >= 0       # rows in the old order
+        old = nbr[ipos[:n]]             # rows in the old order
+        present = old >= 0
         self.pattern = (np.concatenate(([0], np.cumsum(present.sum(axis=1)))),
-                        self.order[nbr[ipos][present]])
-        starts = np.asarray(self.starts, dtype=np.int64)
-        ends = np.asarray(self.ends, dtype=np.int64)
-        k = ends - starts
-        b = np.array([x.size for x in self.bnd], dtype=np.int64)
-        owner = np.repeat(np.arange(nf, dtype=np.int32), k)
+                        self.order[old[present]])
         # A boundary unknown's index in its front's boundary, by its
-        # (front, position) key.
+        # (front, position) key, which every lookup finds.
         bptr = np.concatenate(([0], np.cumsum(b)))
         bkey = np.repeat(np.arange(nf, dtype=np.int64) * n, b)
         bkey += np.concatenate(self.bnd)
 
         def slot(f, q):
-            key = f.astype(np.int64) * n + q
-            at = np.minimum(np.searchsorted(bkey, key), bkey.size - 1)
-            if not np.array_equal(bkey[at], key):
-                raise ValueError(NOT_SEPARATED)
-            return at - bptr[f]
+            return np.searchsorted(bkey, f.astype(np.int64) * n + q) - bptr[f]
 
         # Positions in the table's layout, rows in the new order. An own
         # row and own column go to F11 of the row's front, an own row and
@@ -165,14 +162,12 @@ class FrontalPlan:
         s_r, k_r = starts[owner], k[owner]
         at = (self.offsets[owner] + np.arange(n) - s_r - s_r * k_r)[:, None]
         at = at + nbr * k_r[:, None]
-        far_r, far_t = np.nonzero(nbr >= ends[owner][:, None])
-        far_q, far_f = nbr[far_r, far_t], owner[far_r]
         f12 = (self.offsets[far_f] + k[far_f] ** 2 + far_r - starts[far_f]
                + slot(far_f, far_q) * k[far_f])
         at[far_r, far_t] = f12
         at[far_q, s - 1 - far_t] = f12 + k[far_f] * b[far_f]
-        dest = at[ipos][present].astype(np.int32 if self.storage < 2**31
-                                        else np.int64)
+        self.dest = at[ipos[:n]][present].astype(
+            np.int32 if self.storage < 2**31 else np.int64)
 
         # Where each child's boundary sits in its parent's front, in runs
         # of consecutive positions.
@@ -196,17 +191,15 @@ class FrontalPlan:
         run_dst = local[run].tolist()
         run_len = np.diff(np.append(run, val.size)).tolist()
         run, first = run.tolist(), first.tolist()
-        maps = [None] * nf
+        self.maps = [None] * nf
         for j, c in enumerate(kids):
             a, z = first[j], first[j + 1]
             r = int(np.count_nonzero(mine[a:z]))
             runs = [(run_dst[i], run[i] - a, run_len[i])
                     for i in range(bounds[j], bounds[j + 1])]
             p = self.parent[c]
-            maps[c] = _moves(runs, local[a:a + r], local[a + r:z],
-                             self.ends[p] - self.starts[p])
-        self.dest, self.maps = dest, maps
-        del self._nbr
+            self.maps[c] = _moves(runs, local[a:a + r], local[a + r:z],
+                                  self.ends[p] - self.starts[p])
 
     def _blocks(self, store, f):
         """Views of front f's [F11 F12], which become [LU of F11, X], and
@@ -226,8 +219,6 @@ class FrontalPlan:
         Raises ValueError on any other pattern, and RuntimeError where a
         front's own block is exactly singular.
         """
-        if self.maps is None:
-            self._place()
         jac = on_pattern(jac, self.pattern)
         store = np.zeros(self.storage)
         store[self.dest] = jac.data

@@ -103,6 +103,8 @@ def _apply_override(cfg, spec):
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except RecursionError:
+        raise ConfigError(f"override of '{path}' nests too deeply")
     parts = path.split(".")
     cur = cfg
     for part in parts[:-1]:
@@ -121,10 +123,17 @@ def load_config(path, overrides=()):
         raise ConfigError(f"cannot read config file: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}")
+    except RecursionError:
+        raise ConfigError("config file nests too deeply")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     for spec in overrides:
         _apply_override(cfg, spec)
+    # Every report echoes the config, which must not fail after the solve.
+    try:
+        json_text(cfg)
+    except RecursionError:
+        raise ConfigError("config nests too deeply to be echoed")
     return cfg
 
 
@@ -306,6 +315,11 @@ def _run_command(config_path, outdir, overrides, setup):
         for key, why in _REMOVED_KEYS.items():
             if key in cfg.get("newton", {}):
                 raise ConfigError(f"key 'newton.{key}' was removed: {why}")
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create the output directory "
+                              f"'{outdir}': {exc.strerror}")
         run, solve = setup(cfg, n, k, newton)
         texts, summary = solve()
         code, message = 0, f"{summary}; report in {outdir}/report.json"

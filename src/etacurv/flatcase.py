@@ -15,14 +15,14 @@ so a lattice plane separates its two sides. The grid orders its unknowns
 by nested dissection of the lattice, and the Jacobian is factored by a
 multifrontal LU over that dissection's tree (``FrontalPlan``): a leaf of
 at most 64 points or a separator plane is a front, factored by LAPACK's
-dense kernels. The plan is built with the grid and knows the bytes of
-its factors before any operator is assembled; a grid whose LU would take
-more than MAX_LU_BYTES is refused. At h = 1/12 on the 3-d ball the dense
-fronts hold 3.13 M doubles and take 9.6e8 flops, against SuperLU's
-2.53 M L+U entries and 7.8e8 flops in the same order, but one-thread
-``dgetrf`` reaches 26 GF/s at n = 450 and ``dgemm`` 63 GF/s at n = 600
-where SuperLU runs at about 5 GF/s: the LU takes 90 ms against
-SuperLU's 160 ms.
+dense kernels. The plan is built, complete, with the grid and before any
+operator: a grid whose own blocks alone pass MAX_LU_BYTES is refused
+before the neighbor table, one whose exact factors do before the plan
+places any entry. At h = 1/12 on the 3-d ball the dense fronts hold
+3.13 M doubles and take 9.6e8 flops, against SuperLU's 2.53 M L+U entries
+and 7.8e8 flops in the same order, but one-thread ``dgetrf`` reaches
+26 GF/s at n = 450 and ``dgemm`` 63 GF/s at n = 600 where SuperLU runs at
+about 5 GF/s: the LU takes 90 ms against SuperLU's 160 ms.
 """
 
 import math
@@ -36,8 +36,8 @@ import scipy.sparse as sp
 from . import symm
 from .errors import DomainError
 from .geometry import _csv_column
-from .newton import (MAX_LU_BYTES, MAX_NODES, SlotTable, damped_newton,
-                     fd_data_derivs, form_residual, solve_config)
+from .newton import (MAX_NODES, SlotTable, damped_newton, fd_data_derivs,
+                     form_residual, solve_config)
 
 __all__ = [
     "DomainGrid", "FlatState", "build_flat_grid", "lattice_dissection",
@@ -197,21 +197,15 @@ def build_flat_grid(dim, shape="ball", h=1.0 / 16, radius=1.0, bounds=None):
     lattice = np.full(extent + 2, -1, dtype=np.int32)
     lattice[tuple(node.T)] = rows
 
-    # Each front's own block is dense: refuse an LU whose own blocks alone
-    # outgrow the limit before any more is built, and then one whose
-    # factors do.
-    def refuse_lu(doubles, least=""):
-        if doubles * 8 > MAX_LU_BYTES:
-            raise ValueError(f"LU of {ni} unknowns needs {least}"
-                             f"{doubles * 8:.4g} bytes of factors, past the "
-                             f"limit of {MAX_LU_BYTES}")
-
     # Only flat grids use the plan's module: the curved pipeline never
     # loads it.
-    from ._multifrontal import FrontalPlan
+    from ._multifrontal import FrontalPlan, refuse_lu
 
+    # Each front's own block is dense: refuse an LU whose own blocks alone
+    # outgrow the limit before the neighbor table is built. The plan
+    # refuses its exact factors itself.
     tree = lattice_dissection(node)
-    refuse_lu(float(np.sum(tree[1].astype(float) ** 2)), "at least ")
+    refuse_lu(ni, float(np.sum(tree[1].astype(float) ** 2)), "at least ")
     # The stencils couple each node to itself and to the nodes one lattice
     # step away along an axis or a plane diagonal: the Jacobian's pattern,
     # known before any operator is assembled. In lexicographic order of
@@ -224,7 +218,6 @@ def build_flat_grid(dim, shape="ball", h=1.0 / 16, radius=1.0, bounds=None):
     strides = np.array(lattice.strides) // lattice.itemsize
     table = lattice.ravel()[(node @ strides)[:, None] + steps @ strides]
     plan = FrontalPlan(*tree, table)
-    refuse_lu(plan.storage)
 
     def arms(step):
         """Both arms of every node along the lattice direction ``step``.

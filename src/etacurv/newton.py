@@ -70,8 +70,6 @@ MAX_BACKTRACKS = 6      # smallest step fraction tried is 2**-6 = 1/64
 REFACTOR_RATIO = 0.1
 # Largest sphere grid (ntheta * nphi) or flat lattice box a builder allocates.
 MAX_NODES = 2**22
-# Largest LU, in bytes of its factors, a flat grid's plan may call for.
-MAX_LU_BYTES = 2**30
 
 
 class SuperLUPlan:
@@ -372,12 +370,11 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
         return cls(f"{why} (residual {rnorm:.3e}, tol {tol:.3e})",
                    last_iterate=x, report=report)
 
-    def admissible(cand):
-        return candidate_check is None or not candidate_check(cand)
-
     def evaluate(cand):
-        """(cand, F, state, max|F|), or None if F is undefined or not
-        finite at cand."""
+        """(cand, F, state, max|F|), or None if cand is inadmissible or F
+        is undefined or not finite at cand."""
+        if candidate_check is not None and candidate_check(cand):
+            return None
         try:
             cres, cstate = residual_fn(cand)
         except (ConeViolationError, DomainError, PreconditionError):
@@ -393,12 +390,6 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
         report.residual_history.append(rnorm)
         report.step_fractions.append(frac)
 
-    def full_step():
-        """The evaluated full step on the kept factors, or None if its
-        candidate is inadmissible."""
-        cand = x + solve(-res)
-        return evaluate(cand) if admissible(cand) else None
-
     if not np.isfinite(rnorm):
         raise diverged("residual not finite at the first iterate")
     while rnorm > tol:
@@ -406,7 +397,7 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
             raise diverged(f"no convergence in {cfg.max_iter} iterations")
         kept = False
         if reuse:
-            step = full_step()
+            step = evaluate(x + solve(-res))
             if step is not None and step[3] < rnorm:
                 accept(step, 1.0)
                 kept = True
@@ -428,10 +419,7 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
         inadmissible_only = True
         for m in range(MAX_BACKTRACKS + 1):
             frac = 0.5**m
-            cand = x + frac * delta
-            if not admissible(cand):
-                continue
-            step = evaluate(cand)
+            step = evaluate(x + frac * delta)
             if step is None:
                 continue
             inadmissible_only = False
@@ -448,7 +436,7 @@ def damped_newton(x0, residual_fn, jacobian_fn, cfg, candidate_check=None):
             solve = None
 
     if kept:
-        step = full_step()
+        step = evaluate(x + solve(-res))
         if step is not None and step[3] < rnorm:
             accept(step, 1.0)
     report.converged = True

@@ -54,7 +54,8 @@ def _push(e, x, top):
     """Fold one entry column x into the running table: e_m += x e_(m-1).
 
     m runs from ``top`` down to 1 so each update reads the lower entry
-    before it changes; this is the only sigma recurrence in the package.
+    before it changes. The package's one other sigma recurrence is
+    ``newton_tensor_batch``'s trace recursion, which needs no eigenvalues.
     """
     for m in range(top, 0, -1):
         e[:, m] += x * e[:, m - 1]

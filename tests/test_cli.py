@@ -944,3 +944,47 @@ def _assert_runs_byte_identical(tmp_path, command, cfg, files):
 def test_flat_determinism_byte_identical(tmp_path):
     _assert_runs_byte_identical(tmp_path, "solve-flat", FLAT_CFG,
                                 ("flat.csv", "report.json"))
+
+
+def test_deep_nesting_exits_2(tmp_path):
+    # A config nested past what the JSON decoder, or the report's echo of
+    # the config, can recurse through ends in the config-error exit before
+    # the solve: in the config file, in an override's value, and in an
+    # override's dot path.
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps(FLAT_CFG)[:-1] + ', "note": '
+                    + "[" * 5000 + "]" * 5000 + "}")
+    cfgp = tmp_path / "cfg.json"
+    write_cfg(cfgp, FLAT_CFG)
+    out = tmp_path / "o"
+    for path, spec in ((deep, None),
+                       (cfgp, "note=" + "[" * 983 + "]" * 983),
+                       (cfgp, ".".join(["note"] * 2000) + "=1")):
+        args = ["solve-flat", "--config", str(path), "--out", str(out)]
+        r = CliRunner().invoke(cli.main,
+                               args + (["--override", spec] if spec else []))
+        assert r.exit_code == 2, (r.output, r.exception)
+        assert isinstance(r.exception, SystemExit)
+        assert "Traceback" not in r.output
+        assert "config error" in r.output and "nests too deeply" in r.output
+        assert not out.exists()
+
+
+def test_unusable_out_exits_2_before_the_solve(tmp_path, monkeypatch):
+    def solve(*args, **kw):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(flatcase, "dirichlet_solve", solve)
+    cfgp = tmp_path / "cfg.json"
+    write_cfg(cfgp, FLAT_CFG)
+    taken = tmp_path / "taken"
+    taken.write_text("a file")
+    for out in (taken, taken / "o"):
+        r = CliRunner().invoke(cli.main, ["solve-flat", "--config", str(cfgp),
+                                          "--out", str(out)])
+        assert r.exit_code == 2, (r.output, r.exception)
+        assert isinstance(r.exception, SystemExit)
+        assert "Traceback" not in r.output
+        assert (f"config error: cannot create the output directory '{out}'"
+                in r.output)
+        assert taken.read_text() == "a file"

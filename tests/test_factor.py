@@ -262,15 +262,19 @@ def test_small_sets_keep_their_order():
     assert sizes.tolist() == [64] and parent.tolist() == [-1]
 
 
+# On the 2-d ball at h = 1/64, two children's boundaries span all but two
+# of the positions between their first and last in the parent's front:
+# their updates move by an index array of columns, not by a slice.
 @pytest.mark.parametrize("grid,jacobian", [
     (FLATS["ball3d"], flat_jacobian),
     (FLATS["ball3d"], lambda grid: flat_jacobian(grid, 3)),
     (lambda: flatcase.build_flat_grid(4, "ball", h=1 / 5), flat_jacobian),
     (FLATS["rect3d"], flat_jacobian),
+    (lambda: flatcase.build_flat_grid(2, "ball", h=1 / 64), flat_jacobian),
     (SPHERES["full128x64"], sphere_jacobian),
     (lambda: geometry.build_grid(2, "axisym-1d", 128), sphere_jacobian),
-], ids=["ball3d", "ball3d_k3", "ball4d", "rect3d", "full128x64",
-        "axisym128"])
+], ids=["ball3d", "ball3d_k3", "ball4d", "rect3d", "ball2d_h64",
+        "full128x64", "axisym128"])
 def test_factor_solves_like_spsolve(grid, jacobian):
     grid = grid()
     jac = jacobian(grid)
@@ -364,11 +368,17 @@ def test_factor_leaves_its_input_as_it_was(kind, ordered):
 
 @pytest.mark.parametrize("name", sorted(FLATS))
 def test_plan_pattern_is_the_grid_slot_pattern(name):
+    # The plan is complete when the grid is built: its pattern, the
+    # storage position of each entry and the extend-add moves.
     grid = FLATS[name]()
-    grid.plan.factor(flat_jacobian(grid))
-    indptr, indices = grid.plan.pattern
+    plan = grid.plan
+    indptr, indices = plan.pattern
     assert np.array_equal(indptr, grid.slots.indptr)
     assert np.array_equal(indices, grid.slots.indices)
+    assert plan.dest.size == indices.size
+    assert np.unique(plan.dest).size == plan.dest.size
+    assert 0 <= plan.dest.min() and plan.dest.max() < plan.storage
+    assert [m is None for m in plan.maps] == [p < 0 for p in plan.parent]
 
 
 def test_plan_refuses_any_other_pattern():
@@ -433,15 +443,16 @@ def test_plan_refuses_a_tree_that_does_not_separate():
     jac = sp.csr_matrix(np.diag([2.0, 2.0, 2.0]) + np.diag([1.0, 1.0], 1)
                         + np.diag([1.0, 1.0], -1))
     table = np.array([[-1, 0, 1], [0, 1, 2], [1, 2, -1]])
-    for order, ok in (([0, 2, 1], True), ([0, 1, 2], False)):
-        plan = _multifrontal.FrontalPlan(np.array(order), np.ones(3, int),
+
+    def plan(order):
+        return _multifrontal.FrontalPlan(np.array(order), np.ones(3, int),
                                          np.array([2, 2, -1]), table)
-        if ok:
-            x = plan.factor(jac)(np.ones(3))
-            assert np.allclose(jac @ x, 1.0)
-            continue
-        with pytest.raises(ValueError, match="does not separate"):
-            plan.factor(jac)
+
+    x = plan([0, 2, 1]).factor(jac)(np.ones(3))
+    assert np.allclose(jac @ x, 1.0)
+    # The constructor refuses the tree: no plan exists to factor with.
+    with pytest.raises(ValueError, match="does not separate"):
+        plan([0, 1, 2])
 
 
 def test_lu_guard_fires_before_the_operators(monkeypatch):
@@ -450,21 +461,23 @@ def test_lu_guard_fires_before_the_operators(monkeypatch):
     sizes = flatcase.lattice_dissection(
         np.rint(grid.pts / grid.h).astype(int))[1]
     own = 8 * int(np.sum(sizes**2))
-    # With scipy.sparse gone, assembling any operator raises.
+    # With scipy.sparse gone, assembling any operator raises; with the
+    # extend-add moves gone, placing the plan's entries does.
     monkeypatch.setattr(flatcase, "sp", None)
-    monkeypatch.setattr(flatcase, "MAX_LU_BYTES", need - 1)
+    monkeypatch.setattr(_multifrontal, "_moves", None)
+    monkeypatch.setattr(_multifrontal, "MAX_LU_BYTES", need - 1)
     with pytest.raises(ValueError, match=re.escape(
             f"LU of {grid.ninterior} unknowns needs {need:.4g} bytes of "
             f"factors, past the limit of {need - 1}")):
         FLATS["ball3d"]()
     # Own blocks past the limit are refused before the plan is built.
     monkeypatch.setattr(_multifrontal, "FrontalPlan", None)
-    monkeypatch.setattr(flatcase, "MAX_LU_BYTES", own - 1)
+    monkeypatch.setattr(_multifrontal, "MAX_LU_BYTES", own - 1)
     with pytest.raises(ValueError,
                        match=re.escape(f"needs at least {own:.4g} bytes")):
         FLATS["ball3d"]()
     monkeypatch.undo()
-    monkeypatch.setattr(flatcase, "MAX_LU_BYTES", need)
+    monkeypatch.setattr(_multifrontal, "MAX_LU_BYTES", need)
     assert FLATS["ball3d"]().plan.storage == grid.plan.storage
 
 

@@ -17,6 +17,7 @@ from etacurv.errors import (ConeExit, ConfigError, ContinuationStuck,
                             NewtonDiverged, PreconditionError)
 from etacurv.newton import (NewtonConfig, SuperLUPlan, damped_newton,
                             fd_data_derivs)
+from ellipsoid_oracle import ellipsoid_gauss, ellipsoid_rho
 from fd_oracle import component_derivs, f_term_oracle, fd_jacobian
 
 
@@ -933,6 +934,27 @@ class TestContinuation:
         assert rho.max() <= data.r2 + 2 * h
         # non-round final surface
         assert rho.max() - rho.min() > 1e-3
+
+    def test_ellipsoid_is_reached_at_order_two(self):
+        # f = K(X) on the ellipsoid (a, b, c) = (1.2, 1.0, 0.8): the solve
+        # converges to it at second order, and the monitors to its largest
+        # curvature a / c^2 and its least support value c.
+        a, b, c = 1.2, 1.0, 0.8
+        data = solver.PrescribedData(f=ellipsoid_gauss(a, b, c), r1=0.4,
+                                     r2=2.5)
+        errors = []
+        for m in (16, 32, 64):
+            g = geometry.build_grid(2, "full-2d", (m, m))
+            rho, run = solver.continue_to_target(g, data,
+                                                 solver.HomotopyRun(), 2)
+            x = geometry.surface_jet(g, np.ones(g.nnodes)).X
+            mon = run.trace[-1]["monitors"]
+            errors.append((np.abs(rho - ellipsoid_rho(a, b, c, x)).max(),
+                           abs(mon["max_abs_kappa"] - a / c**2),
+                           abs(mon["min_u"] - c)))
+        assert errors[-1][0] <= 3e-4
+        for coarse, fine in zip(errors, errors[1:]):
+            assert np.all(np.log2(np.divide(coarse, fine)) >= 1.9), errors
 
     def test_sweep_case_golden(self, monkeypatch):
         # axisym n = 5, k = 4 with the round data f = C(5,4) 4^4 R / |X|^5,
